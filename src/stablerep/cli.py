@@ -13,7 +13,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
        states not quasi-equivalent, stabilization not witnessed)
     2  malformed input (message includes file and location)
     3  infeasible job (level above the hard cap without --allow-large,
-       bad support bounds)
+       bad support bounds, a --max-shift whose probes miss the truncation)
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def _perm_from_cycles(data, where):
 def _partition_from(data, where):
     if not isinstance(data, list):
         raise InputError("partition must be a list", location=where)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in data):
+        raise InputError("partition entries must be integers, got %r" % (data,),
+                         location=where)
     lam = tuple(data)
     try:
         check_partition(lam)
@@ -114,6 +117,11 @@ def _number_from(value, where):
 
 
 def _params_from(data, where):
+    if not isinstance(data, dict):
+        raise InputError("expected a JSON object", location=where)
+    for key in ("alpha", "beta"):
+        if not isinstance(data.get(key, []), list):
+            raise InputError("%s must be a list of numbers" % key, location=where)
     alpha = tuple(_number_from(v, where) for v in data.get("alpha", []))
     beta = tuple(_number_from(v, where) for v in data.get("beta", []))
     try:
@@ -123,21 +131,20 @@ def _params_from(data, where):
 
 
 def _spec_from(data, where):
-    for key in ("n", "lambda"):
-        if key not in data:
-            raise InputError("state spec needs keys n, lambda, alpha, beta",
-                             location=where)
+    if not isinstance(data, dict) or not all(key in data for key in ("n", "lambda")):
+        raise InputError("state spec needs keys n, lambda, alpha, beta",
+                         location=where)
     params = _params_from(data, where)
     try:
         return CanonicalState(int(data["n"]), _partition_from(data["lambda"], where),
                               params)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(str(exc), location=where)
 
 
 def _table_from(data, where):
     level = data.get("level")
-    if not isinstance(level, int) or level < 0:
+    if not isinstance(level, int) or isinstance(level, bool) or level < 0:
         raise InputError("state file needs an integer 'level'", location=where)
     rows = data.get("values")
     if not isinstance(rows, list):

@@ -4,13 +4,20 @@ Elements of every finite symmetric group live in one type: a permutation
 is stored by its action on the (finite) set of points it moves, so the
 nested groups S_1 < S_2 < ... can be mixed freely and equality ignores
 trailing fixed points.
+
+Hot loops use the integer index layer at the end of this module instead:
+S_n as rows of an array of one-line words, with group actions as index
+maps between rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
 class Permutation:
@@ -254,3 +261,107 @@ def adjacent_word(p: Permutation, n: Optional[int] = None) -> tuple[int, ...]:
                 swaps.append(idx + 1)
                 changed = True
     return tuple(reversed(swaps))
+
+
+# ---------------------------------------------------------------------------
+# Integer index layer. Row r of group_words(n) is the one-line word of
+# symmetric_group(n)[r]; that lexicographic order is Lehmer-code rank order,
+# so a word's row is its rank and actions become gathers over rows.
+
+
+@lru_cache(maxsize=8)
+def group_words(n: int) -> np.ndarray:
+    """(n!, n) int8 array of the one-line words of S_n, in symmetric_group(n) order.
+
+    >>> group_words(3)[[0, 1, 5]]
+    array([[1, 2, 3],
+           [1, 3, 2],
+           [3, 2, 1]], dtype=int8)
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    perms = itertools.permutations(range(1, n + 1))
+    words = np.array(list(perms), dtype=np.int8).reshape(math.factorial(n), n)
+    words.flags.writeable = False
+    return words
+
+
+def word_ranks(words: np.ndarray) -> np.ndarray:
+    """Lehmer-code rank of each row of an (N, n) array of one-line words.
+
+    >>> word_ranks(np.array([[1, 2, 3], [2, 3, 1], [3, 2, 1]]))
+    array([0, 3, 5])
+    """
+    words = np.asarray(words)
+    n = words.shape[1]
+    # Lehmer digit i counts the later entries smaller than entry i.
+    digits = np.triu(words[:, :, None] > words[:, None, :], k=1).sum(axis=2)
+    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    return digits @ weights
+
+
+def left_adjacent_map(n: int) -> np.ndarray:
+    """(n!, n-1) index map: entry [r, i-1] is the row of t_i * g_r, t_i = (i, i+1).
+
+    Left multiplication by t_i swaps the values i and i+1 in a one-line word.
+
+    >>> left_adjacent_map(3)
+    array([[2, 1],
+           [3, 0],
+           [0, 4],
+           [1, 5],
+           [5, 2],
+           [4, 3]])
+    """
+    words = group_words(n)
+    out = np.empty((len(words), max(n - 1, 0)), dtype=np.int64)
+    for i in range(1, n):
+        swapped = words.copy()
+        swapped[words == i] = i + 1
+        swapped[words == i + 1] = i
+        out[:, i - 1] = word_ranks(swapped)
+    return out
+
+
+class CayleyLayer(NamedTuple):
+    """One breadth-first layer: row child[k] is t_{generator[k]+1} * row parent[k]."""
+
+    child: np.ndarray
+    parent: np.ndarray
+    generator: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def cayley_layers(n: int) -> tuple[CayleyLayer, ...]:
+    """Breadth-first walk of S_n from the identity (row 0) under left t_1, ..., t_{n-1}.
+
+    Layer k holds the elements of Coxeter length k + 1, each with the first
+    parent that reaches it: earliest in frontier order, then in generator
+    order. Children are listed in the order they are first reached, which
+    is the next frontier's order.
+
+    >>> [len(layer.child) for layer in cayley_layers(4)]
+    [3, 5, 6, 5, 3, 1]
+    >>> layer = cayley_layers(3)[0]
+    >>> layer.child, layer.parent, layer.generator
+    (array([2, 1]), array([0, 0]), array([0, 1]))
+    """
+    step = left_adjacent_map(n)
+    ngen = step.shape[1]
+    seen = np.zeros(len(step), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    layers = []
+    while True:
+        reached = step[frontier].ravel()  # frontier order, then generator order
+        rows, first = np.unique(reached, return_index=True)
+        first = np.sort(first[~seen[rows]])
+        if not len(first):
+            return tuple(layers)
+        child = reached[first]
+        seen[child] = True
+        layer = CayleyLayer(child, frontier[first // ngen], first % ngen)
+        for arr in layer:
+            arr.flags.writeable = False
+        layers.append(layer)
+        frontier = child

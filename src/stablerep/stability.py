@@ -102,7 +102,14 @@ def stability_profile(
     cut; exhaustive=True sweeps every non-identity element of the
     truncated tail group instead (small levels only, for auditing the
     generator shortcut).
+
+    The generator probes above a cut m >= K fix every point of S_K and so
+    measure nothing; M >= K is refused for them.
     """
+    if not exhaustive and M >= K:
+        raise ValueError(
+            f"probes above cut {M} fix every point of S_{K}; max shift must be <= {K - 1}"
+        )
     points = []
     for m in range(M + 1):
         if exhaustive:

@@ -11,6 +11,7 @@ tableau with k and k+1 swapped, where d is the axial distance
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -19,14 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .partitions import check_partition, standard_tableaux
-from .permutations import (
-    IDENTITY,
-    Permutation,
-    adjacent_word,
-    element_index,
-    symmetric_group,
-    transposition,
-)
+from .permutations import Permutation, adjacent_word, cayley_layers
 
 # Full group tables are memoised only up to this level; above it they are
 # rebuilt on demand to bound memory.
@@ -87,26 +81,19 @@ def irrep_matrix(lam: Iterable[int], p: Permutation) -> np.ndarray:
 
 
 def _build_table(n: int, lam: tuple[int, ...]) -> np.ndarray:
-    """Matrices of every element of S_n in symmetric_group(n) order."""
-    elements = symmetric_group(n)
-    index = element_index(n)
-    gens = [transposition(i, i + 1) for i in range(1, n)]
+    """Matrices of every element of S_n in symmetric_group(n) order.
+
+    Walks the shared breadth-first layers of S_n: each layer costs one
+    batched product per generator, rho(t g) = rho(t) rho(g).
+    """
     gmats = yor_generators(lam)
     d = irrep_dimension(lam)
-    table = np.empty((len(elements), d, d))
-    table[index[IDENTITY]] = np.eye(d)
-    frontier = [IDENTITY]
-    seen = {IDENTITY}
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for t, tm in zip(gens, gmats):
-                h = t * g
-                if h not in seen:
-                    seen.add(h)
-                    table[index[h]] = tm @ table[index[g]]
-                    nxt.append(h)
-        frontier = nxt
+    table = np.empty((math.factorial(n), d, d))
+    table[0] = np.eye(d)
+    for layer in cayley_layers(n):
+        for i, tm in enumerate(gmats):
+            pick = layer.generator == i
+            table[layer.child[pick]] = np.matmul(tm, table[layer.parent[pick]])
     table.flags.writeable = False
     return table
 

@@ -193,10 +193,49 @@ def test_bad_perm_flag_exits_2(capsys, spec_a):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"n": 1, "lambda": [1.0], "alpha": ["1/2"], "beta": []},
+    {"n": 1, "lambda": [True], "alpha": ["1/2"], "beta": []},
+    {"n": [1], "lambda": [1], "alpha": [], "beta": []},
+    5,
+], ids=["float-part", "bool-part", "list-n", "not-object"])
+def test_malformed_spec_exits_2(capsys, tmp_path, spec):
+    bad = write(tmp_path / "spec.json", spec)
+    code, out, err = run(capsys, "eval-state", bad, "--perm", "[[1,2]]")
+    assert code == 2
+    assert out == ""
+    assert "spec.json" in err
+
+
+def test_string_alpha_exits_2_naming_the_key(capsys, tmp_path):
+    bad = write(tmp_path / "alpha.json",
+                {"n": 1, "lambda": [1], "alpha": "0.5", "beta": []})
+    code, _, err = run(capsys, "eval-state", bad, "--perm", "[[1,2]]")
+    assert code == 2
+    assert "alpha must be a list" in err and "alpha.json" in err
+
+
+def test_stability_profile_past_truncation_exits_3(capsys, tmp_path):
+    cut3 = write(tmp_path / "cut3.json",
+                 {"n": 3, "lambda": [2, 1], "alpha": ["1/2"], "beta": ["1/4"]})
+    code, out, err = run(capsys, "stability-profile", cut3, "--level", "4",
+                         "--max-shift", "5")
+    assert code == 3
+    assert out == ""
+    assert "S_4" in err
+
+
 def test_state_above_level_exits_2(capsys, tmp_path):
     bad = write(tmp_path / "s.json", {"level": 2, "values": [[[[1, 4]], 0.5]]})
     code, _, err = run(capsys, "psd-check", bad, "--level", "2")
     assert code == 2
+
+
+def test_bool_table_level_exits_2(capsys, tmp_path):
+    bad = write(tmp_path / "s.json", {"level": True, "values": [[[], 1]]})
+    code, out, err = run(capsys, "psd-check", bad, "--level", "1")
+    assert code == 2
+    assert out == "" and "integer 'level'" in err
 
 
 def test_hard_cap_exits_3(capsys, spec_a):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +11,16 @@ from stablerep.permutations import (
     IDENTITY,
     Permutation,
     adjacent_word,
+    cayley_layers,
     conjugate,
     cycle,
     element_index,
+    group_words,
+    left_adjacent_map,
     split_product,
     symmetric_group,
     transposition,
+    word_ranks,
 )
 
 
@@ -129,6 +134,49 @@ def test_element_index_inverts_enumeration():
     idx = element_index(4)
     for i, g in enumerate(symmetric_group(4)):
         assert idx[g] == i
+
+
+def test_group_words_are_ranked_by_position():
+    for n in range(8):
+        words = group_words(n)
+        assert words.shape == (math.factorial(n), n) and words.dtype == np.int8
+        assert np.array_equal(word_ranks(words), np.arange(len(words)))
+        if n <= 6:
+            assert [tuple(w) for w in words.tolist()] == [
+                g.one_line(n) for g in symmetric_group(n)
+            ]
+
+
+def test_left_adjacent_map_is_left_multiplication():
+    for n in range(7):
+        group = symmetric_group(n)
+        step = left_adjacent_map(n)
+        assert step.shape == (len(group), max(n - 1, 0))
+        for i in range(1, n):
+            t = transposition(i, i + 1)
+            assert [group[r] for r in step[:, i - 1]] == [t * g for g in group]
+
+
+def test_cayley_layers_match_the_permutation_walk():
+    # The walk a Permutation BFS takes: frontier order, then generator order.
+    for n in range(7):
+        group = symmetric_group(n)
+        index = element_index(n)
+        gens = [transposition(i, i + 1) for i in range(1, n)]
+        frontier, seen, expected = [IDENTITY], {IDENTITY}, []
+        while frontier:
+            layer = []
+            for g in frontier:
+                for k, t in enumerate(gens):
+                    h = t * g
+                    if h not in seen:
+                        seen.add(h)
+                        layer.append((index[h], index[g], k))
+            if layer:
+                expected.append(layer)
+            frontier = [group[child] for child, _, _ in layer]
+        got = [list(zip(*(a.tolist() for a in layer))) for layer in cayley_layers(n)]
+        assert got == expected, n
 
 
 def test_preserves_matches_brute_force():

@@ -98,6 +98,13 @@ def test_exhaustive_sweep_agrees_with_generators():
         stability_profile(STATE, K=4, M=3, exhaustive=True, exhaustive_level=4)
 
 
+def test_generator_probes_past_truncation_are_refused():
+    # Above cut m >= K the probes fix every point of S_K and measure nothing.
+    stability_profile(STATE, K=4, M=3)
+    with pytest.raises(ValueError, match="S_4"):
+        stability_profile(STATE, K=4, M=4)
+
+
 def test_centrality_defect_at_cut():
     assert centrality_defect(STATE, 2, 5) == 0
     assert centrality_defect(STATE, 1, 5) > 0

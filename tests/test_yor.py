@@ -105,13 +105,24 @@ def test_schur_orthogonality_spot_checks():
 
 
 def test_irrep_table_agrees_with_irrep_matrix():
-    n = 4
-    group = symmetric_group(n)
-    for lam in partitions_of(n):
-        table = irrep_table(n, lam)
-        assert table.shape[0] == len(group)
-        for i, g in enumerate(group):
-            assert np.allclose(table[i], irrep_matrix(lam, g), atol=1e-12)
+    # n = 0 and 1 included: their tables are the 1x1 identity.
+    for n in range(7):
+        group = symmetric_group(n)
+        for lam in partitions_of(n):
+            table = irrep_table(n, lam)
+            assert table.shape == (len(group),) + (hook_dimension(lam),) * 2
+            for i, g in enumerate(group):
+                assert np.allclose(table[i], irrep_matrix(lam, g), atol=1e-12), (lam, g)
+
+
+def test_irrep_table_agrees_with_irrep_matrix_sampled_at_level_7():
+    rng = random.Random(7)
+    group = symmetric_group(7)
+    rows = [0, len(group) - 1] + rng.sample(range(len(group)), 30)
+    for lam in partitions_of(7):
+        table = irrep_table(7, lam)
+        for i in rows:
+            assert np.allclose(table[i], irrep_matrix(lam, group[i]), atol=1e-12), (lam, i)
 
 
 def test_irrep_matrix_identity_and_transposition():
