@@ -1,8 +1,9 @@
 """Inducing from a product subgroup and reading off the branching.
 
 The character of S_n x S_{n+1..m} given by chi_lam on the first factor
-and a parameter character on the second induces up to S_m.  Averaging
-conjugates gives its values; inner products with the irreducible
+and a parameter character on the second induces up to S_m.  The
+Frobenius formula gives its value on each class from the class
+functions of the two factors; inner products with the irreducible
 characters give integer multiplicities, the Littlewood-Richardson
 numbers.
 """

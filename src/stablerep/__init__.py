@@ -17,6 +17,7 @@ from .partitions import (
     standard_tableaux,
 )
 from .characters import (
+    centralizer_order,
     character_table,
     character_value,
     class_representative,

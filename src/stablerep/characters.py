@@ -80,15 +80,25 @@ def character_value(lam: Iterable[int], g: Permutation) -> int:
     return mn_character(lam, g.cycle_type())
 
 
-def class_size(mu: Iterable[int]) -> int:
-    """Size of the conjugacy class of S_n with full cycle type mu (a partition of n)."""
+def centralizer_order(mu: Iterable[int]) -> int:
+    """z_mu = prod_k k^(m_k) m_k!, the order of the centralizer of an element
+    of cycle type mu, where m_k counts the parts of mu equal to k.
+
+    >>> centralizer_order((2, 1, 1))
+    4
+    """
     mu = check_partition(mu)
-    n = sum(mu)
     z = 1
     for k in set(mu):
         m = mu.count(k)
         z *= k**m * math.factorial(m)
-    size, rem = divmod(math.factorial(n), z)
+    return z
+
+
+def class_size(mu: Iterable[int]) -> int:
+    """Size of the conjugacy class of S_n with full cycle type mu (a partition of n)."""
+    mu = check_partition(mu)
+    size, rem = divmod(math.factorial(sum(mu)), centralizer_order(mu))
     assert rem == 0
     return size
 

@@ -13,7 +13,8 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
        states not quasi-equivalent, stabilization not witnessed)
     2  malformed input (message includes file and location)
     3  infeasible job (level above the hard cap without --allow-large,
-       bad support bounds, a --max-shift whose probes miss the truncation)
+       bad support bounds, a --max-shift whose probes miss the truncation,
+       memory exhausted while running)
 """
 
 from __future__ import annotations
@@ -134,10 +135,12 @@ def _spec_from(data, where):
     if not isinstance(data, dict) or not all(key in data for key in ("n", "lambda")):
         raise InputError("state spec needs keys n, lambda, alpha, beta",
                          location=where)
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("n must be an integer, got %r" % (n,), location=where)
     params = _params_from(data, where)
     try:
-        return CanonicalState(int(data["n"]), _partition_from(data["lambda"], where),
-                              params)
+        return CanonicalState(n, _partition_from(data["lambda"], where), params)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc), location=where)
 
@@ -668,6 +671,10 @@ def main(argv=None):
         return EXIT_INPUT
     except InfeasibleError as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        detail = ": %s" % exc if str(exc) else ""
+        print("infeasible: out of memory%s" % detail, file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

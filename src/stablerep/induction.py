@@ -1,41 +1,23 @@
 """Characters induced from two-block Young subgroups.
 
-The induced character is computed by the literal averaging formula over
-the big group; its decomposition into irreducibles is exact integer
-arithmetic throughout.
+The induced character is computed class by class with the Frobenius
+formula (Macdonald, Symmetric Functions and Hall Polynomials, I.7):
+
+    Ind(chi_lam x chi_mu)(nu) = z_nu * sum chi_lam(rho1) chi_mu(rho2) / (z_rho1 z_rho2)
+
+summed over rho1 |- n and rho2 |- m - n whose cycles together make up
+nu.  That is p(n) * p(m - n) exact terms and no group elements.  The
+decomposition into irreducibles is exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
-from .characters import class_representative, class_size, mn_character
+from .characters import centralizer_order, class_size, mn_character
 from .partitions import check_partition, partitions_of
-from .permutations import split_product, symmetric_group
-
-
-@lru_cache(maxsize=None)
-def _conjugation_distribution(
-    m: int, n: int
-) -> dict[tuple[int, ...], Counter]:
-    """Per class of S_m: how often t^-1 s t lands in S_n x S_{n+1..m},
-    bucketed by the cycle types of the two factors."""
-    out: dict[tuple[int, ...], Counter] = {}
-    for mu in partitions_of(m):
-        s = class_representative(mu)
-        buckets: Counter = Counter()
-        for t in symmetric_group(m):
-            u = s.conjugate_by(t.inverse())
-            parts = split_product(u, n)
-            if parts is not None:
-                u1, u2 = parts
-                buckets[(u1.cycle_type(), u2.cycle_type())] += 1
-        out[mu] = buckets
-    return out
 
 
 def induced_character(
@@ -45,6 +27,9 @@ def induced_character(
 
     Returns the value on each class of S_m, keyed by full cycle type.
     Values are exact and, being induced character values, integers.
+
+    >>> induced_character(1, (1,), (1,), 2)
+    {(2,): Fraction(0, 1), (1, 1): Fraction(2, 1)}
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
@@ -52,15 +37,16 @@ def induced_character(
         raise ValueError(f"{lam} is not a partition of {n}")
     if sum(mu) != m - n:
         raise ValueError(f"{mu} is not a partition of {m - n}")
-    order_h = math.factorial(n) * math.factorial(m - n)
-    dist = _conjugation_distribution(m, n)
-    out = {}
-    for nu, buckets in dist.items():
-        total = 0
-        for (ct1, ct2), count in buckets.items():
-            total += count * mn_character(lam, ct1) * mn_character(mu, ct2)
-        out[nu] = Fraction(total, order_h)
-    return out
+    # chi(rho) / z_rho on each class of each factor
+    left = [(r, Fraction(mn_character(lam, r), centralizer_order(r)))
+            for r in partitions_of(n)]
+    right = [(r, Fraction(mn_character(mu, r), centralizer_order(r)))
+             for r in partitions_of(m - n)]
+    out = {nu: Fraction(0) for nu in partitions_of(m)}
+    for rho1, a in left:
+        for rho2, b in right:
+            out[tuple(sorted(rho1 + rho2, reverse=True))] += a * b
+    return {nu: centralizer_order(nu) * v for nu, v in out.items()}
 
 
 def character_inner(

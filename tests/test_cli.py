@@ -1,11 +1,17 @@
 """Subcommand behavior: reports, exit codes, determinism, the cache."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stablerep import cli
 from stablerep.cli import main
+from stablerep.partitions import partitions_of
 from stablerep.yor import read_generator_file, yor_generators
 
 
@@ -207,6 +213,27 @@ def test_malformed_spec_exits_2(capsys, tmp_path, spec):
     assert "spec.json" in err
 
 
+@pytest.mark.parametrize("n", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_non_integer_n_exits_2(capsys, tmp_path, n):
+    bad = write(tmp_path / "spec.json",
+                {"n": n, "lambda": [1], "alpha": ["1/2"], "beta": []})
+    code, out, err = run(capsys, "eval-state", bad, "--perm", "[[1,2]]")
+    assert code == 2
+    assert out == ""
+    assert "n must be an integer" in err and "spec.json" in err
+
+
+def test_memory_error_exits_3(capsys, monkeypatch, spec_a):
+    def exhausted(table):
+        raise MemoryError("Unable to allocate 2.94 GiB for an array")
+
+    monkeypatch.setattr(cli, "dual_norm", exhausted)
+    code, out, err = run(capsys, "dual-norm", spec_a, "--level", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: out of memory: Unable to allocate")
+
+
 def test_string_alpha_exits_2_naming_the_key(capsys, tmp_path):
     bad = write(tmp_path / "alpha.json",
                 {"n": 1, "lambda": [1], "alpha": "0.5", "beta": []})
@@ -306,3 +333,50 @@ def test_output_flag_writes_file(tmp_path, spec_a):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["value"] == 1.0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 13) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_partitions = st.integers(0, 12).flatmap(lambda k: st.sampled_from(partitions_of(k)))
+_flag_text = st.one_of(
+    _partitions.map(lambda p: json.dumps(list(p))),
+    st.lists(st.integers(-2, 12), max_size=5).map(json.dumps),
+    _json_values.map(json.dumps),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _induce_argv(draw):
+    if draw(st.booleans()):
+        # a well-formed job: |lambda| + |mu| = level <= 12
+        lam = draw(_partitions)
+        mu = draw(st.integers(0, 12 - sum(lam))
+                  .flatmap(lambda k: st.sampled_from(partitions_of(k))))
+        partition, tail, level = json.dumps(list(lam)), json.dumps(list(mu)), sum(lam + mu)
+    else:
+        partition, tail = draw(_flag_text), draw(_flag_text)
+        level = draw(st.integers(-2, 12))
+    argv = ["induce-char", "--partition=" + partition, "--mu=" + tail,
+            "--level=%d" % level]
+    return argv + (["--allow-large"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_induce_argv())
+def test_induce_char_fuzz_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects text it cannot parse
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["multiplicities"]

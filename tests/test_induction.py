@@ -1,10 +1,43 @@
-"""Induced product characters against a Littlewood-Richardson oracle."""
+"""Induced product characters against conjugate-average and Littlewood-Richardson oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
+from stablerep.characters import class_representative, mn_character
 from stablerep.induction import character_inner, decompose_induced, induced_character
 from stablerep.partitions import hook_dimension, partitions_of
+from stablerep.permutations import split_product, symmetric_group
+
+
+def averaged_induced_character(n, lam, mu, m, buckets=None):
+    """Ind(chi_lam x chi_mu)(s) = (1/|H|) sum over t in S_m of chi(t^-1 s t),
+    with chi the product character on H = S_n x S_{n+1..m} and 0 off H.
+
+    The literal definition, one representative s per class of S_m.
+    buckets, if given, memoises per (m, n) how often t^-1 s t lands in H,
+    bucketed by the cycle types of the two factors.
+    """
+    if buckets is None:
+        buckets = {}
+    if (m, n) not in buckets:
+        dist = {}
+        for nu in partitions_of(m):
+            s = class_representative(nu)
+            counts = Counter()
+            for t in symmetric_group(m):
+                parts = split_product(s.conjugate_by(t.inverse()), n)
+                if parts is not None:
+                    counts[(parts[0].cycle_type(), parts[1].cycle_type())] += 1
+            dist[nu] = counts
+        buckets[(m, n)] = dist
+    order_h = math.factorial(n) * math.factorial(m - n)
+    out = {}
+    for nu, counts in buckets[(m, n)].items():
+        total = sum(c * mn_character(lam, ct1) * mn_character(mu, ct2)
+                    for (ct1, ct2), c in counts.items())
+        out[nu] = Fraction(total, order_h)
+    return out
 
 
 def lr_coefficient(nu, lam, mu):
@@ -74,8 +107,23 @@ def test_lr_oracle_pieri_sanity():
     assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
 
 
+def test_frobenius_formula_matches_conjugate_average():
+    buckets = {}
+    checked = 0
+    for m in range(0, 7):
+        for n in range(0, m + 1):
+            for lam in partitions_of(n):
+                for mu in partitions_of(m - n):
+                    got = induced_character(n, lam, mu, m)
+                    want = averaged_induced_character(n, lam, mu, m, buckets)
+                    assert list(got) == list(want) and got == want, (n, lam, mu, m)
+                    assert all(isinstance(v, Fraction) for v in got.values())
+                    checked += 1
+    assert checked == 139  # every (m, n, lam, mu) with m <= 6
+
+
 def test_induced_multiplicities_match_lr():
-    for m in range(2, 6):
+    for m in range(2, 9):
         for n in range(1, m):
             for lam in partitions_of(n):
                 for mu in partitions_of(m - n):
@@ -92,6 +140,15 @@ def test_induced_dimension_count():
         mults = decompose_induced(n, lam, mu, m)
         total = sum(c * hook_dimension(nu) for nu, c in mults.items())
         assert total == math.comb(m, n) * hook_dimension(lam) * hook_dimension(mu)
+
+
+def test_induced_dimension_count_at_m12():
+    n, lam, mu, m = 6, (3, 2, 1), (4, 1, 1), 12
+    mults = decompose_induced(n, lam, mu, m)
+    total = sum(c * hook_dimension(nu) for nu, c in mults.items())
+    assert total == math.comb(m, n) * hook_dimension(lam) * hook_dimension(mu)
+    for nu in [(7, 3, 1, 1), (5, 3, 2, 1, 1), (4, 4, 2, 1, 1), (12,)]:
+        assert mults.get(nu, 0) == lr_coefficient(nu, lam, mu), nu
 
 
 def test_induced_character_values_are_integers():
