@@ -28,13 +28,13 @@ def main():
     values = {k: float(thoma_character(planted, (k,))) for k in range(2, 9)}
     print("\nplanted:", planted.to_json())
     print("observed cycle values:", {k: round(v, 6) for k, v in values.items()})
-    result = recover_params(values, support_bounds=(3, 3), seed=0)
+    result = recover_params(values, support_bounds=(3, 3))
     print("recovered:", result.params.to_json())
     print("residual:", result.residual)
 
     # inconsistent data is refused rather than silently approximated
     values[5] = 0.9
-    result = recover_params(values, support_bounds=(3, 3), seed=0)
+    result = recover_params(values, support_bounds=(3, 3))
     print("\nafter corrupting the 5-cycle value: residual", f"{result.residual:.3e}",
           " ok:", result.ok())
 

@@ -314,7 +314,6 @@ def classify(
     K: int,
     support_bounds: tuple[int, int],
     cycle_max: Optional[int] = None,
-    seed: int = 0,
     depth_tol: float = 1e-10,
     lambda_tol: float = 1e-8,
 ) -> ClassificationResult:
@@ -341,7 +340,7 @@ def classify(
             )
         values[k] = float(complex(res.value).real)
         stabilized[k] = res.stabilized_at
-    rec = recover_params(values, support_bounds, seed=seed)
+    rec = recover_params(values, support_bounds)
     invariant = ClassInvariant(n, lam, rec.params.alpha, rec.params.beta)
     return ClassificationResult(
         invariant, type_classify(rec.params), rec.residual, values, stabilized

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from .induction import decompose_induced
 from .partitions import check_partition, hook_dimension
 from .permutations import IDENTITY, Permutation, cycle, symmetric_group, transposition
 from .stability import as_table, centrality_defect, stability_profile
-from .thoma import ThomaParams, _parse_number, recover_params, thoma_character, type_classify
+from .thoma import ThomaParams, recover_params, thoma_character, type_classify
 
 HARD_CAP = 8  # 8! value tables are desk scale, 9! is not
 
@@ -110,11 +111,23 @@ def _partition_from(data, where):
 
 
 def _number_from(value, where):
+    """A finite int or float, or a 'p/q' string with a nonzero denominator."""
+    number = None
+    if isinstance(value, str):
+        try:
+            number = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
     try:
-        return _parse_number(value)
-    except (ValueError, TypeError):
-        raise InputError("expected a number or 'p/q' string, got %r" % (value,),
+        finite = number is not None and math.isfinite(number)
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
+        raise InputError("expected a finite number or 'p/q' string, got %r" % (value,),
                          location=where)
+    return number
 
 
 def _params_from(data, where):
@@ -123,8 +136,10 @@ def _params_from(data, where):
     for key in ("alpha", "beta"):
         if not isinstance(data.get(key, []), list):
             raise InputError("%s must be a list of numbers" % key, location=where)
-    alpha = tuple(_number_from(v, where) for v in data.get("alpha", []))
-    beta = tuple(_number_from(v, where) for v in data.get("beta", []))
+    alpha, beta = (
+        tuple(_number_from(v, "%s %s[%d]" % (where, key, i))
+              for i, v in enumerate(data.get(key, [])))
+        for key in ("alpha", "beta"))
     try:
         return ThomaParams(alpha=alpha, beta=beta)
     except ValueError as exc:
@@ -368,10 +383,10 @@ def _cmd_recover_params(args):
         except ValueError:
             raise InputError("cycle length key %r is not an integer" % key,
                              location=args.input)
-        values[k] = _number_from(val, args.input)
+        values[k] = _number_from(val, "%s key %r" % (args.input, key))
     bounds = _support_bounds(args.support_bounds)
     try:
-        result = recover_params(values, bounds, seed=args.seed)
+        result = recover_params(values, bounds)
     except ValueError as exc:
         raise InputError(str(exc), location=args.input)
     report = {
@@ -379,7 +394,6 @@ def _cmd_recover_params(args):
         "residual": result.residual,
         "ok": result.ok(args.tol),
         "tol": args.tol,
-        "seed": args.seed,
         "cache_hash": _cache_hash(args, 0),
     }
     _emit(report, args)
@@ -391,7 +405,7 @@ def _cmd_classify(args):
     state = _load_state(args.input)
     bounds = _support_bounds(args.support_bounds)
     try:
-        result = classify(state, args.level, bounds, seed=args.seed)
+        result = classify(state, args.level, bounds)
     except ClassificationError as exc:
         print("classification failed: %s" % exc, file=sys.stderr)
         return EXIT_CERT
@@ -399,7 +413,6 @@ def _cmd_classify(args):
         # A bounded table can run out of room for the shift probes.
         raise InfeasibleError(str(exc))
     report = result.to_json()
-    report["seed"] = args.seed
     report["cache_hash"] = _cache_hash(args, args.level)
     _emit(report, args)
     return EXIT_OK
@@ -604,7 +617,6 @@ def _build_parser():
                        help="fit parameters to cycle character values")
     p.add_argument("input", help="values JSON: {\"2\": v2, ...}")
     p.add_argument("--support-bounds", required=True, help="'r,s'")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="residual threshold for exit 0")
     p.set_defaults(func=_cmd_recover_params)
@@ -614,7 +626,6 @@ def _build_parser():
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--support-bounds", required=True, help="'r,s'")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("quasi-equivalent", parents=[common],

@@ -8,6 +8,7 @@ certified block by block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -16,11 +17,6 @@ import numpy as np
 from .partitions import partitions_of
 from .permutations import IDENTITY, Permutation, element_index, symmetric_group
 from .yor import irrep_dimension, irrep_matrix, irrep_table
-
-_FACTORIALS = [1]
-for _k in range(1, 13):
-    _FACTORIALS.append(_FACTORIALS[-1] * _k)
-
 
 class StateFunction:
     """A complex-valued function on S_level, stored sparsely (default 0).
@@ -157,7 +153,7 @@ def fourier(f: StateFunction, level: Optional[int] = None) -> FourierBlocks:
 def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     """f(g) = (1/n!) sum_lam d_lam tr(blocks[lam] rho_lam(g^-1))."""
     n = blocks.level
-    fact = _FACTORIALS[n]
+    fact = math.factorial(n)
     vec = np.zeros(len(symmetric_group(n)), dtype=complex)
     for lam, b in blocks.items():
         d = irrep_dimension(lam)
@@ -175,7 +171,7 @@ def dual_norm(f: StateFunction, level: Optional[int] = None) -> float:
     """
     f = _as_state(f, level)
     n = f.level
-    fact = _FACTORIALS[n]
+    fact = math.factorial(n)
     total = 0.0
     for lam, block in fourier(f).items():
         # rho is orthogonal, so the g^-1 block is the transpose; same singular values.

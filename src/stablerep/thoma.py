@@ -118,41 +118,15 @@ class RecoveryResult:
 
 
 def _model(x: np.ndarray, r: int, ks: np.ndarray) -> np.ndarray:
-    a, b = x[:r], x[r:]
+    powers = x ** ks[:, None]
     signs = np.where(ks % 2 == 0, -1.0, 1.0)
-    return np.array(
-        [np.sum(a**k) for k in ks]
-    ) + signs * np.array([np.sum(b**k) for k in ks])
+    return powers[:, :r].sum(axis=1) + signs * powers[:, r:].sum(axis=1)
 
 
 def _jac(x: np.ndarray, r: int, ks: np.ndarray) -> np.ndarray:
-    a, b = x[:r], x[r:]
-    rows = []
-    for k in ks:
-        sign = -1.0 if k % 2 == 0 else 1.0
-        rows.append(np.concatenate([k * a ** (k - 1), sign * k * b ** (k - 1)]))
-    return np.array(rows)
-
-
-def _starts(r: int, s: int, seed: int, extra: int) -> list[np.ndarray]:
-    def ramp(m: int, mass: float) -> np.ndarray:
-        if m == 0:
-            return np.zeros(0)
-        w = 2.0 ** -np.arange(m)
-        return mass * w / w.sum()
-
-    tiny = 1e-3
-    starts = [
-        np.concatenate([ramp(r, 0.9), ramp(s, tiny)]),
-        np.concatenate([ramp(r, tiny), ramp(s, 0.9)]),
-        np.concatenate([ramp(r, 0.45), ramp(s, 0.45)]),
-    ]
-    rng = np.random.default_rng(seed)
-    for _ in range(extra):
-        raw = np.sort(rng.uniform(0, 1, r + s))[::-1]
-        raw *= rng.uniform(0.3, 0.99) / max(raw.sum(), 1e-12)
-        starts.append(np.concatenate([np.sort(raw[:r])[::-1], np.sort(raw[r:])[::-1]]))
-    return starts
+    jac = ks[:, None] * x ** (ks[:, None] - 1)
+    jac[:, r:] *= np.where(ks % 2 == 0, -1.0, 1.0)[:, None]
+    return jac
 
 
 def _tied_refit(
@@ -211,41 +185,88 @@ def _tied_refit(
     return full, 2 * fit.cost
 
 
+# Coarse grid for the Padé start's scan of c = sum(alpha) + sum(beta).
+C_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def _complete_sums(c, prefix: np.ndarray) -> np.ndarray:
+    """h_0..h_N of exp(c t + sum_k p_k t^k / k), one row per entry of c.
+
+    prefix = (p_2, .., p_N).  Newton's identities give
+    k h_k = sum_{i=1..k} p_i h_{k-i}, with p_1 = c.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    p = np.column_stack([c, np.broadcast_to(prefix, (len(c), len(prefix)))])
+    h = np.ones((len(c), p.shape[1] + 1))
+    for k in range(1, h.shape[1]):
+        h[:, k] = np.einsum("ij,ij->i", p[:, :k], h[:, k - 1::-1]) / k
+    return h
+
+
+def _pade_system(h: np.ndarray, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with (Q h)_j = (a q + b)_j for j = s+1..N, one system per row of h.
+
+    Q = 1 + q_1 t + .. + q_r t^r, and q = (q_1, .., q_r).
+    """
+    rows = np.arange(s + 1, h.shape[1])
+    lags = rows[:, None] - np.arange(1, r + 1)
+    return np.where(lags >= 0, h[:, np.maximum(lags, 0)], 0.0), h[:, rows]
+
+
+def _pade_residual(c, prefix: np.ndarray, r: int, s: int) -> np.ndarray:
+    """Norm of (a q + b) left by the least-squares q, at each c."""
+    a, b = _pade_system(_complete_sums(c, prefix), r, s)
+    basis = np.linalg.qr(a)[0]
+    b = b - np.einsum("gmi,gi->gm", basis, np.einsum("gmi,gm->gi", basis, b))
+    return np.linalg.norm(b, axis=1)
+
+
+def _pade_start(prefix: np.ndarray, r: int, s: int) -> np.ndarray:
+    """Starting point (alpha, beta) at support (r, s) from Thoma's formula.
+
+    exp(c t + sum_k p_k t^k / k) = prod(1 + beta_j t) / prod(1 - alpha_i t)
+    with c = sum(alpha) + sum(beta), so for fixed c the support is an [s/r]
+    Padé problem.  c is the point of [0, 1] whose denominator fit leaves
+    the least residual.  That residual is very flat away from its minimum,
+    so every local minimum of the grid is refined, not only the lowest.
+    """
+
+    def log_residual(c: float) -> float:
+        return float(np.log(max(_pade_residual(c, prefix, r, s)[0], 1e-300)))
+
+    grid = np.log(np.maximum(_pade_residual(C_GRID, prefix, r, s), 1e-300))
+    best_c, best = 0.0, np.inf
+    for i, v in enumerate(grid):
+        lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
+        if v > grid[lo] or v > grid[hi]:
+            continue
+        fit = optimize.minimize_scalar(
+            log_residual, bounds=(C_GRID[lo], C_GRID[hi]), method="bounded",
+            options={"xatol": 1e-12},
+        )
+        c, v = (fit.x, fit.fun) if fit.fun < v else (C_GRID[i], v)
+        if v < best:
+            best_c, best = c, v
+    h = _complete_sums(best_c, prefix)
+    a, b = _pade_system(h, r, s)
+    q = np.concatenate([[1.0], np.linalg.lstsq(a[0], -b[0], rcond=None)[0]])
+    p = np.convolve(q, h[0])[: s + 1]
+    x0 = np.concatenate([np.roots(q).real, -np.roots(p).real]).clip(0.0, 1.0)
+    return x0 / max(x0.sum(), 1.0)
+
+
 def _fit_support(
-    target: np.ndarray, ks: np.ndarray, r: int, s: int, seed: int, random_starts: int
+    target: np.ndarray, ks: np.ndarray, prefix: np.ndarray, r: int, s: int
 ) -> tuple[np.ndarray, float]:
-    """Best constrained fit at exactly the support (r, s)."""
-    dim = r + s
-    if dim == 0:
+    """Best fit at exactly the support (r, s): Padé start, then polish."""
+    if r + s == 0:
         return np.zeros(0), float(np.sum(target**2))
-
-    def objective(x: np.ndarray) -> float:
-        return float(np.sum((_model(x, r, ks) - target) ** 2))
-
-    constraints = [{"type": "ineq", "fun": lambda x: 1.0 - x.sum()}]
-    for i in range(r - 1):
-        constraints.append({"type": "ineq", "fun": lambda x, i=i: x[i] - x[i + 1]})
-    for j in range(s - 1):
-        constraints.append(
-            {"type": "ineq", "fun": lambda x, j=j: x[r + j] - x[r + j + 1]}
-        )
-
-    best_x, best_val = np.zeros(dim), np.inf
-    for x0 in _starts(r, s, seed, random_starts):
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * dim,
-            constraints=constraints,
-            options={"maxiter": 400, "ftol": 1e-16},
-        )
-        if res.fun < best_val:
-            best_x, best_val = res.x, res.fun
+    best_x = _pade_start(prefix, r, s)
+    best_val = float(np.sum((_model(best_x, r, ks) - target) ** 2))
 
     polish = optimize.least_squares(
         lambda x: _model(x, r, ks) - target,
-        np.clip(best_x, 0.0, 1.0),
+        best_x,
         jac=lambda x: _jac(x, r, ks),
         bounds=(0.0, 1.0),
         xtol=1e-15,
@@ -267,35 +288,45 @@ def _fit_support(
 def recover_params(
     values: Mapping[int, float],
     support_bounds: tuple[int, int],
-    seed: int = 0,
-    random_starts: int = 2,
     drop_tol: float = 1e-8,
 ) -> RecoveryResult:
     """Fit (alpha, beta) with bounded supports to observed cycle values.
 
     values maps cycle lengths k >= 2 to the character value on a single
-    k-cycle.  Constrained least squares from deterministic corner starts
-    plus seeded random ones, run over every support inside the bounds;
-    among fits of equal quality the smallest support wins, which keeps
-    padded bounds from leaving near-cancelling junk entries.  The caller
-    judges the returned residual; it is never hidden.
+    k-cycle; it must hold every k in 2..r+s+1 for bounds (r, s), and every
+    value must lie in [-1, 1].  Each support inside the bounds starts from the
+    roots of a Padé approximant built from the values p_2, p_3, ... up to
+    the first missing k, and a bounded least-squares polish on all given
+    values finishes it.  Among fits of equal quality the smallest support
+    wins, which keeps padded bounds from leaving near-cancelling junk
+    entries.  The caller judges the returned residual; it is never hidden.
     """
     r, s = support_bounds
     if r < 0 or s < 0:
         raise ValueError("support bounds must be >= 0")
-    ks = np.array(sorted(int(k) for k in values))
+    try:
+        ks = np.array(sorted(int(k) for k in values), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("cycle lengths must be below 2**63")
     if len(ks) == 0 or ks[0] < 2:
         raise ValueError("values must be keyed by cycle lengths >= 2")
-    if ks.max() < r + s + 1:
+    missing = sorted(set(range(2, r + s + 2)).difference(ks.tolist()))
+    if missing:
         raise ValueError(
-            f"need cycle values up to at least {r + s + 1} for bounds ({r}, {s})"
+            f"need cycle values for every k in 2..{r + s + 1} for bounds "
+            f"({r}, {s}); missing {missing}"
         )
     target = np.array([float(values[k]) for k in ks])
+    # |value| <= 1 holds for every character; it also keeps h_k bounded.
+    if not np.all(np.abs(target) <= 1 + SUM_SLACK):
+        raise ValueError("cycle values must be finite and lie in [-1, 1]")
+    # ks is sorted and distinct, so ks[i] == i + 2 exactly on the run 2, 3, ...
+    prefix = target[ks == np.arange(2, len(ks) + 2)]
 
     fits = {}
     for r2 in range(r + 1):
         for s2 in range(s + 1):
-            fits[(r2, s2)] = _fit_support(target, ks, r2, s2, seed, random_starts)
+            fits[(r2, s2)] = _fit_support(target, ks, prefix, r2, s2)
     best_residual = min(v for _, v in fits.values())
     slack = max(1e-16, 1e-9 * best_residual)
     candidates = [key for key, (_, v) in fits.items() if v <= best_residual + slack]

@@ -224,7 +224,7 @@ def test_criterion_06_classification_round_trip():
     ok = True
     detail = []
     for state in BATTERY:
-        result = classify(state, 6, (2, 2), seed=0)
+        result = classify(state, 6, (2, 2))
         inv = result.invariant
         if state is DEGENERATE:
             good = inv.n == 0 and inv.partition == () and inv.alpha == () and inv.beta == ()
@@ -421,7 +421,7 @@ def test_criterion_11_parameter_recovery():
     for alpha, beta in plants:
         p = ThomaParams(alpha=alpha, beta=beta)
         values = {k: float(thoma_character(p, (k,))) for k in range(2, 9)}
-        result = recover_params(values, (3, 3), seed=0)
+        result = recover_params(values, (3, 3))
         width = 3
 
         def err(a, b):
@@ -440,7 +440,7 @@ def test_criterion_11_parameter_recovery():
     for alpha, beta in [((F(1, 2), F(1, 4)), ()), ((F(1, 2),), (F(1, 4),))]:
         p = ThomaParams(alpha=alpha, beta=beta)
         values = {k: float(thoma_character(p, (k,))) for k in range(2, 9)}
-        result = recover_params(values, (2, 2), seed=0)
+        result = recover_params(values, (2, 2))
         ks = sorted(values)
         target = np.array([values[k] for k in ks])
         best = math.inf

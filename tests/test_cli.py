@@ -242,6 +242,37 @@ def test_string_alpha_exits_2_naming_the_key(capsys, tmp_path):
     assert "alpha must be a list" in err and "alpha.json" in err
 
 
+# Values the CLI must refuse as numbers: each exits 2 naming file and key.
+BAD_NUMBERS = {"null": None, "list": [0.5], "zero-denominator": "1/0", "bool": True,
+               "nan": float("nan"), "infinity": float("inf"),
+               "minus-infinity": float("-inf")}
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_recover_params_bad_number_exits_2(capsys, tmp_path, value):
+    values = {str(k): 2.0 ** (1 - k) for k in range(2, 6)}
+    values["3"] = value
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(values))  # writes NaN and Infinity literals
+    code, out, err = run(capsys, "recover-params", str(path), "--support-bounds", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "[%s key '3']" % path in err
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+@pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_spec_bad_parameter_exits_2(capsys, tmp_path, key, value):
+    spec = {"n": 1, "lambda": [1], "alpha": [], "beta": []}
+    spec[key] = ["1/4", value]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "eval-state", str(path), "--perm", "[[1,2]]")
+    assert code == 2
+    assert out == ""
+    assert "[%s %s[1]]" % (path, key) in err
+
+
 def test_stability_profile_past_truncation_exits_3(capsys, tmp_path):
     cut3 = write(tmp_path / "cut3.json",
                  {"n": 3, "lambda": [2, 1], "alpha": ["1/2"], "beta": ["1/4"]})
@@ -299,7 +330,7 @@ def test_reports_are_byte_identical(capsys, tmp_path, spec_a):
     for out in (out1, out2):
         code = main(
             ["classify", spec_a, "--level", "5", "--support-bounds", "2,0",
-             "--seed", "3", "--output", str(out)]
+             "--output", str(out)]
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -380,3 +411,44 @@ def test_induce_char_fuzz_never_crashes(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["multiplicities"]
+
+
+_number_leaves = (st.none() | st.booleans() | st.integers(-3, 13) | st.floats()
+                  | st.sampled_from(["1/2", "-3/4", "1/0", "2/3x"]) | st.text(max_size=4))
+
+
+@st.composite
+def _recover_job(draw):
+    if draw(st.booleans()):
+        # a well-formed job: keys 2..k with k <= 12 and bounds r, s <= 2
+        kmax = draw(st.integers(2, 12))
+        value = st.floats(-1, 1) | _number_leaves
+        values = {str(k): draw(value) for k in range(2, kmax + 1)}
+        bounds = "%d,%d" % (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    else:
+        values = draw(st.dictionaries(st.text(max_size=3), _number_leaves, max_size=5)
+                      | _json_values)
+        bounds = draw(st.text(max_size=6))
+    return values, bounds
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError("%s is not JSON" % constant)
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=_recover_job())
+def test_recover_params_fuzz_never_crashes(tmp_path_factory, job):
+    values, bounds = job
+    path = tmp_path_factory.getbasetemp() / "fuzz_values.json"
+    path.write_text(json.dumps(values))
+    argv = ["recover-params", str(path), "--support-bounds=" + bounds]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, values, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert _strict_json(out.getvalue())["ok"] is (code == 0)

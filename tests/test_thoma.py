@@ -132,7 +132,7 @@ PLANTED = [
 @pytest.mark.parametrize("alpha,beta", PLANTED)
 def test_plant_and_recover_supports_two(alpha, beta):
     p, values = plant(alpha, beta)
-    result = recover_params(values, (2, 2), seed=0)
+    result = recover_params(values, (2, 2))
     assert result.residual < 1e-10
     assert param_error(result.params.alpha, p.alpha) < 1e-6
     assert param_error(result.params.beta, p.beta) < 1e-6
@@ -165,7 +165,7 @@ def grid_residual_minimum(values, r, s, step=0.05):
 def test_recovery_beats_grid_oracle():
     for alpha, beta in [((F(1, 2), F(1, 4)), ()), ((F(2, 5),), (F(1, 5),))]:
         p, values = plant(alpha, beta)
-        result = recover_params(values, (2, 1), seed=0)
+        result = recover_params(values, (2, 1))
         oracle = grid_residual_minimum(values, 2, 1)
         assert result.residual <= oracle + 1e-15
 
@@ -191,7 +191,59 @@ def test_recovery_result_threshold():
 def test_recovery_drops_junk_support():
     # Bounds wider than the true support must not leave junk entries.
     p, values = plant((F(1, 2), F(1, 4)), ())
-    result = recover_params(values, (3, 3), seed=0)
+    result = recover_params(values, (3, 3))
     assert len(result.params.alpha) == 2
     assert len(result.params.beta) == 0
     assert param_error(result.params.alpha, p.alpha) < 1e-6
+
+
+def test_recover_refuses_gaps_and_values_no_character_has():
+    with pytest.raises(ValueError, match=r"missing \[3\]"):
+        recover_params({2: 0.25, 4: 0.0625, 5: 0.03125}, (1, 1))
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        recover_params({2: 0.25, 3: 0.125, 10**20: 0.0}, (1, 0))
+    for bad in (math.nan, math.inf, -math.inf, 1.5):
+        with pytest.raises(ValueError, match="finite"):
+            recover_params({2: 0.25, 3: bad, 4: 0.0625}, (1, 0))
+
+
+def test_values_past_a_gap_still_count():
+    p, values = plant((F(1, 2),), (F(1, 4),))
+    del values[6]
+    result = recover_params(values, (1, 1))
+    assert result.ok() and param_error(result.params.beta, p.beta) < 1e-6
+    values[8] += 1e-3
+    assert not recover_params(values, (1, 1)).ok()
+
+
+def test_recovery_leaves_no_junk_third_beta():
+    # With values only up to p_8, a multi-start fit once returned a third
+    # beta entry of 0.0096 at residual 1.2e-15.
+    p, values = plant((F(9, 40), F(7, 40), F(1, 8)), (F(3, 10), F(3, 40)))
+    result = recover_params(values, (3, 3))
+    assert result.residual < 1e-10
+    assert param_error(result.params.alpha, p.alpha) < 1e-6
+    assert param_error(result.params.beta, p.beta) < 1e-6
+
+
+def full_support_draw(seed):
+    """Three alpha and three beta entries k/80, in random order.
+
+    The k are at least 2 and at least 2 apart, so entries are spaced
+    1/40 from each other and from 0, and sum to at most 72 (mass <= 0.9).
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        ks = np.cumsum(rng.integers(0, 8, 6)) + 2 * np.arange(1, 7)
+        if ks.sum() <= 72:
+            ks = [int(k) for k in rng.permutation(ks)]
+            return tuple(F(k, 80) for k in ks[:3]), tuple(F(k, 80) for k in ks[3:])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recovers_full_three_three_supports(seed):
+    p, values = plant(*full_support_draw(seed), kmax=10)
+    result = recover_params(values, (3, 3))
+    assert result.residual < 1e-10
+    assert param_error(result.params.alpha, p.alpha) < 1e-6
+    assert param_error(result.params.beta, p.beta) < 1e-6
