@@ -13,16 +13,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .characters import character_value, hook_dimension, mn_character
 from .partitions import check_partition, partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
+    conjugation_map,
+    cut_generators,
     cycle,
+    cycle_lengths,
+    group_words,
     split_product,
     symmetric_group,
     transposition,
 )
+from .stability import as_table
 from .thoma import FactorType, RecoveryResult, ThomaParams, recover_params, thoma_character, type_classify
 
 Evaluator = Callable[[Permutation], complex]
@@ -74,6 +81,40 @@ class CanonicalState:
         )
         return finite * thoma_character(self.params, s2.cycle_type())
 
+    def evaluate_words(self, words: np.ndarray) -> np.ndarray:
+        """complex(self(s)) for the permutation s of each row of an (N, L) word array.
+
+        A value depends only on the pair of cycle types of the split
+        s = s1 s2, so each pair met is evaluated once, exactly, and
+        gathered.
+
+        >>> from fractions import Fraction
+        >>> f = CanonicalState(2, (1, 1), ThomaParams(alpha=(Fraction(1, 2), Fraction(1, 2))))
+        >>> f.evaluate_words(np.array([[2, 1, 3, 4], [1, 2, 4, 3], [1, 3, 2, 4]]))
+        array([-1. +0.j,  0.5+0.j,  0. +0.j])
+        """
+        words = np.asarray(words)
+        cut = min(self.n, words.shape[1])
+        split = np.all(words[:, :cut] <= cut, axis=1)
+        lengths = cycle_lengths(words[split])
+        # A k-cycle puts k entries equal to k in its block, so the sorted
+        # lengths on each side of the cut name the pair of cycle types.
+        pairs = np.hstack([
+            np.sort(lengths[:, :cut], axis=1),
+            np.sort(lengths[:, cut:], axis=1),
+            np.zeros((len(lengths), 1), dtype=lengths.dtype),
+        ])
+        keys, which = np.unique(pairs, axis=0, return_inverse=True)
+        finite = hook_dimension(self.partition)
+        values = []
+        for key in keys.tolist():
+            low, high = _cycle_type(key[:cut]), _cycle_type(key[cut:-1])
+            value = Fraction(mn_character(self.partition, low), finite)
+            values.append(complex(value * thoma_character(self.params, high)))
+        out = np.zeros(len(words), dtype=complex)
+        out[split] = np.array(values, dtype=complex)[which.reshape(-1)]
+        return out
+
     def invariant(self) -> "ClassInvariant":
         return ClassInvariant(
             self.n,
@@ -124,6 +165,12 @@ class ClassInvariant:
             tuple(float(a) for a in data.get("alpha", ())),
             tuple(float(b) for b in data.get("beta", ())),
         )
+
+
+def _cycle_type(point_lengths: list[int]) -> tuple[int, ...]:
+    """Cycle type (lengths >= 2, decreasing) from the cycle length at each point."""
+    lengths = sorted(set(point_lengths) - {1}, reverse=True)
+    return tuple(k for k in lengths for _ in range(point_lengths.count(k) // k))
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +293,16 @@ def central_depth(
     and invariance under conjugation by generators of both factors.
     Returns None when no n <= K passes (reported upstream as "> K").
     """
-    elements = symmetric_group(K)
+    values = as_table(state, K).vector
+    words = group_words(K)
     for n in range(K + 1):
-        gens = [transposition(i, i + 1) for i in range(1, n)]
-        gens += [transposition(i, i + 1) for i in range(n + 1, K)]
-        ok = True
-        for s in elements:
-            if split_product(s, n) is None:
-                if abs(complex(state(s))) > tol:
-                    ok = False
-                    break
-        if ok:
-            for t in gens:
-                for s in elements:
-                    if abs(complex(state(s.conjugate_by(t))) - complex(state(s))) > tol:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        outside = ~np.all(words[:, :n] <= n, axis=1)
+        if np.any(np.abs(values[outside]) > tol):
+            continue
+        if not any(
+            np.any(np.abs(values[conjugation_map(K, t)] - values) > tol)
+            for t in cut_generators(n, K)
+        ):
             return n
     return None
 

@@ -13,8 +13,9 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
        states not quasi-equivalent, stabilization not witnessed)
     2  malformed input (message includes file and location)
     3  infeasible job (level above the hard cap without --allow-large,
-       bad support bounds, a --max-shift whose probes miss the truncation,
-       memory exhausted while running)
+       a table that stops below the requested level, bad support bounds,
+       a --cut or --max-shift outside the truncation, values whose
+       results overflow, memory exhausted while running)
 """
 
 from __future__ import annotations
@@ -234,8 +235,12 @@ def _jsonable(obj):
 
 
 def _emit(payload, args):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    _write(text, args)
+    try:
+        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise InfeasibleError("the report holds a number that is not finite: "
+                              "the input's values overflow double precision")
+    _write(text + "\n", args)
 
 
 def _write(text, args):
@@ -312,20 +317,17 @@ def _cmd_char_thoma(args):
     return EXIT_OK
 
 
-def _table_at(state, level, where):
-    """Tabulate an evaluator, or cut a table down to the requested level."""
-    if isinstance(state, StateFunction):
-        if state.level < level:
-            raise InfeasibleError(
-                "state table stops at level %d, below requested level %d"
-                % (state.level, level))
-        return state.restrict(level) if level < state.level else state
-    return as_table(state, level)
+def _tabulate(state, level):
+    """stability.as_table, with a table that stops below the level mapped to exit 3."""
+    try:
+        return as_table(state, level)
+    except ValueError as exc:
+        raise InfeasibleError(str(exc))
 
 
 def _cmd_dual_norm(args):
     _check_level(args.level, args.allow_large)
-    table = _table_at(_load_state(args.input), args.level, args.input)
+    table = _tabulate(_load_state(args.input), args.level)
     value = dual_norm(table)
     report = {"dual_norm": value, "level": args.level,
               "cache_hash": _cache_hash(args, args.level)}
@@ -335,8 +337,11 @@ def _cmd_dual_norm(args):
 
 def _cmd_psd_check(args):
     _check_level(args.level, args.allow_large)
-    table = _table_at(_load_state(args.input), args.level, args.input)
-    cert = is_positive_definite(table, tol=args.tol)
+    table = _tabulate(_load_state(args.input), args.level)
+    try:
+        cert = is_positive_definite(table, tol=args.tol)
+    except ValueError as exc:  # a non-hermitian function is not a state
+        raise InputError(str(exc), location=args.input)
     report = {
         "positive_definite": cert.positive,
         "min_eigenvalue": cert.min_eigenvalue,
@@ -471,7 +476,7 @@ def _cmd_gns_verify(args):
     if k > 4:
         raise InfeasibleError("gns-verify sweeps pairs from S_k x S_k; "
                               "k > 4 is not desk scale")
-    f = _table_at(_load_state(args.input), k, args.input)
+    f = _tabulate(_load_state(args.input), k)
 
     try:
         triple, _, sf = gns_standard_pipeline(k, f)

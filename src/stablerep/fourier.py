@@ -10,41 +10,79 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .partitions import partitions_of
-from .permutations import IDENTITY, Permutation, element_index, symmetric_group
-from .yor import irrep_dimension, irrep_matrix, irrep_table
+from .permutations import (
+    IDENTITY,
+    Permutation,
+    group_words,
+    inverse_map,
+    line_adjacent_word,
+    restriction_map,
+    symmetric_group,
+    word_ranks,
+)
+from .yor import irrep_dimension, irrep_table, yor_generators
+
 
 class StateFunction:
-    """A complex-valued function on S_level, stored sparsely (default 0).
+    """A complex-valued function on S_level, held as one vector of values.
 
-    Calling it on a permutation above its level is an error, not 0: the
-    function carries no information out there.
+    The vector is indexed like symmetric_group(level), which is Lehmer-rank
+    order (see permutations.group_words), so restriction, conjugation and
+    inversion are index maps over it.  Calling it on a permutation above
+    its level is an error, not 0: the function carries no information out
+    there.
     """
 
-    __slots__ = ("level", "values")
+    __slots__ = ("level", "vector")
 
     def __init__(self, level: int, values: Mapping[Permutation, complex]):
         if level < 0:
             raise ValueError("level must be >= 0")
-        self.level = level
-        vals = {}
-        for g, v in values.items():
+        for g in values:
             if g.level > level:
                 raise ValueError(f"{g} exceeds level {level}")
-            v = complex(v)
-            if v != 0:
-                vals[g] = v
-        self.values = vals
+        vec = np.zeros(math.factorial(level), dtype=complex)
+        if values:
+            words = np.array([g.one_line(level) for g in values]).reshape(len(values), level)
+            vec[word_ranks(words)] = [complex(v) for v in values.values()]
+        vec.flags.writeable = False
+        self.level = level
+        self.vector = vec
+
+    @classmethod
+    def from_vector(cls, level: int, vector) -> "StateFunction":
+        """The function whose values in symmetric_group(level) order are vector (copied)."""
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        vec = np.array(vector, dtype=complex)
+        if vec.shape != (math.factorial(level),):
+            raise ValueError(f"level {level} takes {math.factorial(level)} values, got {vec.shape}")
+        vec.flags.writeable = False
+        f = cls.__new__(cls)
+        f.level = level
+        f.vector = vec
+        return f
 
     @classmethod
     def from_callable(
         cls, level: int, fn: Callable[[Permutation], complex]
     ) -> "StateFunction":
-        return cls(level, {g: fn(g) for g in symmetric_group(level)})
+        """Tabulate fn on S_level.
+
+        An evaluator with an evaluate_words method (a CanonicalState, or
+        its conjugate from stability.ad_orbit_state) is tabulated in one
+        call on group_words(level); any other callable once per element.
+        """
+        evaluate_words = getattr(fn, "evaluate_words", None)
+        if evaluate_words is not None:
+            return cls.from_vector(level, evaluate_words(group_words(level)))
+        return cls.from_vector(level, [complex(fn(g)) for g in symmetric_group(level)])
 
     @classmethod
     def delta(cls, level: int, g: Permutation = IDENTITY) -> "StateFunction":
@@ -54,49 +92,43 @@ class StateFunction:
     def from_class_function(
         cls, level: int, fn: Callable[[tuple[int, ...]], complex]
     ) -> "StateFunction":
-        return cls(level, {g: fn(g.cycle_type()) for g in symmetric_group(level)})
+        return cls.from_vector(
+            level, [complex(fn(g.cycle_type())) for g in symmetric_group(level)]
+        )
 
     def __call__(self, g: Permutation) -> complex:
         if g.level > self.level:
             raise ValueError(f"{g} exceeds level {self.level}")
-        return self.values.get(g, 0.0)
+        row = word_ranks(np.array([g.one_line(self.level)]).reshape(1, self.level))[0]
+        return complex(self.vector[row])
 
     def restrict(self, n: int) -> "StateFunction":
         """Literal restriction to the subgroup S_n."""
         if n > self.level:
             raise ValueError(f"cannot restrict level {self.level} to larger level {n}")
-        return StateFunction(n, {g: v for g, v in self.values.items() if g.level <= n})
+        return StateFunction.from_vector(n, self.vector[restriction_map(n, self.level)])
 
     def __sub__(self, other: "StateFunction") -> "StateFunction":
         if not isinstance(other, StateFunction):
             return NotImplemented
         if other.level != self.level:
             raise ValueError("levels differ; restrict first")
-        keys = set(self.values) | set(other.values)
-        return StateFunction(
-            self.level, {g: self.values.get(g, 0.0) - other.values.get(g, 0.0) for g in keys}
-        )
+        return StateFunction.from_vector(self.level, self.vector - other.vector)
 
     def __rmul__(self, c: complex) -> "StateFunction":
-        return StateFunction(self.level, {g: c * v for g, v in self.values.items()})
+        return StateFunction.from_vector(self.level, c * self.vector)
 
     def hermitian_defect(self) -> float:
-        """max |f(g^-1) - conj f(g)| over the support."""
-        return max(
-            (abs(self(g.inverse()) - np.conj(v)) for g, v in self.values.items()),
-            default=0.0,
-        )
+        """max |f(g^-1) - conj f(g)| over S_level."""
+        vec = self.vector
+        return float(np.max(np.abs(vec[inverse_map(self.level)] - np.conj(vec))))
 
     def to_vector(self) -> np.ndarray:
-        """Values in symmetric_group(level) order."""
-        vec = np.zeros(len(symmetric_group(self.level)), dtype=complex)
-        idx = element_index(self.level)
-        for g, v in self.values.items():
-            vec[idx[g]] = v
-        return vec
+        """Values in symmetric_group(level) order, as a fresh array."""
+        return self.vector.copy()
 
     def __repr__(self) -> str:
-        return f"StateFunction(level={self.level}, support={len(self.values)})"
+        return f"StateFunction(level={self.level}, support={np.count_nonzero(self.vector)})"
 
 
 @dataclass(frozen=True)
@@ -133,20 +165,23 @@ def fourier(f: StateFunction, level: Optional[int] = None) -> FourierBlocks:
     """Blocks sum_g f(g) rho_lam(g) for every shape lam of weight f.level."""
     f = _as_state(f, level)
     n = f.level
-    # Dense support: one tensordot per shape.  Sparse support: per-element words.
-    dense = len(f.values) > len(symmetric_group(n)) // 8
+    vec = f.vector
+    rows = np.flatnonzero(vec)
     blocks = {}
-    if dense:
-        vec = f.to_vector()
+    # Dense support: one tensordot per shape.  Sparse support: the non-zero
+    # rows, each matrix the left-to-right product along its adjacent word.
+    if len(rows) > len(vec) // 8:
         for lam in partitions_of(n):
             blocks[lam] = np.tensordot(vec, irrep_table(n, lam), axes=1)
-    else:
-        for lam in partitions_of(n):
-            d = irrep_dimension(lam)
-            acc = np.zeros((d, d), dtype=complex)
-            for g, v in f.values.items():
-                acc += v * irrep_matrix(lam, g)
-            blocks[lam] = acc
+        return FourierBlocks(n, blocks)
+    words = [line_adjacent_word(w) for w in group_words(n)[rows].tolist()]
+    for lam in partitions_of(n):
+        gens = yor_generators(lam)
+        eye = np.eye(irrep_dimension(lam))
+        acc = np.zeros_like(eye, dtype=complex)
+        for v, word in zip(vec[rows], words):
+            acc += v * reduce(np.matmul, (gens[i - 1] for i in word), eye)
+        blocks[lam] = acc
     return FourierBlocks(n, blocks)
 
 
@@ -154,14 +189,13 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     """f(g) = (1/n!) sum_lam d_lam tr(blocks[lam] rho_lam(g^-1))."""
     n = blocks.level
     fact = math.factorial(n)
-    vec = np.zeros(len(symmetric_group(n)), dtype=complex)
+    vec = np.zeros(fact, dtype=complex)
     for lam, b in blocks.items():
         d = irrep_dimension(lam)
         table = irrep_table(n, lam)
         # tr(B rho(g)^T) summed with weight d/n!; rho(g^-1) = rho(g)^T.
         vec += (d / fact) * np.einsum("ij,gij->g", np.asarray(b), table)
-    idx = element_index(n)
-    return StateFunction(n, {g: vec[idx[g]] for g in symmetric_group(n)})
+    return StateFunction.from_vector(n, vec)
 
 
 def dual_norm(f: StateFunction, level: Optional[int] = None) -> float:

@@ -249,18 +249,39 @@ def adjacent_word(p: Permutation, n: Optional[int] = None) -> tuple[int, ...]:
     >>> reduce(lambda a, b: a * b, [transposition(i, i + 1) for i in w]) == cycle(1, 2, 3)
     True
     """
-    n = p.level if n is None else n
-    word = list(p.one_line(n))
+    return line_adjacent_word(p.one_line(n))
+
+
+def line_adjacent_word(line: Sequence[int]) -> tuple[int, ...]:
+    """adjacent_word of the permutation with one-line word line, from the word itself.
+
+    >>> line_adjacent_word((2, 3, 1)) == adjacent_word(cycle(1, 2, 3))
+    True
+    """
+    word = list(line)
     swaps = []
     changed = True
     while changed:
         changed = False
-        for idx in range(n - 1):
+        for idx in range(len(word) - 1):
             if word[idx] > word[idx + 1]:
                 word[idx], word[idx + 1] = word[idx + 1], word[idx]
                 swaps.append(idx + 1)
                 changed = True
     return tuple(reversed(swaps))
+
+
+def cut_generators(n: int, level: int) -> tuple[Permutation, ...]:
+    """Adjacent transpositions generating S_n x S_{level - n} inside S_level.
+
+    They are (i, i+1) for 1 <= i < n, below the cut, and for
+    n < i < level, above it.
+
+    >>> cut_generators(2, 5)
+    (Permutation[(1 2)], Permutation[(3 4)], Permutation[(4 5)])
+    """
+    below = [transposition(i, i + 1) for i in range(1, n)]
+    return tuple(below + [transposition(i, i + 1) for i in range(n + 1, level)])
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +342,84 @@ def left_adjacent_map(n: int) -> np.ndarray:
         swapped[words == i + 1] = i
         out[:, i - 1] = word_ranks(swapped)
     return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=8)
+def inverse_map(n: int) -> np.ndarray:
+    """(n!,) index map: entry r is the row of g_r^-1.
+
+    >>> inverse_map(3)
+    array([0, 1, 2, 4, 3, 5])
+    """
+    return _frozen(word_ranks(np.argsort(group_words(n), axis=1) + 1))
+
+
+def conjugate_words(words: np.ndarray, t: Permutation) -> np.ndarray:
+    """One-line words of t s t^-1 for each row s of an (N, L) word array.
+
+    The result is max(L, level(t)) wide, so t may reach past the words.
+
+    >>> conjugate_words(np.array([[2, 1]]), transposition(2, 3))
+    array([[3, 2, 1]])
+    """
+    words = np.asarray(words, dtype=np.int64)
+    width = max(words.shape[1], t.level)
+    padded = np.empty((len(words), width), dtype=np.int64)
+    padded[:, : words.shape[1]] = words
+    padded[:, words.shape[1]:] = np.arange(words.shape[1] + 1, width + 1)
+    # (t s t^-1)(t(i)) = t(s(i))
+    image = np.array(t.one_line(width), dtype=np.int64)
+    out = np.empty_like(padded)
+    out[:, image - 1] = image[padded - 1]
+    return out
+
+
+@lru_cache(maxsize=16)
+def conjugation_map(n: int, t: Permutation) -> np.ndarray:
+    """(n!,) index map: entry r is the row of t g_r t^-1; needs level(t) <= n.
+
+    >>> conjugation_map(3, transposition(1, 2))
+    array([0, 5, 2, 4, 3, 1])
+    """
+    if t.level > n:
+        raise ValueError(f"conjugator of level {t.level} leaves S_{n}")
+    return _frozen(word_ranks(conjugate_words(group_words(n), t)))
+
+
+@lru_cache(maxsize=16)
+def restriction_map(n: int, level: int) -> np.ndarray:
+    """(n!,) index map: entry r is the row in S_level of row r of S_n.
+
+    >>> restriction_map(2, 3)
+    array([0, 2])
+    """
+    if not 0 <= n <= level:
+        raise ValueError(f"S_{n} is not a subgroup of S_{level}")
+    words = group_words(n)
+    tail = np.broadcast_to(np.arange(n + 1, level + 1), (len(words), level - n))
+    return _frozen(word_ranks(np.hstack([words, tail])))
+
+
+def cycle_lengths(words: np.ndarray) -> np.ndarray:
+    """(N, L) array: entry [r, i] is the length of row r's cycle through i + 1.
+
+    >>> cycle_lengths(np.array([[2, 3, 1, 4], [2, 1, 4, 3]]))
+    array([[3, 3, 3, 1],
+           [2, 2, 2, 2]])
+    """
+    step = np.asarray(words, dtype=np.int64) - 1
+    lengths = np.zeros(step.shape, dtype=np.int64)
+    points = np.arange(step.shape[1])
+    image = step
+    for k in range(1, step.shape[1] + 1):
+        lengths[(image == points) & (lengths == 0)] = k
+        image = np.take_along_axis(step, image, axis=1)
+    return lengths
 
 
 class CayleyLayer(NamedTuple):

@@ -14,33 +14,70 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .fourier import StateFunction, restricted_distance
-from .permutations import Permutation, cycle, symmetric_group, transposition
+from .permutations import (
+    Permutation,
+    conjugate_words,
+    conjugation_map,
+    cut_generators,
+    cycle,
+    symmetric_group,
+    transposition,
+)
 
 Evaluator = Union[StateFunction, Callable[[Permutation], complex]]
 
 
 def as_table(f: Evaluator, level: int) -> StateFunction:
-    """Materialize an evaluator as a value table on S_level."""
+    """Materialize an evaluator as a value table on S_level.
+
+    A table is cut down to the level, and one that stops below it is
+    refused with ValueError.  A CanonicalState, or its pullback from
+    ad_orbit_state, is tabulated once per pair of cycle types; any other
+    callable is evaluated element by element.
+    """
     if isinstance(f, StateFunction):
         if f.level < level:
-            raise ValueError(f"table of level {f.level} cannot reach level {level}")
+            raise ValueError(
+                "state table stops at level %d, below requested level %d" % (f.level, level)
+            )
         return f.restrict(level) if f.level > level else f
     return StateFunction.from_callable(level, f)
+
+
+class _Pullback:
+    """s -> f(t s t^-1) for an evaluator f that also tabulates word arrays."""
+
+    __slots__ = ("f", "t")
+
+    def __init__(self, f, t: Permutation):
+        self.f = f
+        self.t = t
+
+    def __call__(self, s: Permutation):
+        return self.f(s.conjugate_by(self.t))
+
+    def evaluate_words(self, words):
+        return self.f.evaluate_words(conjugate_words(words, self.t))
 
 
 def ad_orbit_state(f: Evaluator, t: Permutation) -> Evaluator:
     """The pullback s -> f(t s t^-1).
 
-    For a value table the result is carried at the same level, which
-    requires level(t) <= level(f): conjugation by t then maps the
-    truncated group into itself.
+    For a value table the result is the table gathered through the
+    conjugation index map, carried at the same level; that requires
+    level(t) <= level(f), so that conjugation by t maps the truncated
+    group into itself.  An evaluator that tabulates word arrays keeps
+    doing so, on the conjugated words, so t may lie above any level it
+    is later tabulated at.
     """
     if isinstance(f, StateFunction):
         if t.level > f.level:
             raise ValueError(
                 f"conjugator of level {t.level} leaves the level {f.level} table"
             )
-        return StateFunction.from_callable(f.level, lambda s: f(s.conjugate_by(t)))
+        return StateFunction.from_vector(f.level, f.vector[conjugation_map(f.level, t)])
+    if hasattr(f, "evaluate_words"):
+        return _Pullback(f, t)
     return lambda s: f(s.conjugate_by(t))
 
 
@@ -106,10 +143,13 @@ def stability_profile(
     The generator probes above a cut m >= K fix every point of S_K and so
     measure nothing; M >= K is refused for them.
     """
+    if M < 0:
+        raise ValueError(f"max shift must be >= 0, got {M}")
     if not exhaustive and M >= K:
         raise ValueError(
             f"probes above cut {M} fix every point of S_{K}; max shift must be <= {K - 1}"
         )
+    table = as_table(f, K)
     points = []
     for m in range(M + 1):
         if exhaustive:
@@ -123,7 +163,7 @@ def stability_profile(
             probes = probe_generators(m)
         worst, witness = 0.0, probes[0]
         for t in probes:
-            d = rho_distance(ad_orbit_state(f, t), f, K)
+            d = rho_distance(ad_orbit_state(f, t), table, K)
             if d > worst:
                 worst, witness = d, t
         points.append(ProfilePoint(m, worst, witness))
@@ -139,9 +179,10 @@ def centrality_defect(f: Evaluator, n: int, K: int) -> float:
     """
     if n > K - 2:
         raise ValueError("need n <= K - 2 so the tail group is visible")
-    gens = [transposition(i, i + 1) for i in range(1, n)]
-    gens += [transposition(i, i + 1) for i in range(n + 1, K)]
+    if n < 0:
+        raise ValueError(f"cut must be >= 0, got {n}")
+    table = as_table(f, K)
     worst = 0.0
-    for t in gens:
-        worst = max(worst, rho_distance(ad_orbit_state(f, t), f, K))
+    for t in cut_generators(n, K):
+        worst = max(worst, rho_distance(ad_orbit_state(table, t), table, K))
     return worst

@@ -185,6 +185,11 @@ def _tied_refit(
     return full, 2 * fit.cost
 
 
+# Residuals within this multiple of the values' float noise, sum((eps v_k)^2),
+# count as equal in model selection: exact fits land within 1e5 of it, and
+# fits that miss an entry of 1/80 lie 1e16 or more above it.
+NOISE_SLACK = 1e10
+
 # Coarse grid for the Padé start's scan of c = sum(alpha) + sum(beta).
 C_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -297,9 +302,9 @@ def recover_params(
     value must lie in [-1, 1].  Each support inside the bounds starts from the
     roots of a Padé approximant built from the values p_2, p_3, ... up to
     the first missing k, and a bounded least-squares polish on all given
-    values finishes it.  Among fits of equal quality the smallest support
-    wins, which keeps padded bounds from leaving near-cancelling junk
-    entries.  The caller judges the returned residual; it is never hidden.
+    values finishes it.  Among fits of equal quality, up to the float noise
+    of the values, the smallest support wins, which keeps padded bounds from
+    leaving near-cancelling junk entries.  The caller judges the returned residual; it is never hidden.
     """
     r, s = support_bounds
     if r < 0 or s < 0:
@@ -328,7 +333,10 @@ def recover_params(
         for s2 in range(s + 1):
             fits[(r2, s2)] = _fit_support(target, ks, prefix, r2, s2)
     best_residual = min(v for _, v in fits.values())
-    slack = max(1e-16, 1e-9 * best_residual)
+    # Fits that differ only by the float noise of the values are equally
+    # good, and the smallest support among them wins.
+    noise = float(np.sum((np.finfo(float).eps * target) ** 2))
+    slack = max(NOISE_SLACK * noise, 1e-9 * best_residual)
     candidates = [key for key, (_, v) in fits.items() if v <= best_residual + slack]
     r2, s2 = min(candidates, key=lambda key: (key[0] + key[1], key))
     best_x = fits[(r2, s2)][0]

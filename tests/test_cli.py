@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -296,6 +297,28 @@ def test_bool_table_level_exits_2(capsys, tmp_path):
     assert out == "" and "integer 'level'" in err
 
 
+def test_table_below_requested_level_exits_3(capsys, delta_table):
+    code, out, err = run(capsys, "dual-norm", delta_table, "--level", "5")
+    assert code == 3 and out == ""
+    assert "state table stops at level 4, below requested level 5" in err
+
+
+def test_non_hermitian_table_exits_2(capsys, tmp_path):
+    table = write(tmp_path / "t.json", {"level": 3, "values": [[[[1, 2, 3]], 1]]})
+    code, out, err = run(capsys, "psd-check", table, "--level", "3")
+    assert code == 2 and out == ""
+    assert "not hermitian" in err and table in err
+
+
+def test_overflowing_table_exits_3(capsys, tmp_path):
+    # Each value is finite, but their block sums overflow to inf.
+    table = write(tmp_path / "t.json",
+                  {"level": 2, "values": [[[], 1e308], [[[1, 2]], 1e308]]})
+    code, out, err = run(capsys, "dual-norm", table, "--level", "2")
+    assert code == 3 and out == ""
+    assert "not finite" in err
+
+
 def test_hard_cap_exits_3(capsys, spec_a):
     code, _, err = run(capsys, "dual-norm", spec_a, "--level", "9")
     assert code == 3
@@ -334,6 +357,21 @@ def test_reports_are_byte_identical(capsys, tmp_path, spec_a):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["dual-norm", "psd-check"])
+@pytest.mark.parametrize("state", ["spec_cut2", "table_cut1_l6"])
+def test_reports_match_golden_files(capsys, command, state):
+    # The golden reports were written by the per-element implementation
+    # that held values in a dict; the vector one must match them byte for
+    # byte.  The cut-2 spec takes the sparse Fourier branch, the table the
+    # dense one.
+    code, out, _ = run(capsys, command, str(GOLDEN / (state + ".json")), "--level", "6")
+    assert code == 0
+    assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()
 
 
 def test_cache_roundtrip_and_digest(capsys, tmp_path, spec_a):
@@ -452,3 +490,54 @@ def test_recover_params_fuzz_never_crashes(tmp_path_factory, job):
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         assert _strict_json(out.getvalue())["ok"] is (code == 0)
+
+
+@st.composite
+def _state_file(draw):
+    """A canonical spec, a value table, or arbitrary JSON, all at small levels."""
+    kind = draw(st.sampled_from(["spec", "table", "json"]))
+    if kind == "spec":
+        n = draw(st.integers(0, 4))
+        lam = draw(st.sampled_from(partitions_of(n)))
+        entry = st.sampled_from(["1/2", "1/4", "1/8", "1/5"]) | _number_leaves
+        data = {"n": n, "lambda": list(lam),
+                "alpha": draw(st.lists(entry, max_size=2)),
+                "beta": draw(st.lists(entry, max_size=2))}
+    elif kind == "table":
+        level = draw(st.integers(0, 4))
+        point = st.integers(1, level + 2)
+        cycles = st.lists(st.lists(point, min_size=2, max_size=3, unique=True), max_size=2)
+        number = st.floats(-2, 2) | st.sampled_from([1, 0, "1/3"]) | _number_leaves
+        data = {"level": draw(st.integers(-1, 4) | st.just(level)),
+                "values": draw(st.lists(st.tuples(cycles, number).map(list), max_size=6))}
+    else:
+        data = draw(_json_values)
+    return data
+
+
+@st.composite
+def _state_job(draw):
+    command = draw(st.sampled_from(
+        ["dual-norm", "psd-check", "centrality-defect", "stability-profile"]))
+    argv = [command, "--level=%d" % draw(st.integers(-2, 5))]
+    if command == "centrality-defect":
+        argv.append("--cut=%d" % draw(st.integers(-2, 6)))
+    elif command == "stability-profile" and draw(st.booleans()):
+        argv.append("--max-shift=%d" % draw(st.integers(-2, 6)))
+    return draw(_state_file()), argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(job=_state_job())
+def test_state_subcommands_fuzz_never_crash(tmp_path_factory, job):
+    data, argv = job
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.json"
+    path.write_text(json.dumps(data))
+    argv = [argv[0], str(path)] + argv[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert _strict_json(out.getvalue())

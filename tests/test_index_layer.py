@@ -1,0 +1,171 @@
+"""The index layer against Permutation arithmetic: gathers, tabulation, blocks.
+
+Every check here is exact: a gather or a tabulation must reproduce the
+per-element Permutation computation bit for bit.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from stablerep.canonical import CanonicalState, central_depth
+from stablerep.fourier import StateFunction, fourier
+from stablerep.partitions import partitions_of
+from stablerep.permutations import (
+    Permutation,
+    conjugate_words,
+    conjugation_map,
+    cut_generators,
+    cycle,
+    cycle_lengths,
+    element_index,
+    group_words,
+    inverse_map,
+    restriction_map,
+    symmetric_group,
+    transposition,
+)
+from stablerep.stability import ad_orbit_state, as_table, centrality_defect
+from stablerep.thoma import ThomaParams
+from stablerep.yor import irrep_matrix
+
+from test_acceptance import BATTERY
+
+F = Fraction
+
+
+def elementwise(fn, level):
+    return np.array([complex(fn(g)) for g in symmetric_group(level)])
+
+
+def random_perm(rng, n):
+    return Permutation.from_one_line(rng.sample(range(1, n + 1), n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_inverse_map_is_inversion(n):
+    index = element_index(n)
+    want = [index[g.inverse()] for g in symmetric_group(n)]
+    assert inverse_map(n).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_conjugation_map_is_conjugation(n):
+    index = element_index(n)
+    rng = random.Random(n)
+    conjugators = symmetric_group(n) if n <= 4 else [random_perm(rng, n) for _ in range(4)]
+    for t in conjugators:
+        want = [index[g.conjugate_by(t)] for g in symmetric_group(n)]
+        assert conjugation_map(n, t).tolist() == want
+    with pytest.raises(ValueError):
+        conjugation_map(n, transposition(n + 1, n + 2))
+
+
+def test_conjugate_words_reach_past_the_words():
+    t = cycle(3, 5, 6)
+    for g, word in zip(symmetric_group(4), conjugate_words(group_words(4), t)):
+        assert tuple(word) == g.conjugate_by(t).one_line(6)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_restriction_map_is_the_subgroup(level):
+    index = element_index(level)
+    for n in range(level + 1):
+        want = [index[g] for g in symmetric_group(n)]
+        assert restriction_map(n, level).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cycle_lengths_match_cycles(n):
+    lengths = cycle_lengths(group_words(n))
+    for g, row in zip(symmetric_group(n), lengths.tolist()):
+        want = [1] * n
+        for c in g.cycles():
+            for p in c:
+                want[p - 1] = len(c)
+        assert row == want
+
+
+def test_cut_generators():
+    for level in range(7):
+        for n in range(level + 1):
+            want = [transposition(i, i + 1) for i in range(1, level) if i != n]
+            assert list(cut_generators(n, level)) == want
+
+
+@pytest.mark.parametrize("state", BATTERY, ids=range(len(BATTERY)))
+def test_battery_tables_equal_elementwise_evaluation(state):
+    for level in range(7):
+        want = elementwise(state, level)
+        assert np.array_equal(as_table(state, level).vector, want)
+        assert np.array_equal(StateFunction.from_callable(level, state).vector, want)
+
+
+@pytest.mark.parametrize("state", BATTERY[::3], ids=range(0, len(BATTERY), 3))
+def test_pullback_tables_equal_elementwise_conjugation(state):
+    # Probes above the truncation, as the stability profile uses them.
+    for t in (transposition(2, 3), cycle(4, 5, 6), transposition(6, 7)):
+        moved = as_table(ad_orbit_state(state, t), 5)
+        want = elementwise(lambda s: state(s.conjugate_by(t)), 5)
+        assert np.array_equal(moved.vector, want)
+
+
+def test_cut_four_table_at_level_eight_equals_elementwise_evaluation():
+    state = CanonicalState(4, (2, 1, 1), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),)))
+    assert np.array_equal(as_table(state, 8).vector, elementwise(state, 8))
+
+
+def test_float_parameters_tabulate_like_single_calls():
+    state = CanonicalState(2, (2,), ThomaParams((0.3, 0.1), (0.2,)))
+    assert np.array_equal(as_table(state, 6).vector, elementwise(state, 6))
+
+
+def test_table_gathers_equal_permutation_versions():
+    rng = random.Random(3)
+    level = 5
+    f = StateFunction(level, {g: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                              for g in symmetric_group(level)})
+    t = transposition(2, 3)
+    moved = ad_orbit_state(f, t)
+    assert np.array_equal(moved.vector, elementwise(lambda s: f(s.conjugate_by(t)), level))
+    for n in range(level + 1):
+        assert np.array_equal(f.restrict(n).vector, elementwise(f, n))
+    defect = max(abs(f(g.inverse()) - np.conj(f(g))) for g in symmetric_group(level))
+    assert f.hermitian_defect() == defect
+
+
+def test_mapping_constructor_ignores_key_order():
+    rng = random.Random(4)
+    items = [(g, rng.random()) for g in symmetric_group(4)]
+    forward = StateFunction(4, dict(items))
+    backward = StateFunction(4, dict(reversed(items)))
+    assert np.array_equal(forward.vector, backward.vector)
+    assert np.array_equal(forward.vector, [v for _, v in items])
+
+
+def sparse_state(rng, n):
+    rows = rng.sample(range(len(symmetric_group(n))), max(len(symmetric_group(n)) // 8, 1))
+    if n == 7:
+        rows = rows[:100]
+    vals = {symmetric_group(n)[r]: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for r in rows}
+    return StateFunction(n, vals)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_sparse_blocks_equal_the_elementwise_irrep_matrix_sum(n):
+    f = sparse_state(random.Random(n), n)
+    blocks = fourier(f)
+    for lam in partitions_of(n):
+        acc = np.zeros_like(blocks[lam])
+        for r in np.flatnonzero(f.vector):
+            acc += f.vector[r] * irrep_matrix(lam, symmetric_group(n)[r])
+        assert np.array_equal(blocks[lam], acc), lam
+
+
+def test_central_depth_and_defect_of_battery_tables():
+    for state in BATTERY:
+        table = as_table(state, 5)
+        assert central_depth(table, 5) == central_depth(state, 5) <= state.n
+        assert centrality_defect(table, state.n, 5) == 0

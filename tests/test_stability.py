@@ -103,6 +103,8 @@ def test_generator_probes_past_truncation_are_refused():
     stability_profile(STATE, K=4, M=3)
     with pytest.raises(ValueError, match="S_4"):
         stability_profile(STATE, K=4, M=4)
+    with pytest.raises(ValueError, match=">= 0"):
+        stability_profile(STATE, K=4, M=-1)
 
 
 def test_centrality_defect_at_cut():
@@ -110,6 +112,8 @@ def test_centrality_defect_at_cut():
     assert centrality_defect(STATE, 1, 5) > 0
     with pytest.raises(ValueError):
         centrality_defect(STATE, 4, 5)
+    with pytest.raises(ValueError, match=">= 0"):
+        centrality_defect(STATE, -1, 5)
 
 
 def test_profile_serialization():

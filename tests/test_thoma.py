@@ -247,3 +247,23 @@ def test_recovers_full_three_three_supports(seed):
     assert result.residual < 1e-10
     assert param_error(result.params.alpha, p.alpha) < 1e-6
     assert param_error(result.params.beta, p.beta) < 1e-6
+
+
+# Draws on the k/80 grid with an entry of 1/80, whose values carry that entry
+# at 80^-k.  With an absolute selection slack of 1e-16 a support one entry
+# short won at residual ~5e-17 against the exact fit at ~1e-30.  The last two
+# are full_support_draw with k >= 1 allowed, seeds 9 and 34 of 0..39.
+SMALL_ENTRY_DRAWS = [
+    ((F(13, 80), F(3, 80), F(1, 80)), (F(11, 40), F(9, 80), F(1, 16))),
+    ((F(1, 10), F(3, 40), F(3, 80)), (F(17, 80), F(7, 40), F(1, 80))),
+    ((F(9, 40), F(3, 16), F(13, 80)), (F(1, 16), F(3, 80), F(1, 80))),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", SMALL_ENTRY_DRAWS)
+def test_recovery_keeps_an_entry_of_one_eightieth(alpha, beta):
+    p, values = plant(alpha, beta, kmax=10)
+    result = recover_params(values, (3, 3))
+    assert result.residual < 1e-10
+    assert param_error(result.params.alpha, p.alpha) < 1e-6
+    assert param_error(result.params.beta, p.beta) < 1e-6
