@@ -34,7 +34,7 @@ def main():
 
     # exhaustive sweep over all conjugators inside a finite window
     # agrees with the generator probes on where the defect vanishes
-    profile = stability_profile(f, K=5, M=3, exhaustive=True, exhaustive_level=5)
+    profile = stability_profile(f, K=5, M=3, exhaustive=True)
     print("exhaustive-conjugator profile (level-5 window):")
     for point in profile.points:
         print(f"  m={point.m}  defect={point.defect:.6f}  witness={point.witness}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from stablerep.fourier import StateFunction
 from stablerep.gns import (
-    a_pi,
     biregular,
     central_support,
     gns,
@@ -46,7 +45,7 @@ def main():
           np.allclose(left @ right, right @ left, atol=1e-10))
     print("  diagonal pair implements conjugation:",
           np.allclose(
-              a_pi(bireg, g) @ bireg.pi[h] @ np.linalg.inv(a_pi(bireg, g)),
+              bireg.ad(g) @ bireg.pi[h] @ np.linalg.inv(bireg.ad(g)),
               bireg.pi[g * h * g.inverse()],
               atol=1e-10,
           ))

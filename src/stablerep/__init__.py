@@ -72,7 +72,6 @@ from .gns import (
     BiregularRep,
     GnsTriple,
     StandardForm,
-    a_pi,
     biregular,
     central_support,
     commutant,

@@ -2,8 +2,7 @@
 
 Subcommands evaluate states, certify positivity, classify, profile
 stability, verify GNS output, and decompose induced characters.  This
-module owns the file formats: JSON in, JSON or CSV out, and the on-disk
-generator-matrix cache handled by the yor module.
+module owns the file formats: JSON in, JSON or CSV out.
 
 Reports are deterministic: keys sorted, no timestamps, floats emitted
 with repr precision, rationals as "p/q" strings.  Exit codes:
@@ -28,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import yor
 from .canonical import (
     CanonicalState,
     ClassificationError,
@@ -39,7 +37,7 @@ from .canonical import (
 )
 from .characters import mn_character
 from .fourier import StateFunction, dual_norm, is_positive_definite
-from .gns import a_pi, biregular, central_support, gns_standard_pipeline
+from .gns import biregular, central_support, gns_standard_pipeline, project_to_span
 from .induction import decompose_induced
 from .partitions import check_partition, hook_dimension
 from .permutations import IDENTITY, Permutation, cycle, symmetric_group, transposition
@@ -91,6 +89,8 @@ def _parse_json_flag(text, flag):
 def _perm_from_cycles(data, where):
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise InputError("permutation must be a list of cycles", location=where)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for c in data for p in c):
+        raise InputError("cycle points must be integers, got %r" % (data,), location=where)
     try:
         return Permutation.from_cycles([tuple(c) for c in data])
     except (ValueError, TypeError) as exc:
@@ -175,6 +175,9 @@ def _table_from(data, where):
             raise InputError("values[%d] is not a [cycles, value] pair" % i,
                              location=where)
         g = _perm_from_cycles(row[0], "%s values[%d]" % (where, i))
+        if g in values:
+            raise InputError("the permutation of an earlier row is given again",
+                             location="%s values[%d]" % (where, i))
         if g.level > level:
             raise InputError("values[%d] moves a point above level %d" % (i, level),
                              location=where)
@@ -252,20 +255,10 @@ def _write(text, args):
         sys.stdout.write(text)
 
 
-def _cache_hash(args, level):
-    """Populate the generator cache when asked and record its digest."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return None
-    for n in range(1, min(level, HARD_CAP) + 1):
-        yor.populate_cache(cache_dir, n)
-    return yor.cache_digest(cache_dir)
-
-
 def _value_field(v):
-    if isinstance(v, Fraction):
-        return {"value": float(v), "rational": str(v)}
-    return {"value": float(v), "rational": None}
+    """A result as a float, and as an exact string when it is a Fraction or an int."""
+    exact = isinstance(v, (Fraction, int)) and not isinstance(v, bool)
+    return {"value": float(v), "rational": str(v) if exact else None}
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +268,8 @@ def _value_field(v):
 def _cmd_eval_state(args):
     state = _spec_from(_load_json(args.input), args.input)
     g = _perm_from_cycles(_parse_json_flag(args.perm, "--perm"), "--perm")
-    report = {"spec": state.to_json(), "perm": g.to_cycles()}
+    report = {"spec": state.to_json(), "perm": g.cycles()}
     report.update(_value_field(state(g)))
-    report["cache_hash"] = _cache_hash(args, state.n)
     _emit(report, args)
     return EXIT_OK
 
@@ -295,11 +287,10 @@ def _cmd_char_finite(args):
     dim = hook_dimension(lam)
     report = {
         "partition": list(lam),
-        "perm": g.to_cycles(),
+        "perm": g.cycles(),
         "character": chi,
         "dimension": dim,
         "normalized": str(Fraction(chi, dim)),
-        "cache_hash": _cache_hash(args, n),
     }
     _emit(report, args)
     return EXIT_OK
@@ -308,11 +299,10 @@ def _cmd_char_finite(args):
 def _cmd_char_thoma(args):
     params = _params_from(_load_json(args.input), args.input)
     g = _perm_from_cycles(_parse_json_flag(args.perm, "--perm"), "--perm")
-    report = {"params": params.to_json(), "perm": g.to_cycles(),
+    report = {"params": params.to_json(), "perm": g.cycles(),
               "cycle_type": list(g.cycle_type())}
     report.update(_value_field(thoma_character(params, g.cycle_type())))
     report["factor_type"] = type_classify(params).value
-    report["cache_hash"] = _cache_hash(args, 0)
     _emit(report, args)
     return EXIT_OK
 
@@ -329,8 +319,7 @@ def _cmd_dual_norm(args):
     _check_level(args.level, args.allow_large)
     table = _tabulate(_load_state(args.input), args.level)
     value = dual_norm(table)
-    report = {"dual_norm": value, "level": args.level,
-              "cache_hash": _cache_hash(args, args.level)}
+    report = {"dual_norm": value, "level": args.level}
     _emit(report, args)
     return EXIT_OK
 
@@ -348,7 +337,6 @@ def _cmd_psd_check(args):
         "witness": list(cert.witness) if cert.witness is not None else None,
         "level": args.level,
         "tol": args.tol,
-        "cache_hash": _cache_hash(args, args.level),
     }
     _emit(report, args)
     return EXIT_OK if cert.positive else EXIT_CERT
@@ -364,11 +352,10 @@ def _cmd_asymptotic_char(args):
     seq = shift_sequence(g, M)
     result = asymptotic_character(state, g, M, tol=args.tol)
     report = {
-        "perm": g.to_cycles(),
+        "perm": g.cycles(),
         "shift_memberships": seq.verify(),
         "values": [dict(_value_field(v), m=m) for m, v in result.values],
         "stabilized_at": result.stabilized_at,
-        "cache_hash": _cache_hash(args, state.n),
     }
     report.update(_value_field(result.value) if result.stabilized_at is not None
                   else {"value": None, "rational": None})
@@ -399,7 +386,6 @@ def _cmd_recover_params(args):
         "residual": result.residual,
         "ok": result.ok(args.tol),
         "tol": args.tol,
-        "cache_hash": _cache_hash(args, 0),
     }
     _emit(report, args)
     return EXIT_OK if result.ok(args.tol) else EXIT_CERT
@@ -412,13 +398,13 @@ def _cmd_classify(args):
     try:
         result = classify(state, args.level, bounds)
     except ClassificationError as exc:
-        print("classification failed: %s" % exc, file=sys.stderr)
+        _emit({"failure": "classification failed: %s" % exc, "level": args.level,
+               "support_bounds": list(bounds)}, args)
         return EXIT_CERT
     except ValueError as exc:
         # A bounded table can run out of room for the shift probes.
         raise InfeasibleError(str(exc))
     report = result.to_json()
-    report["cache_hash"] = _cache_hash(args, args.level)
     _emit(report, args)
     return EXIT_OK
 
@@ -432,7 +418,6 @@ def _cmd_quasi_equivalent(args):
         "first": a.to_json(),
         "second": b.to_json(),
         "tol": args.tol,
-        "cache_hash": _cache_hash(args, 0),
     }
     _emit(report, args)
     return EXIT_OK if same else EXIT_CERT
@@ -452,7 +437,6 @@ def _cmd_stability_profile(args):
         _write(profile.to_csv(), args)
         return EXIT_OK
     report = profile.to_json()
-    report["cache_hash"] = _cache_hash(args, args.level)
     _emit(report, args)
     return EXIT_OK
 
@@ -464,8 +448,7 @@ def _cmd_centrality_defect(args):
         defect = centrality_defect(state, args.cut, args.level)
     except ValueError as exc:
         raise InfeasibleError(str(exc))
-    report = {"defect": defect, "cut": args.cut, "level": args.level,
-              "cache_hash": _cache_hash(args, args.level)}
+    report = {"defect": defect, "cut": args.cut, "level": args.level}
     _emit(report, args)
     return EXIT_OK
 
@@ -481,7 +464,8 @@ def _cmd_gns_verify(args):
     try:
         triple, _, sf = gns_standard_pipeline(k, f)
     except ValueError as exc:
-        print("standard form failed: %s" % exc, file=sys.stderr)
+        _emit({"failure": "standard form failed: %s" % exc, "level": k, "ok": False,
+               "tol": args.tol}, args)
         return EXIT_CERT
     bireg = biregular(sf, triple.rep)
     group = symmetric_group(k)
@@ -498,7 +482,7 @@ def _cmd_gns_verify(args):
     comm = sf.commutant_basis
     for x in sf.algebra:
         jx = sf.conjugate_by_j(x)
-        jmj = max(jmj, float(np.linalg.norm(jx - _project(comm, jx))))
+        jmj = max(jmj, project_to_span(comm, jx)[1])
 
     hom = 0.0
     for g1, h1 in pairs:
@@ -509,7 +493,7 @@ def _cmd_gns_verify(args):
 
     ad = 0.0
     for g in group:
-        a = a_pi(bireg, g)
+        a = bireg.ad(g)
         a_inv = np.linalg.inv(a)
         for x in group:
             lhs = a @ bireg.pi[x] @ a_inv
@@ -528,16 +512,9 @@ def _cmd_gns_verify(args):
         "ad_residual": ad,
         "tol": args.tol,
         "ok": worst <= args.tol,
-        "cache_hash": _cache_hash(args, k),
     }
     _emit(report, args)
     return EXIT_OK if worst <= args.tol else EXIT_CERT
-
-
-def _project(basis, x):
-    flat = np.array([b.ravel() for b in basis])
-    q, _ = np.linalg.qr(flat.conj().T)
-    return (q @ (q.conj().T @ x.ravel())).reshape(x.shape)
 
 
 def _cmd_induce_char(args):
@@ -555,7 +532,6 @@ def _cmd_induce_char(args):
         "mu": list(mu),
         "level": m,
         "multiplicities": {json.dumps(list(nu)): c for nu, c in sorted(mults.items())},
-        "cache_hash": _cache_hash(args, m),
     }
     _emit(report, args)
     return EXIT_OK
@@ -568,8 +544,6 @@ def _cmd_induce_char(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument("--cache-dir", help="generator-matrix cache directory; "
-                        "populated if missing, digest recorded in the report")
     common.add_argument("--allow-large", action="store_true",
                         help="override the hard level cap %d" % HARD_CAP)
 

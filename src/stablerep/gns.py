@@ -68,6 +68,8 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
     if w[0] < -psd_tol:
         raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")
     keep = w > max(rank_tol * max(w[-1], 0.0), rank_tol)
+    if not keep.any():
+        raise ValueError(f"state vanishes on S_{k}: its GNS carrier is empty")
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
     pinv = np.linalg.pinv(B)
     rep = {}
@@ -195,7 +197,6 @@ class StandardForm:
     """
 
     basis: tuple[np.ndarray, ...]
-    algebra: tuple[np.ndarray, ...]
     xi: np.ndarray
     j_real: np.ndarray
     modulus_real: np.ndarray
@@ -211,6 +212,10 @@ class StandardForm:
         m = np.asarray(m, dtype=complex)
         coeff = np.array([[np.vdot(bi, m @ bj) for bj in self.basis] for bi in self.basis])
         return self._whalf @ coeff @ self._winvhalf
+
+    @cached_property
+    def algebra(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.embed(m) for m in self.basis)
 
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
         """J X J^-1, a complex linear map again."""
@@ -259,12 +264,6 @@ def standard_form(
     eye_coeff = np.array([np.vdot(b, np.eye(dim)) for b in basis])
     xi = whalf @ eye_coeff
 
-    # Left multiplication in orthonormal state coordinates.
-    algebra = []
-    for m in basis:
-        coeff = np.array([[np.vdot(bi, m @ bj) for bj in basis] for bi in basis])
-        algebra.append(whalf @ coeff @ winvhalf)
-
     # The adjoint map x -> x* in basis coefficients, then realified and split.
     A = np.array([[np.vdot(bi, bj.conj().T) for bj in basis] for bi in basis])
     SA = whalf @ A @ np.conj(winvhalf)
@@ -273,7 +272,6 @@ def standard_form(
 
     return StandardForm(
         basis=basis,
-        algebra=tuple(algebra),
         xi=xi,
         j_real=j_real,
         modulus_real=modulus_real,
@@ -316,17 +314,13 @@ class BiregularRep:
         return self.pi[g] @ self.sf.conjugate_by_j(self.pi[h])
 
     def ad(self, g: Permutation) -> np.ndarray:
+        """The inner implementation of conjugation by g: Pi((g, g))."""
         return self(g, g)
 
 
 def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> BiregularRep:
     """Lift a representation on the original carrier to the two-sided one."""
     return BiregularRep(sf, {g: sf.embed(m) for g, m in rep.items()})
-
-
-def a_pi(bireg: BiregularRep, g: Permutation) -> np.ndarray:
-    """The inner implementation of conjugation by g: Pi((g, g))."""
-    return bireg.ad(g)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,6 @@ class Permutation:
     def sign(self) -> int:
         return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
-    def to_cycles(self) -> list[list[int]]:
-        return self.cycles()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._pairs == other._pairs
 

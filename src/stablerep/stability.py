@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Union
 
 from .fourier import StateFunction, restricted_distance
 from .permutations import (
@@ -115,10 +115,14 @@ class StabilityProfile:
         return {
             "truncation": self.truncation,
             "points": [
-                {"m": p.m, "defect": p.defect, "witness": p.witness.to_cycles()}
+                {"m": p.m, "defect": p.defect, "witness": p.witness.cycles()}
                 for p in self.points
             ],
         }
+
+
+# Relative gap below the worst defect within which a probe still ties for witness.
+WITNESS_SLACK = 1e-12
 
 
 def probe_generators(m: int) -> tuple[Permutation, ...]:
@@ -126,19 +130,15 @@ def probe_generators(m: int) -> tuple[Permutation, ...]:
     return (transposition(m + 1, m + 2), cycle(m + 1, m + 2, m + 3))
 
 
-def stability_profile(
-    f: Evaluator,
-    K: int,
-    M: int,
-    exhaustive: bool = False,
-    exhaustive_level: Optional[int] = None,
-) -> StabilityProfile:
+def stability_profile(f: Evaluator, K: int, M: int, exhaustive: bool = False) -> StabilityProfile:
     """defect(m) for m = 0..M, each the worst rho_distance over probes above m.
 
     The default probe set is the pair of standard generators above the
-    cut; exhaustive=True sweeps every non-identity element of the
-    truncated tail group instead (small levels only, for auditing the
-    generator shortcut).
+    cut; exhaustive=True sweeps every non-identity element of the tail
+    group inside S_K instead (small levels only, for auditing the
+    generator shortcut).  The witness is the first probe, in probe order,
+    whose distance is within WITNESS_SLACK of the worst, so probes that
+    tie in exact arithmetic do not pick it by their rounding.
 
     The generator probes above a cut m >= K fix every point of S_K and so
     measure nothing; M >= K is refused for them.
@@ -153,19 +153,14 @@ def stability_profile(
     points = []
     for m in range(M + 1):
         if exhaustive:
-            lvl = exhaustive_level if exhaustive_level is not None else K
-            if lvl - m < 2:
-                raise ValueError(f"exhaustive level {lvl} leaves no probes above cut {m}")
-            probes = tuple(
-                g.shift(m) for g in symmetric_group(lvl - m) if not g.is_identity()
-            )
+            if K - m < 2:
+                raise ValueError(f"exhaustive level {K} leaves no probes above cut {m}")
+            probes = tuple(g.shift(m) for g in symmetric_group(K - m) if not g.is_identity())
         else:
             probes = probe_generators(m)
-        worst, witness = 0.0, probes[0]
-        for t in probes:
-            d = rho_distance(ad_orbit_state(f, t), table, K)
-            if d > worst:
-                worst, witness = d, t
+        dists = [rho_distance(ad_orbit_state(f, t), table, K) for t in probes]
+        worst = max(dists)
+        witness = next(t for t, d in zip(probes, dists) if d >= worst * (1 - WITNESS_SLACK))
         points.append(ProfilePoint(m, worst, witness))
     return StabilityProfile(K, tuple(points))
 

@@ -6,16 +6,17 @@ For the adjacent transposition (k, k+1) the matrix acts on a tableau T
 with diagonal entry 1/d and off-diagonal sqrt(1 - 1/d^2) towards the
 tableau with k and k+1 swapped, where d is the axial distance
 (content of k+1) - (content of k) in T.
+
+Everything is rebuilt in memory: the generators of every shape up to
+level 8 take well under 0.1 s, and whole-group tables are memoised up to
+CACHE_MAX_LEVEL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from functools import lru_cache, reduce
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -25,9 +26,6 @@ from .permutations import Permutation, adjacent_word, cayley_layers
 # Full group tables are memoised only up to this level; above it they are
 # rebuilt on demand to bound memory.
 CACHE_MAX_LEVEL = 6
-
-_FORMAT_MAGIC = b"YORX"
-_FORMAT_VERSION = 1
 
 
 def _positions(tab: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
@@ -111,85 +109,3 @@ def irrep_table(n: int, lam: Iterable[int]) -> np.ndarray:
     if n <= CACHE_MAX_LEVEL:
         return _cached_table(n, lam)
     return _build_table(n, lam)
-
-
-# ---------------------------------------------------------------------------
-# On-disk generator cache: one file per (n, lam), header followed by the
-# (n-1) generator matrices as row-major little-endian float64.
-
-
-def _cache_filename(lam: tuple[int, ...]) -> str:
-    n = sum(lam)
-    return f"yor_n{n}_" + "-".join(map(str, lam)) + ".bin"
-
-
-def write_generator_file(path: Path, lam: Iterable[int]) -> Path:
-    lam = check_partition(lam)
-    n = sum(lam)
-    mats = yor_generators(lam)
-    d = irrep_dimension(lam)
-    blob = bytearray()
-    blob += _FORMAT_MAGIC
-    blob += struct.pack("<III", _FORMAT_VERSION, n, len(lam))
-    blob += struct.pack(f"<{len(lam)}I", *lam)
-    blob += struct.pack("<I", d)
-    for m in mats:
-        blob += np.ascontiguousarray(m, dtype="<f8").tobytes()
-    path = Path(path)
-    path.write_bytes(bytes(blob))
-    return path
-
-
-def read_generator_file(path: Path) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _FORMAT_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a generator cache file")
-    version, n, nparts = struct.unpack_from("<III", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    off = 16
-    lam = struct.unpack_from(f"<{nparts}I", raw, off)
-    off += 4 * nparts
-    (d,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if sum(lam) != n:
-        raise ValueError(f"{path}: header partition does not sum to {n}")
-    mats = []
-    for _ in range(max(n - 1, 0)):
-        m = np.frombuffer(raw, dtype="<f8", count=d * d, offset=off).reshape(d, d)
-        off += 8 * d * d
-        m = m.copy()
-        m.flags.writeable = False
-        mats.append(m)
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes in cache file")
-    return lam, tuple(mats)
-
-
-def populate_cache(cache_dir: Path, n: int) -> list[Path]:
-    """Write generator files for every shape of weight n. Existing files kept."""
-    from .partitions import partitions_of
-
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for lam in partitions_of(n):
-        path = cache_dir / _cache_filename(lam)
-        if not path.exists():
-            write_generator_file(path, lam)
-        written.append(path)
-    return written
-
-
-def cache_digest(cache_dir: Optional[Path]) -> Optional[str]:
-    """SHA-256 over the sorted cache files; None when no cache is in use."""
-    if cache_dir is None:
-        return None
-    cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
-        return None
-    h = hashlib.sha256()
-    for path in sorted(cache_dir.glob("yor_*.bin")):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()

@@ -31,7 +31,6 @@ from stablerep.fourier import (
     is_positive_definite,
 )
 from stablerep.gns import (
-    a_pi,
     biregular,
     double_commutant,
     gns,
@@ -345,7 +344,7 @@ def _standard_form_residuals(state, k, pairs_mode):
             res_comm = max(res_comm, float(np.linalg.norm(left @ right - right @ left)))
     res_ad = 0.0
     for g in group:
-        a = a_pi(bireg, g)
+        a = bireg.ad(g)
         a_inv = np.linalg.inv(a)
         for x in group:
             got = a @ bireg.pi[x] @ a_inv

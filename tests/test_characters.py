@@ -31,7 +31,7 @@ def standard_rep_s3(g):
         ((1, 2, 3),): R12 @ R23,
         ((1, 3, 2),): R23 @ R12,
     }
-    return mats[tuple(tuple(c) for c in g.to_cycles())]
+    return mats[tuple(tuple(c) for c in g.cycles())]
 
 
 def test_standard_rep_oracle_for_s3():

@@ -1,4 +1,4 @@
-"""Subcommand behavior: reports, exit codes, determinism, the cache."""
+"""Subcommand behavior: reports, exit codes, determinism, refusals."""
 
 import contextlib
 import io
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from stablerep import cli
 from stablerep.cli import main
 from stablerep.partitions import partitions_of
-from stablerep.yor import read_generator_file, yor_generators
 
 
 def write(path, data):
@@ -200,6 +199,54 @@ def test_bad_perm_flag_exits_2(capsys, spec_a):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-state", "SPEC", "--perm", "[[1,2.9]]"],
+    ["eval-state", "SPEC", "--perm", "[[1,2.0]]"],
+    ["char-finite", "--partition", "[3]", "--perm", "[[true,2]]"],
+    ["char-thoma", "SPEC", "--perm", "[[1,\"2\"]]"],
+], ids=["float", "integral-float", "bool", "string"])
+def test_non_integer_perm_point_exits_2(capsys, spec_a, argv):
+    # These used to be coerced by int(), so [[1,2.9]] silently ran on (1 2).
+    argv = [spec_a if a == "SPEC" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "cycle points must be integers" in err and "[--perm]" in err
+
+
+@pytest.mark.parametrize("rows, bad_row", [
+    ([[[], 1.0], [[[1, 2.0]], 0.25]], 1),
+    ([[[], 1.0], [[[True, 2]], 0.25]], 1),
+    ([[[], 1.0], [[[1, 2]], 0.25], [[[2, 1]], 0.7]], 2),
+    ([[[], 1.0], [[], 0.5]], 1),
+], ids=["float-point", "bool-point", "repeated-transposition", "repeated-identity"])
+def test_bad_table_row_exits_2(capsys, tmp_path, rows, bad_row):
+    # A later row for the same permutation used to overwrite the earlier one.
+    table = write(tmp_path / "t.json", {"level": 3, "values": rows})
+    code, out, err = run(capsys, "dual-norm", table, "--level", "3")
+    assert code == 2 and out == ""
+    assert "[%s values[%d]]" % (table, bad_row) in err
+
+
+def test_rational_is_set_for_exact_values_only(capsys, tmp_path):
+    # (1 2) straddles the cut of a depth-1 state, which vanishes there.
+    spec = write(tmp_path / "s.json", {"n": 1, "lambda": [1], "alpha": ["1/2"], "beta": []})
+    code, out, _ = run(capsys, "eval-state", spec, "--perm", "[[1,2]]")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["rational"]) == (0.0, "0")
+    params = write(tmp_path / "p.json", {"alpha": [], "beta": []})
+    code, out, _ = run(capsys, "char-thoma", params, "--perm", "[]")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["rational"]) == (1.0, "1")
+    # a float parameter gives a float value, which is not exact
+    spec = write(tmp_path / "f.json", {"n": 0, "lambda": [], "alpha": [0.5], "beta": []})
+    code, out, _ = run(capsys, "eval-state", spec, "--perm", "[[1,2]]")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["rational"]) == (0.25, None)
+
+
 @pytest.mark.parametrize("spec", [
     {"n": 1, "lambda": [1.0], "alpha": ["1/2"], "beta": []},
     {"n": 1, "lambda": [True], "alpha": ["1/2"], "beta": []},
@@ -336,6 +383,27 @@ def test_hard_cap_exits_3(capsys, spec_a):
     assert json.loads(out)["character"] == 1
 
 
+def test_gns_verify_of_zero_state_fails_with_report(capsys, tmp_path):
+    # The zero functional has an empty GNS carrier; this used to raise an
+    # IndexError traceback from the commutant of 0 x 0 matrices.
+    zero = write(tmp_path / "z.json", {"level": 3, "values": []})
+    code, out, _ = run(capsys, "gns-verify", zero, "--level", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert "carrier is empty" in report["failure"]
+
+
+def test_classify_failure_writes_a_report(capsys, tmp_path):
+    # Exit 1 comes with a report, as for every other certificate failure.
+    table = write(tmp_path / "c.json", {"level": 3, "values": [[[], 1], [[[1, 2]], 0.3]]})
+    code, out, _ = run(capsys, "classify", table, "--level", "3", "--support-bounds", "1,0")
+    assert code == 1
+    report = json.loads(out)
+    assert report["failure"].startswith("classification failed: ")
+    assert (report["level"], report["support_bounds"]) == (3, [1, 0])
+
+
 def test_bad_support_bounds_exit_3(capsys, spec_a):
     code, _, err = run(
         capsys, "classify", spec_a, "--level", "5", "--support-bounds", "2"
@@ -374,26 +442,13 @@ def test_reports_match_golden_files(capsys, command, state):
     assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()
 
 
-def test_cache_roundtrip_and_digest(capsys, tmp_path, spec_a):
-    cache = tmp_path / "cache"
-    code, out, _ = run(
-        capsys,
-        "dual-norm", spec_a, "--level", "3", "--cache-dir", str(cache),
-    )
-    assert code == 0
-    digest = json.loads(out)["cache_hash"]
-    assert isinstance(digest, str) and len(digest) == 64
-    # cached matrices reload bit-exactly
-    for path in sorted(cache.glob("yor_*.bin")):
-        lam, mats = read_generator_file(path)
-        for a, b in zip(mats, yor_generators(lam)):
-            assert a.tobytes() == b.tobytes()
-    # second run: same digest, still byte-identical report
-    code, out2, _ = run(
-        capsys,
-        "dual-norm", spec_a, "--level", "3", "--cache-dir", str(cache),
-    )
-    assert out2 == out
+def test_cache_dir_flag_is_gone(capsys, spec_a):
+    # The generator disk cache was write-only and has been removed; its
+    # flag is now an unknown argument, which argparse refuses with exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["dual-norm", spec_a, "--level", "3", "--cache-dir", "x"])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
 
 
 def test_output_flag_writes_file(tmp_path, spec_a):
@@ -538,6 +593,82 @@ def test_state_subcommands_fuzz_never_crash(tmp_path_factory, job):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert _strict_json(out.getvalue())
+
+
+def _perm_text(draw):
+    if draw(st.booleans()):
+        # a well-formed small permutation, at most 6 points
+        points = draw(st.permutations(range(1, 7)))
+        cuts = sorted(draw(st.lists(st.integers(0, 6), max_size=3)))
+        cycles = [list(points[a:b]) for a, b in zip([0] + cuts, cuts + [6])]
+        return json.dumps([c for c in cycles if len(c) >= 2])
+    return draw(_flag_text | st.lists(st.lists(_number_leaves, max_size=3), max_size=2)
+                .map(json.dumps))
+
+
+@st.composite
+def _spec_or_json(draw):
+    if draw(st.booleans()):
+        return draw(_state_file())
+    n = draw(st.integers(0, 4))
+    entry = st.sampled_from(["1/2", "1/4", "1/8", "1/5", 0.25])
+    return {"n": n, "lambda": list(draw(st.sampled_from(partitions_of(n)))),
+            "alpha": draw(st.lists(entry, max_size=2)), "beta": draw(st.lists(entry, max_size=2))}
+
+
+@st.composite
+def _small_job(draw):
+    """One of the seven subcommands the other fuzz tests leave out, with its files."""
+    command = draw(st.sampled_from(["eval-state", "char-finite", "char-thoma", "asymptotic-char",
+                                    "classify", "quasi-equivalent", "gns-verify"]))
+    files, argv = [], [command]
+    if command == "char-finite":
+        partition = draw(st.integers(0, 4).flatmap(lambda k: st.sampled_from(partitions_of(k)))
+                         .map(lambda p: json.dumps(list(p))) | _flag_text)
+        argv += ["--partition=" + partition, "--perm=" + _perm_text(draw)]
+    elif command == "char-thoma":
+        spec = draw(_spec_or_json())
+        files.append({k: v for k, v in spec.items() if k in ("alpha", "beta")}
+                     if isinstance(spec, dict) and draw(st.booleans()) else spec)
+        argv.append("--perm=" + _perm_text(draw))
+    elif command == "quasi-equivalent":
+        files += [draw(_spec_or_json()), draw(_spec_or_json())]
+    else:
+        files.append(draw(_spec_or_json()))
+        if command in ("eval-state", "asymptotic-char"):
+            argv.append("--perm=" + _perm_text(draw))
+        if command == "asymptotic-char" and draw(st.booleans()):
+            argv.append("--max-shift=%d" % draw(st.integers(-2, 12)))
+        if command == "classify":
+            bounds = "%d,%d" % (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            argv += ["--level=%d" % draw(st.integers(-2, 4)),
+                     "--support-bounds=" + draw(st.just(bounds) | st.text(max_size=4))]
+        if command == "gns-verify":
+            # k = 4 costs seconds per example; the CLI tests cover it once
+            argv.append("--level=%d" % draw(st.integers(-2, 3)))
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(job=_small_job())
+def test_remaining_subcommands_fuzz_never_crash(tmp_path_factory, job):
+    files, argv = job
+    paths = []
+    for i, data in enumerate(files):
+        path = tmp_path_factory.getbasetemp() / ("fuzz_input_%d.json" % i)
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    argv = argv[:1] + paths + argv[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects flag text it cannot parse
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, files, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         assert _strict_json(out.getvalue())

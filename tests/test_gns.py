@@ -10,7 +10,6 @@ from stablerep.canonical import CanonicalState
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction
 from stablerep.gns import (
-    a_pi,
     biregular,
     central_support,
     commutant,
@@ -173,7 +172,7 @@ def test_pipeline_residuals_small():
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     assert worst < 1e-8
     for g in group:
-        a = a_pi(bireg, g)
+        a = bireg.ad(g)
         a_inv = np.linalg.inv(a)
         for x in group:
             lhs = a @ bireg.pi[x] @ a_inv

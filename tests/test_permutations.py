@@ -76,7 +76,7 @@ def test_sign_of_cycles():
 
 def test_cycle_canonical_form():
     p = Permutation.from_cycles([[6, 4, 5], [2, 1]])
-    assert p.to_cycles() == [[1, 2], [4, 5, 6]]
+    assert p.cycles() == [[1, 2], [4, 5, 6]]
     assert str(p) == "(1 2)(4 5 6)"
     assert str(IDENTITY) == "e"
 
@@ -106,7 +106,7 @@ def test_support_and_level():
 def test_shift_translates_support():
     p = cycle(1, 2, 3)
     q = p.shift(4)
-    assert q.to_cycles() == [[5, 6, 7]]
+    assert q.cycles() == [[5, 6, 7]]
     for i in range(1, 5):
         assert q(i + 4) == p(i) + 4
     assert p.shift(0) == p

@@ -1,9 +1,11 @@
 """Conjugation orbits, the truncated metric, and stability profiles."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from stablerep import stability
 from stablerep.canonical import CanonicalState
 from stablerep.fourier import StateFunction
 from stablerep.permutations import cycle, symmetric_group, transposition
@@ -91,11 +93,23 @@ def test_profile_of_parameter_state_is_zero():
 
 def test_exhaustive_sweep_agrees_with_generators():
     quick = stability_profile(STATE, K=4, M=2)
-    full = stability_profile(STATE, K=4, M=2, exhaustive=True, exhaustive_level=4)
+    full = stability_profile(STATE, K=4, M=2, exhaustive=True)
     for a, b in zip(quick.points, full.points):
         assert (a.defect == 0) == (b.defect == 0)
     with pytest.raises(ValueError):
-        stability_profile(STATE, K=4, M=3, exhaustive=True, exhaustive_level=4)
+        stability_profile(STATE, K=4, M=3, exhaustive=True)
+
+
+@pytest.mark.parametrize("second, picked", [
+    (math.nextafter(0.5, 1.0), 0),  # a tie up to the last bit: the first probe
+    (0.6, 1),  # a real gap: the worse probe
+], ids=["ulp-tie", "gap"])
+def test_witness_is_first_probe_within_slack(monkeypatch, second, picked):
+    dists = iter([0.5, second])
+    monkeypatch.setattr(stability, "rho_distance", lambda f, h, K: next(dists))
+    point = stability_profile(STATE, K=4, M=0).points[0]
+    assert point.defect == second
+    assert point.witness == probe_generators(0)[picked]
 
 
 def test_generator_probes_past_truncation_are_refused():

@@ -1,4 +1,4 @@
-"""Orthogonal representation matrices: relations, traces, cache format."""
+"""Orthogonal representation matrices: relations, traces, tables."""
 
 import math
 import random
@@ -9,16 +9,7 @@ import pytest
 from stablerep.characters import mn_character
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import Permutation, symmetric_group, transposition
-from stablerep.yor import (
-    cache_digest,
-    irrep_dimension,
-    irrep_matrix,
-    irrep_table,
-    populate_cache,
-    read_generator_file,
-    write_generator_file,
-    yor_generators,
-)
+from stablerep.yor import irrep_dimension, irrep_matrix, irrep_table, yor_generators
 
 
 def test_generator_shapes_and_dimensions():
@@ -129,39 +120,3 @@ def test_irrep_matrix_identity_and_transposition():
     assert np.allclose(irrep_matrix((2, 1), Permutation({})), np.eye(2))
     m = irrep_matrix((2, 1), transposition(1, 2))
     assert np.allclose(m, np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_cache_file_round_trip_is_bit_exact(tmp_path):
-    for lam in [(3, 1), (2, 2), (4, 2, 1)]:
-        path = write_generator_file(tmp_path / "x.bin", lam)
-        read_lam, mats = read_generator_file(path)
-        assert read_lam == lam
-        gens = yor_generators(lam)
-        assert len(mats) == len(gens)
-        for a, b in zip(mats, gens):
-            # exact equality, not allclose: the format must be lossless
-            assert a.tobytes() == b.tobytes()
-        path.unlink()
-
-
-def test_cache_reader_rejects_corruption(tmp_path):
-    path = write_generator_file(tmp_path / "x.bin", (3, 1))
-    raw = path.read_bytes()
-    path.write_bytes(raw + b"\x00")
-    with pytest.raises(ValueError):
-        read_generator_file(path)
-    path.write_bytes(b"JUNK" + raw[4:])
-    with pytest.raises(ValueError):
-        read_generator_file(path)
-
-
-def test_populate_cache_and_digest_stability(tmp_path):
-    files = populate_cache(tmp_path, 4)
-    assert len(files) == len(partitions_of(4))
-    d1 = cache_digest(tmp_path)
-    populate_cache(tmp_path, 4)  # idempotent, keeps existing files
-    d2 = cache_digest(tmp_path)
-    assert d1 == d2
-    populate_cache(tmp_path, 3)
-    assert cache_digest(tmp_path) != d1  # more files, different digest
-    assert cache_digest(None) is None
