@@ -46,6 +46,9 @@ from .thoma import ThomaParams, recover_params, thoma_character, type_classify
 
 HARD_CAP = 8  # 8! value tables are desk scale, 9! is not
 
+# Largest Thoma fit residual that recover-params (by default) and classify accept.
+RESIDUAL_TOL = 1e-10
+
 EXIT_OK = 0
 EXIT_CERT = 1
 EXIT_INPUT = 2
@@ -404,6 +407,11 @@ def _cmd_classify(args):
     except ValueError as exc:
         # A bounded table can run out of room for the shift probes.
         raise InfeasibleError(str(exc))
+    if result.residual > RESIDUAL_TOL:
+        _emit({"failure": "classification failed: Thoma fit residual %r exceeds %r"
+                          % (result.residual, RESIDUAL_TOL),
+               "level": args.level, "support_bounds": list(bounds)}, args)
+        return EXIT_CERT
     report = result.to_json()
     _emit(report, args)
     return EXIT_OK
@@ -596,7 +604,7 @@ def _build_parser():
                        help="fit parameters to cycle character values")
     p.add_argument("input", help="values JSON: {\"2\": v2, ...}")
     p.add_argument("--support-bounds", required=True, help="'r,s'")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
                    help="residual threshold for exit 0")
     p.set_defaults(func=_cmd_recover_params)
 

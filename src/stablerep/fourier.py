@@ -22,6 +22,7 @@ from .permutations import (
     group_words,
     inverse_map,
     line_adjacent_word,
+    product_table,
     restriction_map,
     symmetric_group,
     word_ranks,
@@ -238,9 +239,7 @@ def is_positive_definite(
 def gram_matrix(f: StateFunction, n: Optional[int] = None) -> np.ndarray:
     """Matrix [f(g^-1 h)] over S_n in symmetric_group order."""
     n = f.level if n is None else n
-    elements = symmetric_group(n)
-    inv = [g.inverse() for g in elements]
-    return np.array([[f(gi * h) for h in elements] for gi in inv])
+    return f.restrict(n).vector[product_table(n)[inverse_map(n)]]
 
 
 def restricted_distance(f: StateFunction, h: StateFunction, n: int) -> float:

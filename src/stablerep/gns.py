@@ -5,11 +5,20 @@ by value tables on a truncated group, algebras by matrix bases that are
 orthonormal for the trace inner product, and the modular conjugation is
 obtained from the polar decomposition of the (antilinear) adjoint map
 realified to a matrix on doubled real coordinates.
+
+No Kronecker system is solved on the way from a state to its standard
+form. The algebra M generated by the GNS representation of a finite
+group is the span of the representing unitaries, which is already closed
+under products and adjoints. In the standard form the carrier is M itself,
+M acts by left multiplication and its commutant M' is right
+multiplication (Haagerup 1975; Takesaki II, ch. IX). commutant and
+double_commutant solve for the same spaces numerically and serve as
+oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -19,7 +28,7 @@ from scipy import linalg
 from .fourier import StateFunction, gram_matrix
 from .characters import class_representative, class_size, mn_character
 from .partitions import partitions_of
-from .permutations import IDENTITY, Permutation, element_index, symmetric_group, transposition
+from .permutations import Permutation, product_table, symmetric_group, transposition
 
 import math
 
@@ -60,8 +69,6 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
     """
     if f.level < k:
         raise ValueError(f"state of level {f.level} cannot induce S_{k}")
-    elements = symmetric_group(k)
-    index = element_index(k)
     G = gram_matrix(f, k)
     G = (G + G.conj().T) / 2
     w, V = np.linalg.eigh(G)
@@ -72,11 +79,9 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
         raise ValueError(f"state vanishes on S_{k}: its GNS carrier is empty")
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
     pinv = np.linalg.pinv(B)
-    rep = {}
-    for g in elements:
-        cols = [index[g * h] for h in elements]
-        rep[g] = B[:, cols] @ pinv
-    return GnsTriple(k, rep, B[:, index[IDENTITY]].copy())
+    # Row r of the product table lists the columns g_r h for h in S_k; row 0 is e.
+    rep = {g: B[:, cols] @ pinv for g, cols in zip(symmetric_group(k), product_table(k))}
+    return GnsTriple(k, rep, B[:, 0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +112,19 @@ def commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]
 def double_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal basis of the von Neumann algebra generated by mats."""
     return commutant(commutant(mats, tol), tol)
+
+
+def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+    """Orthonormal basis of span(mats) in the trace inner product.
+
+    The rank is cut at the same relative tol as in commutant. For the
+    images of a unitary group representation the span is the generated
+    algebra: it holds 1 and is closed under products and adjoints.
+    """
+    shape = np.shape(mats[0])
+    stack = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return [v.reshape(shape) for v in vh[s > tol * max(s[0], 1.0)]]
 
 
 def project_to_span(basis: Sequence[np.ndarray], X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -192,8 +210,8 @@ class StandardForm:
     The carrier is the algebra itself with the inner product of a
     faithful state; basis holds the original (trace orthonormal) matrix
     basis, algebra holds the same elements acting by left multiplication
-    on the carrier, j_real is the antilinear conjugation as a real
-    matrix on doubled coordinates.
+    on the carrier, commutant_basis the right multiplications, and j_real
+    is the antilinear conjugation as a real matrix on doubled coordinates.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -207,11 +225,19 @@ class StandardForm:
     def dimension(self) -> int:
         return len(self.xi)
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return np.array(self.basis)
+
     def embed(self, m: np.ndarray) -> np.ndarray:
         """Left multiplication by m (an operator on the original carrier)."""
         m = np.asarray(m, dtype=complex)
-        coeff = np.array([[np.vdot(bi, m @ bj) for bj in self.basis] for bi in self.basis])
-        return self._whalf @ coeff @ self._winvhalf
+        return self._whalf @ _coefficients(self._stack, m @ self._stack) @ self._winvhalf
+
+    def embed_right(self, m: np.ndarray) -> np.ndarray:
+        """Right multiplication by m: the carrier vector x goes to x m."""
+        m = np.asarray(m, dtype=complex)
+        return self._whalf @ _coefficients(self._stack, self._stack @ m) @ self._winvhalf
 
     @cached_property
     def algebra(self) -> tuple[np.ndarray, ...]:
@@ -229,7 +255,20 @@ class StandardForm:
 
     @cached_property
     def commutant_basis(self) -> list[np.ndarray]:
-        return commutant(list(self.algebra))
+        """Trace orthonormal basis of M', the right multiplications.
+
+        A T commuting with every left multiplication has T(a) = a T(1), so
+        M' = {R_y : y in M}; y -> R_y is injective because R_y(1) = y.
+        """
+        n = self.dimension
+        stack = np.array([self.embed_right(b).reshape(-1) for b in self.basis]).T
+        q, _ = np.linalg.qr(stack)
+        return [col.reshape(n, n) for col in q.T]
+
+
+def _coefficients(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """[<b_i, mats[j]>] for stacked basis and matrices: column j holds mats[j]'s coefficients."""
+    return basis.reshape(len(basis), -1).conj() @ mats.reshape(len(mats), -1).T
 
 
 def _hermitian_root(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,20 +291,20 @@ def standard_form(
     """
     basis = tuple(np.asarray(b, dtype=complex) for b in algebra_basis)
     density = np.asarray(density, dtype=complex)
-    N = len(basis)
-    W = np.array([[np.trace(density @ bi.conj().T @ bj) for bj in basis] for bi in basis])
+    stack = np.array(basis)
+    # tr(density b_i* b_j) = <b_i, b_j density>
+    W = _coefficients(stack, stack @ density)
     W = (W + W.conj().T) / 2
     wmin = float(np.linalg.eigvalsh(W)[0])
     if wmin < faithful_tol:
         raise ValueError(f"state is not faithful on the algebra (Gram eigenvalue {wmin:.3e})")
     whalf, winvhalf = _hermitian_root(W)
 
-    dim = basis[0].shape[0]
-    eye_coeff = np.array([np.vdot(b, np.eye(dim)) for b in basis])
-    xi = whalf @ eye_coeff
+    # <b_i, 1> = conj(tr b_i)
+    xi = whalf @ np.trace(stack, axis1=1, axis2=2).conj()
 
     # The adjoint map x -> x* in basis coefficients, then realified and split.
-    A = np.array([[np.vdot(bi, bj.conj().T) for bj in basis] for bi in basis])
+    A = _coefficients(stack, stack.transpose(0, 2, 1).conj())
     SA = whalf @ A @ np.conj(winvhalf)
     S_real = _real_of_antilinear(SA)
     j_real, modulus_real = linalg.polar(S_real)
@@ -287,12 +326,13 @@ def gns_standard_pipeline(
 ) -> tuple[GnsTriple, list[np.ndarray], StandardForm]:
     """GNS representation, generated algebra, and its standard form.
 
+    The generated algebra is the span of the representing unitaries.
     The standard form needs a faithful state; the GNS state itself may
     fail that, so it is mixed with the normalized carrier trace:
     phi = (1 - eps) <xi, . xi> + eps tr(.)/dim.
     """
     triple = gns(k, f)
-    M = double_commutant(triple.generators()) if k >= 2 else [np.eye(triple.dimension, dtype=complex)]
+    M = span_basis(list(triple.rep.values())) if k >= 2 else [np.eye(triple.dimension, dtype=complex)]
     d = triple.dimension
     density = (1 - eps) * np.outer(triple.xi, triple.xi.conj()) + eps * np.eye(d) / d
     sf = standard_form(M, density)
@@ -309,9 +349,16 @@ class BiregularRep:
 
     sf: StandardForm
     pi: dict[Permutation, np.ndarray]
+    # J pi(h) J^-1 for each h used so far
+    _right: dict[Permutation, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __call__(self, g: Permutation, h: Permutation) -> np.ndarray:
-        return self.pi[g] @ self.sf.conjugate_by_j(self.pi[h])
+        right = self._right.get(h)
+        if right is None:
+            right = self._right[h] = self.sf.conjugate_by_j(self.pi[h])
+        return self.pi[g] @ right
 
     def ad(self, g: Permutation) -> np.ndarray:
         """The inner implementation of conjugation by g: Pi((g, g))."""

@@ -356,6 +356,23 @@ def inverse_map(n: int) -> np.ndarray:
     return _frozen(word_ranks(np.argsort(group_words(n), axis=1) + 1))
 
 
+@lru_cache(maxsize=4)
+def product_table(n: int) -> np.ndarray:
+    """(n!, n!) index map: entry [r, s] is the row of g_r * g_s.
+
+    The word of g_r * g_s is row r gathered at row s (the right factor acts first).
+
+    >>> product_table(3)[[1, 3]]
+    array([[1, 0, 4, 5, 2, 3],
+           [3, 2, 5, 4, 0, 1]])
+    """
+    words = group_words(n).astype(np.int64)
+    out = np.empty((len(words), len(words)), dtype=np.int64)
+    for r, word in enumerate(words):
+        out[r] = word_ranks(word[words - 1])
+    return _frozen(out)
+
+
 def conjugate_words(words: np.ndarray, t: Permutation) -> np.ndarray:
     """One-line words of t s t^-1 for each row s of an (N, L) word array.
 

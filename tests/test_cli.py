@@ -404,6 +404,20 @@ def test_classify_failure_writes_a_report(capsys, tmp_path):
     assert (report["level"], report["support_bounds"]) == (3, [1, 0])
 
 
+def test_classify_refuses_a_fit_over_the_residual_threshold(capsys, tmp_path):
+    # Bounds (0, 0) cannot fit alpha = (1/2): the residual is 0.078, far over 1e-10.
+    spec = write(tmp_path / "s.json", {"n": 1, "lambda": [1], "alpha": ["1/2"], "beta": []})
+    code, out, _ = run(capsys, "classify", spec, "--level", "3", "--support-bounds", "0,0")
+    assert code == 1
+    report = json.loads(out)
+    assert "residual 0.078125 exceeds 1e-10" in report["failure"]
+    assert (report["level"], report["support_bounds"]) == (3, [0, 0])
+    code, out, _ = run(capsys, "classify", spec, "--level", "3", "--support-bounds", "1,0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["alpha"] == [pytest.approx(0.5)] and report["residual"] <= 1e-10
+
+
 def test_bad_support_bounds_exit_3(capsys, spec_a):
     code, _, err = run(
         capsys, "classify", spec_a, "--level", "5", "--support-bounds", "2"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stablerep.canonical import CanonicalState, central_depth
-from stablerep.fourier import StateFunction, fourier
+from stablerep.fourier import StateFunction, fourier, gram_matrix
 from stablerep.partitions import partitions_of
 from stablerep.permutations import (
     Permutation,
@@ -23,6 +23,7 @@ from stablerep.permutations import (
     element_index,
     group_words,
     inverse_map,
+    product_table,
     restriction_map,
     symmetric_group,
     transposition,
@@ -49,6 +50,25 @@ def test_inverse_map_is_inversion(n):
     index = element_index(n)
     want = [index[g.inverse()] for g in symmetric_group(n)]
     assert inverse_map(n).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_product_table_is_multiplication(n):
+    index = element_index(n)
+    group = symmetric_group(n)
+    want = [[index[g * h] for h in group] for g in group]
+    assert product_table(n).tolist() == want
+
+
+def test_gram_matrix_equals_the_permutation_loop():
+    rng = random.Random(5)
+    f = StateFunction(5, {g: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                          for g in symmetric_group(5)})
+    for n in range(5):
+        group = symmetric_group(n)
+        want = np.array([[f(g.inverse() * h) for h in group] for g in group])
+        assert np.array_equal(gram_matrix(f, n), want)
+        assert np.array_equal(gram_matrix(f.restrict(n)), want)
 
 
 @pytest.mark.parametrize("n", range(7))
