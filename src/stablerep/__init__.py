@@ -78,7 +78,6 @@ from .gns import (
     double_commutant,
     gns,
     gns_standard_pipeline,
-    span_basis,
     standard_form,
     subspace_distance,
     support_projection,

@@ -18,7 +18,7 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -87,8 +87,11 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
 # ---------------------------------------------------------------------------
 # Commutants in the trace inner product.
 
+# Relative singular value cut for the rank of a span or a null space.
+RANK_TOL = 1e-9
 
-def commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+
+def commutant(mats: Sequence[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
     """Orthonormal basis of {X : XA = AX for all A in mats}.
 
     Solved as one linear system on vec(X); the basis is orthonormal for
@@ -109,22 +112,22 @@ def commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]
     return [v.reshape(d, d) for v in null]
 
 
-def double_commutant(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def double_commutant(mats: Sequence[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the von Neumann algebra generated by mats."""
     return commutant(commutant(mats, tol), tol)
 
 
-def span_basis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _span_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of span(mats) in the trace inner product.
 
-    The rank is cut at the same relative tol as in commutant. For the
-    images of a unitary group representation the span is the generated
-    algebra: it holds 1 and is closed under products and adjoints.
+    The rank is cut at RANK_TOL, as in commutant. For the images of a
+    unitary group representation the span is the generated algebra: it
+    holds 1 and is closed under products and adjoints.
     """
     shape = np.shape(mats[0])
     stack = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    return [v.reshape(shape) for v in vh[s > tol * max(s[0], 1.0)]]
+    return [v.reshape(shape) for v in vh[s > RANK_TOL * max(s[0], 1.0)]]
 
 
 def project_to_span(basis: Sequence[np.ndarray], X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -232,16 +235,20 @@ class StandardForm:
     def embed(self, m: np.ndarray) -> np.ndarray:
         """Left multiplication by m (an operator on the original carrier)."""
         m = np.asarray(m, dtype=complex)
-        return self._whalf @ _coefficients(self._stack, m @ self._stack) @ self._winvhalf
+        return self._carrier(_coefficients(self._stack, m @ self._stack))
 
-    def embed_right(self, m: np.ndarray) -> np.ndarray:
-        """Right multiplication by m: the carrier vector x goes to x m."""
-        m = np.asarray(m, dtype=complex)
-        return self._whalf @ _coefficients(self._stack, self._stack @ m) @ self._winvhalf
+    @cached_property
+    def _structure(self) -> np.ndarray:
+        """C[i, a, j] = <b_i, b_a b_j>: L_a is C[:, a, :] and R_a is C[:, :, a]."""
+        return np.stack([_coefficients(self._stack, b @ self._stack) for b in self._stack], axis=1)
+
+    def _carrier(self, coeffs: np.ndarray) -> np.ndarray:
+        """Operators given in basis coefficients, written in the carrier's coordinates."""
+        return self._whalf @ coeffs @ self._winvhalf
 
     @cached_property
     def algebra(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.embed(m) for m in self.basis)
+        return tuple(self._carrier(self._structure.transpose(1, 0, 2)))
 
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
         """J X J^-1, a complex linear map again."""
@@ -260,10 +267,7 @@ class StandardForm:
         A T commuting with every left multiplication has T(a) = a T(1), so
         M' = {R_y : y in M}; y -> R_y is injective because R_y(1) = y.
         """
-        n = self.dimension
-        stack = np.array([self.embed_right(b).reshape(-1) for b in self.basis]).T
-        q, _ = np.linalg.qr(stack)
-        return [col.reshape(n, n) for col in q.T]
+        return _span_basis(self._carrier(self._structure.transpose(2, 0, 1)))
 
 
 def _coefficients(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -332,7 +336,7 @@ def gns_standard_pipeline(
     phi = (1 - eps) <xi, . xi> + eps tr(.)/dim.
     """
     triple = gns(k, f)
-    M = span_basis(list(triple.rep.values())) if k >= 2 else [np.eye(triple.dimension, dtype=complex)]
+    M = _span_basis(list(triple.rep.values()))
     d = triple.dimension
     density = (1 - eps) * np.outer(triple.xi, triple.xi.conj()) + eps * np.eye(d) / d
     sf = standard_form(M, density)
@@ -349,16 +353,11 @@ class BiregularRep:
 
     sf: StandardForm
     pi: dict[Permutation, np.ndarray]
-    # J pi(h) J^-1 for each h used so far
-    _right: dict[Permutation, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # right[h] = J pi(h) J^-1
+    right: dict[Permutation, np.ndarray]
 
     def __call__(self, g: Permutation, h: Permutation) -> np.ndarray:
-        right = self._right.get(h)
-        if right is None:
-            right = self._right[h] = self.sf.conjugate_by_j(self.pi[h])
-        return self.pi[g] @ right
+        return self.pi[g] @ self.right[h]
 
     def ad(self, g: Permutation) -> np.ndarray:
         """The inner implementation of conjugation by g: Pi((g, g))."""
@@ -367,7 +366,8 @@ class BiregularRep:
 
 def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> BiregularRep:
     """Lift a representation on the original carrier to the two-sided one."""
-    return BiregularRep(sf, {g: sf.embed(m) for g, m in rep.items()})
+    pi = {g: sf.embed(m) for g, m in rep.items()}
+    return BiregularRep(sf, pi, {h: sf.conjugate_by_j(m) for h, m in pi.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from stablerep.gns import (
     double_commutant,
     gns,
     gns_standard_pipeline,
+    project_to_span,
     standard_form,
     subspace_distance,
     support_projection,
@@ -237,13 +238,14 @@ def test_span_algebra_and_right_multiplications_match_kronecker_oracles(k, i):
 def test_right_embedding_is_right_multiplication():
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     _, algebra, sf = gns_standard_pipeline(3, as_table(state, 3))
-    # the carrier vector x (coordinates whalf c) goes to x m, and commutes with M
-    x, m = algebra[1], algebra[2]
-    coords = sf._whalf @ np.array([np.vdot(b, x) for b in sf.basis])
-    want = sf._whalf @ np.array([np.vdot(b, x @ m) for b in sf.basis])
-    assert np.max(np.abs(sf.embed_right(m) @ coords - want)) < 1e-10
-    for a in sf.algebra:
-        assert np.linalg.norm(a @ sf.embed_right(m) - sf.embed_right(m) @ a) < 1e-10
+    assert len(sf.commutant_basis) == len(algebra)
+    # R_m sends the carrier vector x (coordinates whalf c) to x m
+    for m in algebra:
+        coeff = np.array([[np.vdot(bi, bj @ m) for bj in sf.basis] for bi in sf.basis])
+        right = sf._whalf @ coeff @ sf._winvhalf
+        assert project_to_span(sf.commutant_basis, right)[1] < 1e-10
+        for a in sf.algebra:
+            assert np.linalg.norm(a @ right - right @ a) < 1e-10
 
 
 def test_gns_rep_equals_the_permutation_loop():
@@ -284,10 +286,10 @@ def test_biregular_conjugates_each_right_factor_once(monkeypatch):
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    bireg = biregular(sf, triple.rep)
     calls = []
     conjugate = sf.conjugate_by_j
     monkeypatch.setattr(sf, "conjugate_by_j", lambda X: calls.append(1) or conjugate(X))
+    bireg = biregular(sf, triple.rep)
     group = symmetric_group(k)
     for _ in range(2):
         for g in group:
