@@ -18,7 +18,7 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -354,7 +354,10 @@ class BiregularRep:
     sf: StandardForm
     pi: dict[Permutation, np.ndarray]
     # right[h] = J pi(h) J^-1
-    right: dict[Permutation, np.ndarray]
+    right: dict[Permutation, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.right = {h: self.sf.conjugate_by_j(m) for h, m in self.pi.items()}
 
     def __call__(self, g: Permutation, h: Permutation) -> np.ndarray:
         return self.pi[g] @ self.right[h]
@@ -366,8 +369,7 @@ class BiregularRep:
 
 def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> BiregularRep:
     """Lift a representation on the original carrier to the two-sided one."""
-    pi = {g: sf.embed(m) for g, m in rep.items()}
-    return BiregularRep(sf, pi, {h: sf.conjugate_by_j(m) for h, m in pi.items()})
+    return BiregularRep(sf, {g: sf.embed(m) for g, m in rep.items()})
 
 
 # ---------------------------------------------------------------------------
