@@ -15,8 +15,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .characters import character_value, hook_dimension, mn_character
-from .partitions import check_partition, partitions_of
+from .characters import hook_dimension, mn_character
+from .partitions import check_partition
 from .permutations import (
     IDENTITY,
     Permutation,
@@ -26,10 +26,9 @@ from .permutations import (
     cycle_lengths,
     group_words,
     split_product,
-    symmetric_group,
     transposition,
 )
-from .stability import as_table
+from .fourier import as_table, fourier
 from .thoma import FactorType, RecoveryResult, ThomaParams, recover_params, thoma_character, type_classify
 
 Evaluator = Callable[[Permutation], complex]
@@ -312,17 +311,14 @@ def recover_lambda(
 ) -> tuple[int, ...]:
     """Identify the partition by projecting onto each irreducible character.
 
-    Exactly one projection sum_{g in S_n} state(g) chi_mu(g) must survive
-    the threshold; anything else raises ClassificationError.
+    Exactly one projection sum_{g in S_n} state(g) chi_mu(g), the trace of
+    the state's Fourier block of shape mu, must survive the threshold;
+    anything else raises ClassificationError.
     """
     if n == 0:
         return ()
-    sums = {}
-    elements = symmetric_group(n)
-    for mu in partitions_of(n):
-        total = sum(complex(state(g)) * character_value(mu, g) for g in elements)
-        sums[mu] = total
-    survivors = [mu for mu, v in sums.items() if abs(v) > tol]
+    blocks = fourier(as_table(state, n))
+    survivors = [mu for mu, b in blocks.items() if abs(np.trace(b)) > tol]
     if len(survivors) != 1:
         raise ClassificationError(
             f"character projection found {len(survivors)} surviving partitions: {survivors}"

@@ -1,16 +1,17 @@
 """Noncommutative Fourier analysis on a truncated symmetric group.
 
 A function f on S_n is summarised by its blocks sum_g f(g) rho_lam(g),
-one per shape lam of weight n.  The norm dual to the group C* algebra
-norm is the weighted sum of block trace norms; positive definiteness is
-certified block by block.
+one per shape lam of weight n.  One engine computes them, Clausen's
+recursion over the cosets of S_1 < ... < S_n (M. Clausen, "Fast
+generalized Fourier transforms", TCS 1989), and its transpose inverts
+them.  The norm dual to the group C* algebra norm is the weighted sum of
+block trace norms; positive definiteness is certified block by block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -19,15 +20,15 @@ from .partitions import partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
+    coset_order,
     group_words,
     inverse_map,
-    line_adjacent_word,
     product_table,
     restriction_map,
     symmetric_group,
     word_ranks,
 )
-from .yor import irrep_dimension, irrep_table, yor_generators
+from .yor import branching, irrep_dimension
 
 
 class StateFunction:
@@ -154,65 +155,108 @@ class PsdCertificate:
         return self.positive
 
 
-def _as_state(f, level: Optional[int] = None) -> StateFunction:
+def as_table(f, level: Optional[int] = None) -> StateFunction:
+    """Materialize an evaluator as a value table on S_level.
+
+    A table is cut down to the level (None keeps its own), and one that
+    stops below it is refused with ValueError.  A CanonicalState, or its
+    pullback from stability.ad_orbit_state, is tabulated once per pair of
+    cycle types; any other callable is evaluated element by element.
+    """
     if isinstance(f, StateFunction):
-        return f if level is None or level == f.level else f.restrict(level)
+        if level is None or level == f.level:
+            return f
+        if f.level < level:
+            raise ValueError(
+                "state table stops at level %d, below requested level %d" % (f.level, level)
+            )
+        return f.restrict(level)
     if level is None:
         raise ValueError("a bare callable needs an explicit level")
     return StateFunction.from_callable(level, f)
 
 
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real a and a C-contiguous complex z, as one real product."""
+    return np.matmul(a, z.view(np.float64)).view(complex)
+
+
 def fourier(f: StateFunction, level: Optional[int] = None) -> FourierBlocks:
-    """Blocks sum_g f(g) rho_lam(g) for every shape lam of weight f.level."""
-    f = _as_state(f, level)
+    """Blocks sum_g f(g) rho_lam(g) for every shape lam of weight f.level.
+
+    Clausen's recursion over S_1 < ... < S_n.  Listed in
+    permutations.coset_order, S_k is the union of the cosets c_j S_{k-1},
+    so the block of a coset prefix is sum_j rho_lam(c_j) (+)_mu B_j(mu),
+    where B_j(mu) is the S_{k-1} block of the prefix extended by c_j and
+    (+)_mu places it on the rows of yor.branching.  Each shape and level
+    is one batched matrix product over all prefixes.
+    """
+    f = as_table(f, level)
     n = f.level
-    vec = f.vector
-    rows = np.flatnonzero(vec)
-    blocks = {}
-    # Dense support: one tensordot per shape.  Sparse support: the non-zero
-    # rows, each matrix the left-to-right product along its adjacent word.
-    if len(rows) > len(vec) // 8:
-        for lam in partitions_of(n):
-            blocks[lam] = np.tensordot(vec, irrep_table(n, lam), axes=1)
-        return FourierBlocks(n, blocks)
-    words = [line_adjacent_word(w) for w in group_words(n)[rows].tolist()]
-    for lam in partitions_of(n):
-        gens = yor_generators(lam)
-        eye = np.eye(irrep_dimension(lam))
-        acc = np.zeros_like(eye, dtype=complex)
-        for v, word in zip(vec[rows], words):
-            acc += v * reduce(np.matmul, (gens[i - 1] for i in word), eye)
-        blocks[lam] = acc
-    return FourierBlocks(n, blocks)
+    fact = math.factorial(n)
+    blocks = {(): f.vector[coset_order(n)].reshape(fact, 1, 1)}
+    for k in range(1, n + 1):
+        prefixes = fact // math.factorial(k)
+        grown = {}
+        for lam in partitions_of(k):
+            cosets, rows = branching(lam)
+            d = cosets.shape[0]
+            z = np.zeros((prefixes, k, d, d), dtype=complex)
+            for mu, r in rows.items():
+                z[:, :, r[:, None], r] = blocks[mu].reshape(prefixes, k, len(r), len(r))
+            grown[lam] = _real_matmul(cosets, z.reshape(prefixes, k * d, d))
+        blocks = grown
+    return FourierBlocks(n, {lam: b[0] for lam, b in blocks.items()})
 
 
 def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
-    """f(g) = (1/n!) sum_lam d_lam tr(blocks[lam] rho_lam(g^-1))."""
+    """f(g) = (1/n!) sum_lam d_lam tr(blocks[lam] rho_lam(g^-1)).
+
+    As rho_lam(g^-1) = rho_lam(g)^T, f(g) = sum_lam <A_lam, rho_lam(g)>
+    with A_lam = d_lam blocks[lam] / n! and <X, Y> = sum_ab X_ab Y_ab, so
+    this is fourier's recursion transposed, run on the A_lam from S_n
+    down.  A shape mu of S_{k-1} sums what every lam containing it hands
+    down.
+    """
     n = blocks.level
     fact = math.factorial(n)
-    vec = np.zeros(fact, dtype=complex)
-    for lam, b in blocks.items():
-        d = irrep_dimension(lam)
-        table = irrep_table(n, lam)
-        # tr(B rho(g)^T) summed with weight d/n!; rho(g^-1) = rho(g)^T.
-        vec += (d / fact) * np.einsum("ij,gij->g", np.asarray(b), table)
+    adj = {lam: irrep_dimension(lam) / fact * np.asarray(b, dtype=complex)[None]
+           for lam, b in blocks.items()}
+    for k in range(n, 0, -1):
+        prefixes = fact // math.factorial(k)
+        down = {}
+        for mu in partitions_of(k - 1):
+            d = irrep_dimension(mu)
+            down[mu] = np.zeros((prefixes, k, d, d), dtype=complex)
+        for lam in partitions_of(k):
+            cosets, rows = branching(lam)
+            d = cosets.shape[0]
+            up = _real_matmul(cosets.T, adj[lam]).reshape(prefixes, k, d, d)
+            for mu, r in rows.items():
+                down[mu] += up[:, :, r[:, None], r]
+        adj = {mu: a.reshape(prefixes * k, a.shape[2], a.shape[3]) for mu, a in down.items()}
+    vec = np.empty(fact, dtype=complex)
+    vec[coset_order(n)] = adj[()].ravel()
     return StateFunction.from_vector(n, vec)
 
 
 def dual_norm(f: StateFunction, level: Optional[int] = None) -> float:
     """Norm of f as a functional on the group C* algebra of S_level.
 
-    Equals sum_lam (d_lam / n!) * tracenorm(sum_g f(g) rho_lam(g^-1)).
+    Equals sum_lam (d_lam / n!) * tracenorm(sum_g f(g) rho_lam(g^-1)).  The
+    weighted singular values are summed exactly (math.fsum), then divided
+    by n! once.
     """
-    f = _as_state(f, level)
-    n = f.level
-    fact = math.factorial(n)
-    total = 0.0
+    f = as_table(f, level)
+    terms = []
     for lam, block in fourier(f).items():
         # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
-        sv = np.linalg.svd(block, compute_uv=False)
-        total += irrep_dimension(lam) / fact * float(sv.sum())
-    return total
+        terms.extend(irrep_dimension(lam) * np.linalg.svd(block, compute_uv=False))
+    return math.fsum(terms) / math.factorial(f.level)
+
+
+# Relative float noise within which two values tie for a witness.
+WITNESS_SLACK = 1e-12
 
 
 def is_positive_definite(
@@ -222,17 +266,21 @@ def is_positive_definite(
 
     Rejects non-hermitian input.  The certificate is equivalent to the
     Gram matrix [f(h^-1 g)] over S_level being positive semidefinite.
+    The witness is the first shape, in partitions_of order, whose minimal
+    eigenvalue is within WITNESS_SLACK * sum_g |f(g)| of the smallest;
+    that sum bounds every block's norm, so shapes that tie in exact
+    arithmetic do not pick the witness by their rounding.
     """
     defect = f.hermitian_defect()
     if defect > hermitian_tol:
         raise ValueError(f"input is not hermitian (defect {defect:.3e})")
-    worst = np.inf
-    witness: tuple[int, ...] = ()
+    lows = {}
     for lam, block in fourier(f).items():
         herm = (block + block.conj().T) / 2
-        low = float(np.linalg.eigvalsh(herm)[0])
-        if low < worst:
-            worst, witness = low, lam
+        lows[lam] = float(np.linalg.eigvalsh(herm)[0])
+    worst = min(lows.values())
+    slack = WITNESS_SLACK * float(np.abs(f.vector).sum())
+    witness = next(lam for lam, low in lows.items() if low <= worst + slack)
     return PsdCertificate(bool(worst >= -tol), worst, witness)
 
 

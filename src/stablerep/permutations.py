@@ -7,7 +7,8 @@ trailing fixed points.
 
 Hot loops use the integer index layer at the end of this module instead:
 S_n as rows of an array of one-line words, with group actions as index
-maps between rows.
+maps between rows, and coset_order listing the rows as nested cosets for
+the Fourier transform.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -246,16 +247,7 @@ def adjacent_word(p: Permutation, n: Optional[int] = None) -> tuple[int, ...]:
     >>> reduce(lambda a, b: a * b, [transposition(i, i + 1) for i in w]) == cycle(1, 2, 3)
     True
     """
-    return line_adjacent_word(p.one_line(n))
-
-
-def line_adjacent_word(line: Sequence[int]) -> tuple[int, ...]:
-    """adjacent_word of the permutation with one-line word line, from the word itself.
-
-    >>> line_adjacent_word((2, 3, 1)) == adjacent_word(cycle(1, 2, 3))
-    True
-    """
-    word = list(line)
+    word = list(p.one_line(n))
     swaps = []
     changed = True
     while changed:
@@ -316,29 +308,6 @@ def word_ranks(words: np.ndarray) -> np.ndarray:
     digits = np.triu(words[:, :, None] > words[:, None, :], k=1).sum(axis=2)
     weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
     return digits @ weights
-
-
-def left_adjacent_map(n: int) -> np.ndarray:
-    """(n!, n-1) index map: entry [r, i-1] is the row of t_i * g_r, t_i = (i, i+1).
-
-    Left multiplication by t_i swaps the values i and i+1 in a one-line word.
-
-    >>> left_adjacent_map(3)
-    array([[2, 1],
-           [3, 0],
-           [0, 4],
-           [1, 5],
-           [5, 2],
-           [4, 3]])
-    """
-    words = group_words(n)
-    out = np.empty((len(words), max(n - 1, 0)), dtype=np.int64)
-    for i in range(1, n):
-        swapped = words.copy()
-        swapped[words == i] = i + 1
-        swapped[words == i + 1] = i
-        out[:, i - 1] = word_ranks(swapped)
-    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -419,6 +388,31 @@ def restriction_map(n: int, level: int) -> np.ndarray:
     return _frozen(word_ranks(np.hstack([words, tail])))
 
 
+@lru_cache(maxsize=8)
+def coset_order(n: int) -> np.ndarray:
+    """(n!,) index map listing S_n as nested cosets c_{j_n} ... c_{j_1}.
+
+    Here c_j = (j j+1 ... k) in S_k sends k to j, so S_k is the disjoint
+    union of the cosets c_j S_{k-1}, j = 1..k, and c_k is the identity.
+    Entry p is the row of c_{j_n} ... c_{j_1}, where p has the mixed-radix
+    digits j_k - 1 with j_n most significant: reshaped to (n!/k!, k!),
+    row P lists one prefix c_{j_n} ... c_{j_{k+1}} times S_k, in the same
+    nested order.
+
+    >>> coset_order(3)
+    array([5, 3, 4, 1, 2, 0])
+    """
+    words = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    for k in range(1, n + 1):
+        cosets = np.tile(np.arange(1, n + 1), (k, 1))
+        for j in range(1, k + 1):
+            cosets[j - 1, j - 1 : k] = np.roll(np.arange(j, k + 1), -1)
+        # The word of c_j h is c_j gathered at the word of h.
+        words = np.take_along_axis(cosets[:, None, :], words[None, :, :] - 1, axis=2)
+        words = words.reshape(-1, n)
+    return _frozen(word_ranks(words))
+
+
 def cycle_lengths(words: np.ndarray) -> np.ndarray:
     """(N, L) array: entry [r, i] is the length of row r's cycle through i + 1.
 
@@ -434,47 +428,3 @@ def cycle_lengths(words: np.ndarray) -> np.ndarray:
         lengths[(image == points) & (lengths == 0)] = k
         image = np.take_along_axis(step, image, axis=1)
     return lengths
-
-
-class CayleyLayer(NamedTuple):
-    """One breadth-first layer: row child[k] is t_{generator[k]+1} * row parent[k]."""
-
-    child: np.ndarray
-    parent: np.ndarray
-    generator: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def cayley_layers(n: int) -> tuple[CayleyLayer, ...]:
-    """Breadth-first walk of S_n from the identity (row 0) under left t_1, ..., t_{n-1}.
-
-    Layer k holds the elements of Coxeter length k + 1, each with the first
-    parent that reaches it: earliest in frontier order, then in generator
-    order. Children are listed in the order they are first reached, which
-    is the next frontier's order.
-
-    >>> [len(layer.child) for layer in cayley_layers(4)]
-    [3, 5, 6, 5, 3, 1]
-    >>> layer = cayley_layers(3)[0]
-    >>> layer.child, layer.parent, layer.generator
-    (array([2, 1]), array([0, 0]), array([0, 1]))
-    """
-    step = left_adjacent_map(n)
-    ngen = step.shape[1]
-    seen = np.zeros(len(step), dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    layers = []
-    while True:
-        reached = step[frontier].ravel()  # frontier order, then generator order
-        rows, first = np.unique(reached, return_index=True)
-        first = np.sort(first[~seen[rows]])
-        if not len(first):
-            return tuple(layers)
-        child = reached[first]
-        seen[child] = True
-        layer = CayleyLayer(child, frontier[first // ngen], first % ngen)
-        for arr in layer:
-            arr.flags.writeable = False
-        layers.append(layer)
-        frontier = child

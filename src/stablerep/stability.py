@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .fourier import StateFunction, restricted_distance
+from .fourier import WITNESS_SLACK, StateFunction, as_table, restricted_distance
 from .permutations import (
     Permutation,
     conjugate_words,
@@ -25,23 +25,6 @@ from .permutations import (
 )
 
 Evaluator = Union[StateFunction, Callable[[Permutation], complex]]
-
-
-def as_table(f: Evaluator, level: int) -> StateFunction:
-    """Materialize an evaluator as a value table on S_level.
-
-    A table is cut down to the level, and one that stops below it is
-    refused with ValueError.  A CanonicalState, or its pullback from
-    ad_orbit_state, is tabulated once per pair of cycle types; any other
-    callable is evaluated element by element.
-    """
-    if isinstance(f, StateFunction):
-        if f.level < level:
-            raise ValueError(
-                "state table stops at level %d, below requested level %d" % (f.level, level)
-            )
-        return f.restrict(level) if f.level > level else f
-    return StateFunction.from_callable(level, f)
 
 
 class _Pullback:
@@ -119,10 +102,6 @@ class StabilityProfile:
                 for p in self.points
             ],
         }
-
-
-# Relative gap below the worst defect within which a probe still ties for witness.
-WITNESS_SLACK = 1e-12
 
 
 def probe_generators(m: int) -> tuple[Permutation, ...]:

@@ -7,25 +7,22 @@ with diagonal entry 1/d and off-diagonal sqrt(1 - 1/d^2) towards the
 tableau with k and k+1 swapped, where d is the axial distance
 (content of k+1) - (content of k) in T.
 
-Everything is rebuilt in memory: the generators of every shape up to
-level 8 take well under 0.1 s, and whole-group tables are memoised up to
-CACHE_MAX_LEVEL.
+The basis is a Gelfand-Tsetlin basis: on S_{n-1} the matrices of shape
+lam split into those of the shapes mu = lam less a corner, on the
+tableaux with n in that corner.  branching() hands that structure to the
+Fourier transform.  Everything is rebuilt in memory: the generators of
+every shape up to level 8 take well under 0.1 s.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
 from typing import Iterable
 
 import numpy as np
 
 from .partitions import check_partition, standard_tableaux
-from .permutations import Permutation, adjacent_word, cayley_layers
-
-# Full group tables are memoised only up to this level; above it they are
-# rebuilt on demand to bound memory.
-CACHE_MAX_LEVEL = 6
+from .permutations import Permutation, adjacent_word
 
 
 def _positions(tab: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
@@ -78,34 +75,36 @@ def irrep_matrix(lam: Iterable[int], p: Permutation) -> np.ndarray:
     return reduce(np.matmul, (gens[i - 1] for i in word), np.eye(d))
 
 
-def _build_table(n: int, lam: tuple[int, ...]) -> np.ndarray:
-    """Matrices of every element of S_n in symmetric_group(n) order.
-
-    Walks the shared breadth-first layers of S_n: each layer costs one
-    batched product per generator, rho(t g) = rho(t) rho(g).
-    """
-    gmats = yor_generators(lam)
-    d = irrep_dimension(lam)
-    table = np.empty((math.factorial(n), d, d))
-    table[0] = np.eye(d)
-    for layer in cayley_layers(n):
-        for i, tm in enumerate(gmats):
-            pick = layer.generator == i
-            table[layer.child[pick]] = np.matmul(tm, table[layer.parent[pick]])
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=None)
-def _cached_table(n: int, lam: tuple[int, ...]) -> np.ndarray:
-    return _build_table(n, lam)
+def branching(
+    lam: tuple[int, ...]
+) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
+    """The step S_{k-1} < S_k in shape lam of weight k >= 1.
 
-
-def irrep_table(n: int, lam: Iterable[int]) -> np.ndarray:
-    """(n!, d, d) array of all matrices of shape lam, indexed like symmetric_group(n)."""
+    Returns the (d, k*d) array [rho(c_1) ... rho(c_k)] of the coset
+    representatives c_j = (j j+1 ... k) = t_j t_{j+1} ... t_{k-1} (see
+    permutations.coset_order), and for each shape mu of lam less a corner
+    the rows of lam's basis that hold mu: the tableaux with k in that
+    corner, listed in mu's basis order.  On S_{k-1}, rho_lam is rho_mu on
+    those rows and 0 between the rows of different mu.
+    """
     lam = check_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    if n <= CACHE_MAX_LEVEL:
-        return _cached_table(n, lam)
-    return _build_table(n, lam)
+    k = sum(lam)
+    mats = [np.eye(irrep_dimension(lam))]
+    for gen in reversed(yor_generators(lam)):
+        mats.append(gen @ mats[-1])
+    cosets = np.hstack(mats[::-1])
+    cosets.flags.writeable = False
+    index = {t: i for i, t in enumerate(standard_tableaux(lam))}
+    rows = {}
+    for r in range(len(lam)):
+        if r + 1 < len(lam) and lam[r] == lam[r + 1]:
+            continue  # no corner at the end of row r
+        mu = tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)
+        held = []
+        for tab in standard_tableaux(mu):
+            tab = tab + ((),) * (len(lam) - len(tab))
+            held.append(index[tuple(row + (k,) if i == r else row for i, row in enumerate(tab))])
+        rows[mu] = np.array(held)
+        rows[mu].flags.writeable = False
+    return cosets, rows

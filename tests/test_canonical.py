@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stablerep.canonical import (
@@ -123,6 +124,26 @@ def test_recover_lambda_exact():
     assert recover_lambda(state, 3) == (2, 1)
     with pytest.raises(ClassificationError):
         recover_lambda(CanonicalState(2, (2,), MIXED), 3)
+
+
+def test_character_projections_are_block_traces():
+    # recover_lambda reads sum_g state(g) chi_mu(g) as the trace of the
+    # Fourier block of shape mu; the per-element sum is the oracle.
+    from stablerep.characters import character_value
+    from stablerep.fourier import as_table, fourier
+    from stablerep.partitions import partitions_of
+
+    from test_acceptance import BATTERY
+
+    for state in BATTERY:
+        for n in range(6):
+            blocks = fourier(as_table(state, n))
+            scale = max(1.0, sum(abs(complex(state(g))) for g in symmetric_group(n)))
+            for mu in partitions_of(n):
+                want = sum(complex(state(g)) * character_value(mu, g) for g in symmetric_group(n))
+                assert abs(np.trace(blocks[mu]) - want) <= 1e-12 * scale, (state, n, mu)
+        if state.n:
+            assert recover_lambda(state, state.n) == state.partition
 
 
 def test_classify_round_trip():

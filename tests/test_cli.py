@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -383,6 +387,32 @@ def test_hard_cap_exits_3(capsys, spec_a):
     assert json.loads(out)["character"] == 1
 
 
+def _limit_address_space():
+    # Runs in the child only, between fork and exec.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-norm", "cut0"], ["psd-check", "cut0"], ["stability-profile", "cut1", "--max-shift", "1"],
+])
+def test_dense_level_eight_runs_in_two_gib(tmp_path, argv):
+    # The documented cap: a dense level-8 job within 2 GiB of address space.
+    params = {"alpha": ["1/2", "1/5"], "beta": ["1/4"]}
+    specs = {"cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **params}),
+             "cut1": write(tmp_path / "cut1.json", {"n": 1, "lambda": [1], **params})}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               # One BLAS thread: a pool per core would reserve address space
+               # that measures the machine, not the job.
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    command, state, *rest = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablerep.cli", command, specs[state], "--level", "8", *rest],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gns_verify_of_zero_state_fails_with_report(capsys, tmp_path):
     # The zero functional has an empty GNS carrier; this used to raise an
     # IndexError traceback from the commutant of 0 x 0 matrices.
@@ -447,10 +477,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 @pytest.mark.parametrize("command", ["dual-norm", "psd-check"])
 @pytest.mark.parametrize("state", ["spec_cut2", "table_cut1_l6"])
 def test_reports_match_golden_files(capsys, command, state):
-    # The golden reports were written by the per-element implementation
-    # that held values in a dict; the vector one must match them byte for
-    # byte.  The cut-2 spec takes the sparse Fourier branch, the table the
-    # dense one.
+    # The golden reports pin the reports byte for byte.  The psd-check
+    # witnesses are the first shape within float noise of the minimal
+    # eigenvalue, and the cut-2 spec's blocks come out of the coset
+    # recursion as exact sums, so its dual norm is exactly f(e) = 1.
     code, out, _ = run(capsys, command, str(GOLDEN / (state + ".json")), "--level", "6")
     assert code == 0
     assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()

@@ -1,14 +1,19 @@
 """Block transform, dual norm, and the two positivity tests."""
 
+import importlib
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
+from stablerep import cli
 from stablerep.characters import mn_character
 from stablerep.fourier import (
+    FourierBlocks,
     StateFunction,
+    as_table,
     dual_norm,
     fourier,
     gram_matrix,
@@ -24,6 +29,10 @@ from stablerep.permutations import (
     transposition,
 )
 from stablerep.yor import irrep_matrix
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# The package rebinds the name `fourier` to the function.
+fourier_module = importlib.import_module("stablerep.fourier")
 
 
 def random_function(rng, n):
@@ -102,11 +111,17 @@ def test_fourier_is_linear():
 
 def test_inverse_fourier_round_trip():
     rng = random.Random(1)
-    for n in (2, 3, 4):
-        f = random_function(rng, n)
+    for n in range(8):
+        f = StateFunction.from_vector(
+            n, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(math.factorial(n))]
+        )
         back = inverse_fourier(fourier(f))
-        for g in symmetric_group(n):
-            assert abs(back(g) - f(g)) < 1e-12
+        assert np.max(np.abs(back.vector - f.vector)) < 1e-12, n
+    # The Permutation-level reading of the same round trip.
+    f = random_function(rng, 4)
+    back = inverse_fourier(fourier(f))
+    for g in symmetric_group(4):
+        assert abs(back(g) - f(g)) < 1e-12
 
 
 def test_dual_norm_of_delta_is_one():
@@ -200,6 +215,37 @@ def test_psd_certificate_reports_witness():
     assert not cert.positive
     assert cert.witness is not None
     assert cert.min_eigenvalue < 0
+
+
+def test_trivial_block_of_a_sign_twisted_state_is_exactly_zero():
+    # The golden cut-2 spec has lambda = (1, 1): f(t_1 g) = -f(g) exactly, so
+    # its S_2 sums for the trivial shape cancel exactly and every trivial
+    # block above them is exactly 0.
+    state = cli._load_state(str(GOLDEN / "spec_cut2.json"))
+    block = fourier(as_table(state, 6))[(6,)]
+    assert np.array_equal(block, np.zeros((1, 1)))
+
+
+def test_psd_witness_ignores_float_noise(monkeypatch):
+    # Exact ties: the golden table ties [1^6] and [2,1^4] at 0.26478, and the
+    # golden spec's trivial block is exactly 0 while others reach 0 to float
+    # noise.  Shifting the blocks by +-1e-15 must not move the witness.
+    clean = fourier_module.fourier
+    shapes = len(partitions_of(6))
+    for name in ("table_cut1_l6", "spec_cut2"):
+        f = as_table(cli._load_state(str(GOLDEN / (name + ".json"))), 6)
+        witness = is_positive_definite(f).witness
+        for sign in (1, -1):
+            for noise in ([sign * (-1) ** i * 1e-15 for i in range(shapes)],
+                          [sign * (i % 3 - 1) * 1e-15 for i in range(shapes)]):
+                def noisy(g, level=None, noise=noise):
+                    blocks = clean(g, level)
+                    return FourierBlocks(blocks.level, {
+                        lam: b + eps * np.eye(len(b))
+                        for (lam, b), eps in zip(blocks.items(), noise)})
+
+                monkeypatch.setattr(fourier_module, "fourier", noisy)
+                assert is_positive_definite(f).witness == witness, (name, noise)
 
 
 def test_gram_matrix_shape_and_hermiticity():

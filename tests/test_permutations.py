@@ -1,5 +1,6 @@
 """Group arithmetic against pointwise oracles and brute enumeration."""
 
+import itertools
 import math
 import random
 
@@ -11,12 +12,11 @@ from stablerep.permutations import (
     IDENTITY,
     Permutation,
     adjacent_word,
-    cayley_layers,
     conjugate,
+    coset_order,
     cycle,
     element_index,
     group_words,
-    left_adjacent_map,
     split_product,
     symmetric_group,
     transposition,
@@ -147,36 +147,18 @@ def test_group_words_are_ranked_by_position():
             ]
 
 
-def test_left_adjacent_map_is_left_multiplication():
-    for n in range(7):
-        group = symmetric_group(n)
-        step = left_adjacent_map(n)
-        assert step.shape == (len(group), max(n - 1, 0))
-        for i in range(1, n):
-            t = transposition(i, i + 1)
-            assert [group[r] for r in step[:, i - 1]] == [t * g for g in group]
-
-
-def test_cayley_layers_match_the_permutation_walk():
-    # The walk a Permutation BFS takes: frontier order, then generator order.
-    for n in range(7):
-        group = symmetric_group(n)
+def test_coset_order_lists_nested_cosets():
+    # Row p is c_{j_n} ... c_{j_1} with c_j = (j j+1 ... k) in S_k and the
+    # digits j_k - 1 of p in mixed radix, j_n most significant.
+    for n in range(6):
         index = element_index(n)
-        gens = [transposition(i, i + 1) for i in range(1, n)]
-        frontier, seen, expected = [IDENTITY], {IDENTITY}, []
-        while frontier:
-            layer = []
-            for g in frontier:
-                for k, t in enumerate(gens):
-                    h = t * g
-                    if h not in seen:
-                        seen.add(h)
-                        layer.append((index[h], index[g], k))
-            if layer:
-                expected.append(layer)
-            frontier = [group[child] for child, _, _ in layer]
-        got = [list(zip(*(a.tolist() for a in layer))) for layer in cayley_layers(n)]
-        assert got == expected, n
+        want = []
+        for digits in itertools.product(*(range(1, k + 1) for k in range(n, 0, -1))):
+            p = IDENTITY
+            for k, j in zip(range(n, 0, -1), digits):
+                p = p * cycle(*range(j, k + 1))
+            want.append(index[p])
+        assert coset_order(n).tolist() == want, n
 
 
 def test_preserves_matches_brute_force():

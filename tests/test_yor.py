@@ -1,4 +1,4 @@
-"""Orthogonal representation matrices: relations, traces, tables."""
+"""Orthogonal representation matrices: relations, traces, branching."""
 
 import math
 import random
@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from stablerep.characters import mn_character
+from stablerep.fourier import StateFunction, fourier
 from stablerep.partitions import hook_dimension, partitions_of
-from stablerep.permutations import Permutation, symmetric_group, transposition
-from stablerep.yor import irrep_dimension, irrep_matrix, irrep_table, yor_generators
+from stablerep.permutations import Permutation, cycle, symmetric_group, transposition
+from stablerep.yor import branching, irrep_dimension, irrep_matrix, yor_generators
 
 
 def test_generator_shapes_and_dimensions():
@@ -95,25 +96,53 @@ def test_schur_orthogonality_spot_checks():
                             assert abs(acc[i, j, k, l] - want) < 1e-9
 
 
-def test_irrep_table_agrees_with_irrep_matrix():
-    # n = 0 and 1 included: their tables are the 1x1 identity.
+def test_fourier_of_point_masses_is_irrep_matrix():
+    # n = 0 and 1 included: their blocks are the 1x1 identity.
     for n in range(7):
-        group = symmetric_group(n)
-        for lam in partitions_of(n):
-            table = irrep_table(n, lam)
-            assert table.shape == (len(group),) + (hook_dimension(lam),) * 2
-            for i, g in enumerate(group):
-                assert np.allclose(table[i], irrep_matrix(lam, g), atol=1e-12), (lam, g)
+        for g in symmetric_group(n):
+            blocks = fourier(StateFunction.delta(n, g))
+            for lam in partitions_of(n):
+                assert blocks[lam].shape == (hook_dimension(lam),) * 2
+                assert np.allclose(blocks[lam], irrep_matrix(lam, g), atol=1e-12), (lam, g)
 
 
-def test_irrep_table_agrees_with_irrep_matrix_sampled_at_level_7():
+def test_fourier_of_point_masses_is_irrep_matrix_sampled_at_level_7():
     rng = random.Random(7)
     group = symmetric_group(7)
     rows = [0, len(group) - 1] + rng.sample(range(len(group)), 30)
-    for lam in partitions_of(7):
-        table = irrep_table(7, lam)
-        for i in rows:
-            assert np.allclose(table[i], irrep_matrix(lam, group[i]), atol=1e-12), (lam, i)
+    for i in rows:
+        blocks = fourier(StateFunction.delta(7, group[i]))
+        for lam in partitions_of(7):
+            assert np.allclose(blocks[lam], irrep_matrix(lam, group[i]), atol=1e-12), (lam, i)
+
+
+def test_branching_splits_the_restriction_exactly():
+    # On S_{n-1}, rho_lam is rho_mu on mu's rows and exactly 0 elsewhere.
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            cosets, rows = branching(lam)
+            d = hook_dimension(lam)
+            assert cosets.shape == (d, n * d)
+            assert sorted(np.concatenate(list(rows.values())).tolist()) == list(range(d))
+            for mu, r in rows.items():
+                assert sum(mu) == n - 1 and len(r) == hook_dimension(mu)
+            for g in symmetric_group(n - 1):
+                m = irrep_matrix(lam, g)
+                want = np.zeros((d, d))
+                for mu, r in rows.items():
+                    want[np.ix_(r, r)] = irrep_matrix(mu, g)
+                assert np.array_equal(m, want), (lam, g)
+
+
+def test_branching_cosets_are_the_cycles():
+    # c_j = (j j+1 ... k) sends k to j; c_k is the identity.
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            cosets, _ = branching(lam)
+            d = hook_dimension(lam)
+            for j in range(1, n + 1):
+                want = irrep_matrix(lam, cycle(*range(j, n + 1)))
+                assert np.allclose(cosets[:, (j - 1) * d : j * d], want, atol=1e-12), (lam, j)
 
 
 def test_irrep_matrix_identity_and_transposition():
