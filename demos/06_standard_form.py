@@ -3,8 +3,12 @@
 From a positive definite function on S_k the GNS construction gives a
 unitary representation with a cyclic vector reproducing the state.
 Putting the generated von Neumann algebra in standard form yields the
-modular conjugation J, and pi(g) J pi(h) J then implements commuting
-left and right actions on the same space.
+modular conjugation J v = U conj(v), U the unitary polar factor of the
+matrix of the adjoint map S, and pi(g) J pi(h) J^-1 then implements
+commuting left and right actions on the same space. Both factors are
+homomorphisms once they multiply along every link g -> g t_i of the
+adjacent transpositions t_i = (i i+1), and they commute once their
+generators do.
 """
 
 import numpy as np
@@ -16,7 +20,7 @@ from stablerep.gns import (
     gns,
     gns_standard_pipeline,
 )
-from stablerep.permutations import cycle, symmetric_group, transposition
+from stablerep.permutations import symmetric_group, transposition
 from stablerep.stability import as_table
 from stablerep.canonical import CanonicalState
 from stablerep.thoma import ThomaParams
@@ -35,18 +39,23 @@ def main():
     print("\ncanonical state at level 3:")
     print("  carrier dimension:", triple.dimension)
     print("  generated algebra dimension:", len(algebra))
-    two_n = sf.j_real.shape[0]
-    print("  || J^2 - I || =", np.linalg.norm(sf.j_real @ sf.j_real - np.eye(two_n)))
+    # J^2 v = U conj(U conj(v)) = U conj(U) v
+    print("  || J^2 - I || =", np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
 
     bireg = biregular(sf, triple.rep)
-    g, h = transposition(1, 2), cycle(1, 2, 3)
-    left, right = bireg(g, h.inverse() * h), bireg(g * g.inverse(), h)
-    print("  left/right actions commute:",
-          np.allclose(left @ right, right @ left, atol=1e-10))
+    gens = [transposition(i, i + 1) for i in range(1, k)]
+    print("  both factors multiply along every link g -> g t_i:",
+          all(np.allclose(rho[g * t], rho[g] @ rho[t], atol=1e-10)
+              for rho in (bireg.pi, bireg.right)
+              for g in symmetric_group(k) for t in gens))
+    print("  left/right generators commute:",
+          all(np.allclose(bireg.pi[s] @ bireg.right[t], bireg.right[t] @ bireg.pi[s], atol=1e-10)
+              for s in gens for t in gens))
+    s, t = gens
     print("  diagonal pair implements conjugation:",
           np.allclose(
-              bireg.ad(g) @ bireg.pi[h] @ np.linalg.inv(bireg.ad(g)),
-              bireg.pi[g * h * g.inverse()],
+              bireg.ad(s) @ bireg.pi[t] @ np.linalg.inv(bireg.ad(s)),
+              bireg.pi[s * t * s],
               atol=1e-10,
           ))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,10 +28,8 @@ from .permutations import (
     split_product,
     transposition,
 )
-from .fourier import as_table, fourier
+from .fourier import Evaluator, as_table, fourier
 from .thoma import FactorType, RecoveryResult, ThomaParams, recover_params, thoma_character, type_classify
-
-Evaluator = Callable[[Permutation], complex]
 
 
 class ClassificationError(RuntimeError):

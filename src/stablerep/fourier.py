@@ -155,7 +155,12 @@ class PsdCertificate:
         return self.positive
 
 
-def as_table(f, level: Optional[int] = None) -> StateFunction:
+# A state to evaluate: a StateFunction table, a CanonicalState, or any
+# callable on permutations (a StateFunction is one too).
+Evaluator = Callable[[Permutation], complex]
+
+
+def as_table(f: Evaluator, level: Optional[int] = None) -> StateFunction:
     """Materialize an evaluator as a value table on S_level.
 
     A table is cut down to the level (None keeps its own), and one that

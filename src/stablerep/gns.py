@@ -3,8 +3,8 @@
 Everything here is finite dimensional linear algebra: states are given
 by value tables on a truncated group, algebras by matrix bases that are
 orthonormal for the trace inner product, and the modular conjugation is
-obtained from the polar decomposition of the (antilinear) adjoint map
-realified to a matrix on doubled real coordinates.
+J = U conj, where U is the unitary polar factor of the complex matrix SA
+of the antilinear adjoint map S v = SA conj(v) (Haagerup 1975).
 
 No Kronecker system is solved on the way from a state to its standard
 form. The algebra M generated by the GNS representation of a finite
@@ -14,6 +14,14 @@ M acts by left multiplication and its commutant M' is right
 multiplication (Haagerup 1975; Takesaki II, ch. IX). commutant and
 double_commutant solve for the same spaces numerically and serve as
 oracles.
+
+gns-verify certifies the result with four residuals (Frobenius norms):
+J^2 = 1 (j_squared, on the doubled real scale sqrt(2) ||U conj(U) - 1||);
+J M J^-1 inside M' (j_commutant); pi and R = J pi(.) J^-1 multiplicative
+along every link g -> g t_i of the Coxeter generators t_i = (i i+1), with
+pi(t_i) and R(t_j) commuting (homomorphism: together these make
+(g, h) -> pi(g) R(h) a representation of S_k x S_k); and ad(t_i) = pi(t_i)
+R(t_i) conjugating pi(t_j) to pi(t_i t_j t_i) (ad).
 """
 
 from __future__ import annotations
@@ -140,16 +148,11 @@ def project_to_span(basis: Sequence[np.ndarray], X: np.ndarray) -> tuple[np.ndar
 
 def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     """Operator norm distance between the two spanned subspaces' projections."""
-    def ortho(mats):
-        stack = np.array([m.reshape(-1) for m in mats]).T
-        q, r = np.linalg.qr(stack)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(np.abs(np.diag(r)).max(), 1e-30)
-        return q[:, keep]
+    def projector(mats):
+        q = np.array([v.reshape(-1) for v in _span_basis(mats)])
+        return q.T @ q.conj()
 
-    qa, qb = ortho(a), ortho(b)
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))
+    return float(np.linalg.norm(projector(a) - projector(b), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +185,6 @@ def support_projection(
 # Standard form.
 
 
-def _real_of_linear(C: np.ndarray) -> np.ndarray:
-    re, im = C.real, C.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _real_of_antilinear(C: np.ndarray) -> np.ndarray:
-    # The map v -> C conj(v), written on stacked (Re v, Im v).
-    re, im = C.real, C.imag
-    return np.block([[re, im], [im, -re]])
-
-
-def _complex_of_real_linear(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    n = R.shape[0] // 2
-    a, b = R[:n, :n], R[:n, n:]
-    c, d = R[n:, :n], R[n:, n:]
-    if max(np.abs(a - d).max(), np.abs(b + c).max()) > tol:
-        raise ValueError("real matrix does not represent a complex linear map")
-    return a + 1j * c
-
-
-def _realify_vector(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
-
-
 @dataclass
 class StandardForm:
     """A von Neumann algebra in standard position with its modular conjugation.
@@ -213,14 +192,14 @@ class StandardForm:
     The carrier is the algebra itself with the inner product of a
     faithful state; basis holds the original (trace orthonormal) matrix
     basis, algebra holds the same elements acting by left multiplication
-    on the carrier, commutant_basis the right multiplications, and j_real
-    is the antilinear conjugation as a real matrix on doubled coordinates.
+    on the carrier, and commutant_basis the right multiplications. The
+    modular conjugation is J v = j @ conj(v): j is the unitary polar factor
+    of the complex matrix of S, so J^2 = j conj(j) and J X J^-1 = j conj(X) j^H.
     """
 
     basis: tuple[np.ndarray, ...]
     xi: np.ndarray
-    j_real: np.ndarray
-    modulus_real: np.ndarray
+    j: np.ndarray
     _whalf: np.ndarray
     _winvhalf: np.ndarray
 
@@ -251,14 +230,11 @@ class StandardForm:
         return tuple(self._carrier(self._structure.transpose(1, 0, 2)))
 
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
-        """J X J^-1, a complex linear map again."""
-        R = self.j_real @ _real_of_linear(np.asarray(X, dtype=complex)) @ self.j_real.T
-        return _complex_of_real_linear(R)
+        """J X J^-1 = U conj(X) U^H, a complex linear map again."""
+        return self.j @ np.conj(X) @ self.j.conj().T
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        rv = self.j_real @ _realify_vector(np.asarray(v, dtype=complex))
-        return rv[:n] + 1j * rv[n:]
+        return self.j @ np.conj(v)
 
     @cached_property
     def commutant_basis(self) -> list[np.ndarray]:
@@ -307,20 +283,13 @@ def standard_form(
     # <b_i, 1> = conj(tr b_i)
     xi = whalf @ np.trace(stack, axis1=1, axis2=2).conj()
 
-    # The adjoint map x -> x* in basis coefficients, then realified and split.
+    # The adjoint map x -> x* in basis coefficients: S v = SA conj(v) on the
+    # carrier. With SA = U P (polar), S = (U conj)(conj P) and J = U conj.
     A = _coefficients(stack, stack.transpose(0, 2, 1).conj())
     SA = whalf @ A @ np.conj(winvhalf)
-    S_real = _real_of_antilinear(SA)
-    j_real, modulus_real = linalg.polar(S_real)
+    j, _ = linalg.polar(SA)
 
-    return StandardForm(
-        basis=basis,
-        xi=xi,
-        j_real=j_real,
-        modulus_real=modulus_real,
-        _whalf=whalf,
-        _winvhalf=winvhalf,
-    )
+    return StandardForm(basis=basis, xi=xi, j=j, _whalf=whalf, _winvhalf=winvhalf)
 
 
 def gns_standard_pipeline(

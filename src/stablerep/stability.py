@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Union
 
-from .fourier import WITNESS_SLACK, StateFunction, as_table, restricted_distance
+from .fourier import WITNESS_SLACK, Evaluator, StateFunction, as_table, restricted_distance
 from .permutations import (
     Permutation,
     conjugate_words,
@@ -23,8 +22,6 @@ from .permutations import (
     symmetric_group,
     transposition,
 )
-
-Evaluator = Union[StateFunction, Callable[[Permutation], complex]]
 
 
 class _Pullback:

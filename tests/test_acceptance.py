@@ -321,8 +321,8 @@ def _standard_form_residuals(state, k, pairs_mode):
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
     bireg = biregular(sf, triple.rep)
     group = symmetric_group(k)
-    two_n = sf.j_real.shape[0]
-    res_j = float(np.linalg.norm(sf.j_real @ sf.j_real - np.eye(two_n)))
+    # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
+    res_j = math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
     conj = [sf.conjugate_by_j(x) for x in sf.algebra]
     res_jmj = subspace_distance(conj, sf.commutant_basis)
     if pairs_mode == "full":

@@ -172,6 +172,12 @@ def test_gns_verify(capsys, spec_a):
         assert report[key] < 1e-8
 
 
+def test_gns_verify_above_level_4_is_infeasible(capsys, spec_a):
+    code, out, err = run(capsys, "gns-verify", spec_a, "--level", "5")
+    assert code == 3
+    assert out == "" and "k > 4 is refused" in err
+
+
 def test_induce_char(capsys):
     code, out, _ = run(
         capsys, "induce-char", "--partition", "[2,1]", "--mu", "[2]", "--level", "5"
@@ -691,8 +697,8 @@ def _small_job(draw):
             argv += ["--level=%d" % draw(st.integers(-2, 4)),
                      "--support-bounds=" + draw(st.just(bounds) | st.text(max_size=4))]
         if command == "gns-verify":
-            # k = 4 costs seconds per example; the CLI tests cover it once
-            argv.append("--level=%d" % draw(st.integers(-2, 3)))
+            # k = 5 is refused before the state is read
+            argv.append("--level=%d" % draw(st.integers(-2, 5)))
     return files, argv
 
 

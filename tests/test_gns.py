@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from stablerep import cli
 from stablerep.canonical import CanonicalState
 from stablerep.characters import mn_character
-from stablerep.fourier import StateFunction
+from stablerep.fourier import StateFunction, fourier
 from stablerep.gns import (
     biregular,
     central_support,
@@ -25,7 +26,7 @@ from stablerep.gns import (
     support_projection,
 )
 from stablerep.partitions import hook_dimension, partitions_of
-from stablerep.permutations import IDENTITY, element_index, symmetric_group, transposition
+from stablerep.permutations import IDENTITY, Permutation, element_index, symmetric_group, transposition
 from stablerep.stability import as_table
 from stablerep.thoma import ThomaParams
 from stablerep.yor import irrep_matrix
@@ -150,8 +151,8 @@ def test_standard_form_j_properties():
     k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     _, algebra, sf = gns_standard_pipeline(k, as_table(state, k))
-    two_n = sf.j_real.shape[0]
-    assert np.linalg.norm(sf.j_real @ sf.j_real - np.eye(two_n)) < 1e-10
+    # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
+    assert math.sqrt(2) * np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)) < 1e-10
     # J xi = xi on the cyclic vector of the standard form
     assert np.max(np.abs(sf.apply_j(sf.xi) - sf.xi)) < 1e-10
     # J M J^-1 lands in the commutant
@@ -296,3 +297,71 @@ def test_biregular_conjugates_each_right_factor_once(monkeypatch):
             for h in group:
                 assert np.array_equal(bireg(g, h), bireg.pi[g] @ conjugate(bireg.pi[h]))
     assert len(calls) == len(group)
+
+
+def _real_of_antilinear(C):
+    # The map v -> C conj(v), written on stacked (Re v, Im v).
+    return np.block([[C.real, C.imag], [C.imag, -C.real]])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_j_matches_the_doubled_real_polar_oracle(k):
+    for state in BATTERY:
+        _, _, sf = gns_standard_pipeline(k, as_table(state, k))
+        # S(x xi) = x* xi over the left multiplications x; on the carrier
+        # coordinates x* is the conjugate transpose.
+        V = np.array([x @ sf.xi for x in sf.algebra]).T
+        W = np.array([x.conj().T @ sf.xi for x in sf.algebra]).T
+        SA = W @ np.linalg.inv(V.conj())
+        j_real, _ = linalg.polar(_real_of_antilinear(SA))
+        assert np.max(np.abs(j_real - _real_of_antilinear(sf.j))) < 1e-10, state
+
+
+def _fourier_ranks(f):
+    eig = {lam: np.linalg.eigvalsh((b + b.conj().T) / 2) for lam, b in fourier(f).items()}
+    top = max(float(w.max()) for w in eig.values())
+    return {lam: int(np.sum(w > 1e-9 * top)) for lam, w in eig.items()}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_gns_verify_structure_matches_fourier_ranks(k, tmp_path):
+    """gns_dim, algebra_dim and central_support from the ranks r of the blocks."""
+    for i, state in enumerate(BATTERY):
+        spec = tmp_path / ("spec%d.json" % i)
+        spec.write_text(json.dumps(state.to_json()))
+        out = tmp_path / ("report%d.json" % i)
+        assert cli.main(["gns-verify", str(spec), "--level", str(k), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        ranks = _fourier_ranks(as_table(state, k))
+        dims = {lam: hook_dimension(lam) for lam in ranks}
+        assert report["gns_dim"] == sum(dims[lam] * r for lam, r in ranks.items()), state
+        assert report["algebra_dim"] == sum(dims[lam] ** 2 for lam, r in ranks.items() if r), state
+        assert report["central_support"] == sorted(list(lam) for lam, r in ranks.items() if r), state
+
+
+# One scaled entry of the two-sided action: (side, cycles, level).
+BROKEN = [
+    ("pi", [[1, 3]], 3),
+    ("right", [[1, 3]], 3),
+    ("pi", [[1, 3]], 4),
+    ("pi", [[1, 3], [2, 4]], 4),
+    ("right", [[1, 3]], 4),
+    ("right", [[1, 3], [2, 4]], 4),
+]
+
+
+@pytest.mark.parametrize("side,cycles,k", BROKEN, ids=["%s-%s-k%d" % (s, "_".join("".join(map(str, c)) for c in cs), k) for s, cs, k in BROKEN])
+def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, side, cycles, k):
+    g = Permutation.from_cycles([tuple(c) for c in cycles])
+
+    def broken(sf, rep):
+        bireg = biregular(sf, rep)
+        getattr(bireg, side)[g] = getattr(bireg, side)[g] * (1 + 1e-6)
+        return bireg
+
+    monkeypatch.setattr(cli, "biregular", broken)
+    spec = tmp_path / "cut2.json"
+    spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
+    out = tmp_path / "report.json"
+    assert cli.main(["gns-verify", str(spec), "--level", str(k), "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["ok"] is False
