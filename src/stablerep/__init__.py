@@ -25,7 +25,7 @@ from .characters import (
     mn_character,
     normalized_character,
 )
-from .yor import irrep_dimension, irrep_matrix, yor_generators
+from .yor import irrep_matrix, yor_generators
 from .fourier import (
     FourierBlocks,
     PsdCertificate,

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .partitions import partitions_of
+from .partitions import hook_dimension, partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
@@ -28,7 +28,7 @@ from .permutations import (
     symmetric_group,
     word_ranks,
 )
-from .yor import branching, irrep_dimension
+from .yor import branching
 
 
 class StateFunction:
@@ -225,13 +225,13 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     """
     n = blocks.level
     fact = math.factorial(n)
-    adj = {lam: irrep_dimension(lam) / fact * np.asarray(b, dtype=complex)[None]
+    adj = {lam: hook_dimension(lam) / fact * np.asarray(b, dtype=complex)[None]
            for lam, b in blocks.items()}
     for k in range(n, 0, -1):
         prefixes = fact // math.factorial(k)
         down = {}
         for mu in partitions_of(k - 1):
-            d = irrep_dimension(mu)
+            d = hook_dimension(mu)
             down[mu] = np.zeros((prefixes, k, d, d), dtype=complex)
         for lam in partitions_of(k):
             cosets, rows = branching(lam)
@@ -256,7 +256,7 @@ def dual_norm(f: StateFunction, level: Optional[int] = None) -> float:
     terms = []
     for lam, block in fourier(f).items():
         # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
-        terms.extend(irrep_dimension(lam) * np.linalg.svd(block, compute_uv=False))
+        terms.extend(hook_dimension(lam) * np.linalg.svd(block, compute_uv=False))
     return math.fsum(terms) / math.factorial(f.level)
 
 

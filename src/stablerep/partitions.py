@@ -80,9 +80,10 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
     """All standard Young tableaux of shape lam, as tuples of rows.
 
     Entries 1..n increase along rows and down columns.  The tableaux are
-    listed in a fixed deterministic order (sorted by the row index of
-    each entry), which fixes the basis order of the orthogonal
-    representation matrices.
+    listed in lexicographic order of their row words (the row of each
+    entry 1, ..., n in turn): the depth-first fill below tries the rows
+    for each entry top to bottom, so it emits them in that order.  This
+    is the basis order of the orthogonal representation matrices.
 
     >>> standard_tableaux((2, 1))
     (((1, 2), (3,)), ((1, 3), (2,)))
@@ -110,12 +111,4 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
             fill[i].pop()
 
     place(1)
-
-    def row_word(tab: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        pos = {}
-        for i, row in enumerate(tab):
-            for v in row:
-                pos[v] = i
-        return tuple(pos[v] for v in range(1, n + 1))
-
-    return tuple(sorted(results, key=row_word))
+    return tuple(results)

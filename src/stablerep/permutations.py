@@ -399,18 +399,14 @@ def coset_order(n: int) -> np.ndarray:
     row P lists one prefix c_{j_n} ... c_{j_{k+1}} times S_k, in the same
     nested order.
 
+    That element is g_p w_0, where g_p is row p of group_words(n) and w_0
+    is the longest element i -> n + 1 - i, so its one-line word is row p
+    read backwards.
+
     >>> coset_order(3)
     array([5, 3, 4, 1, 2, 0])
     """
-    words = np.arange(1, n + 1, dtype=np.int64)[None, :]
-    for k in range(1, n + 1):
-        cosets = np.tile(np.arange(1, n + 1), (k, 1))
-        for j in range(1, k + 1):
-            cosets[j - 1, j - 1 : k] = np.roll(np.arange(j, k + 1), -1)
-        # The word of c_j h is c_j gathered at the word of h.
-        words = np.take_along_axis(cosets[:, None, :], words[None, :, :] - 1, axis=2)
-        words = words.reshape(-1, n)
-    return _frozen(word_ranks(words))
+    return _frozen(word_ranks(group_words(n)[:, ::-1]))
 
 
 def cycle_lengths(words: np.ndarray) -> np.ndarray:

@@ -152,37 +152,21 @@ def _tied_refit(
     gb = clusters(x[r:])
     if all(len(g) == 1 for g in ga + gb):
         return None
-    mult = np.array([len(g) for g in ga] + [len(g) for g in gb], dtype=float)
+    mult = np.array([len(g) for g in ga + gb])
     x0 = np.array(
         [np.mean(x[:r][g]) for g in ga] + [np.mean(x[r:][g]) for g in gb]
     )
-    ra = len(ga)
-
-    def resid(y: np.ndarray) -> np.ndarray:
-        a, b = y[:ra] , y[ra:]
-        ma, mb = mult[:ra], mult[ra:]
-        signs = np.where(ks % 2 == 0, -1.0, 1.0)
-        vals = np.array([np.sum(ma * a**k) for k in ks]) + signs * np.array(
-            [np.sum(mb * b**k) for k in ks]
-        )
-        return vals - target
-
     fit = optimize.least_squares(
-        resid, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15
+        lambda y: _model(np.repeat(y, mult), r, ks) - target,
+        x0,
+        bounds=(0.0, 1.0),
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
     )
     if float(np.sum(mult * fit.x)) > 1 + 1e-9:
         return None
-    full = np.concatenate(
-        [
-            np.concatenate([np.full(len(g), fit.x[i]) for i, g in enumerate(ga)])
-            if ga
-            else np.zeros(0),
-            np.concatenate([np.full(len(g), fit.x[ra + j]) for j, g in enumerate(gb)])
-            if gb
-            else np.zeros(0),
-        ]
-    )
-    return full, 2 * fit.cost
+    return np.repeat(fit.x, mult), 2 * fit.cost
 
 
 # Residuals within this multiple of the values' float noise, sum((eps v_k)^2),

@@ -1,17 +1,22 @@
 """Young's orthogonal form: real orthogonal irreducible matrices for S_n.
 
 The basis of the representation of shape lam is the set of standard
-tableaux in the fixed order produced by partitions.standard_tableaux.
-For the adjacent transposition (k, k+1) the matrix acts on a tableau T
-with diagonal entry 1/d and off-diagonal sqrt(1 - 1/d^2) towards the
-tableau with k and k+1 swapped, where d is the axial distance
-(content of k+1) - (content of k) in T.
+tableaux in the order of partitions.standard_tableaux: lexicographic in
+the row word, which lists the row of each entry 1, ..., n.  For the
+adjacent transposition (k, k+1) the matrix acts on a tableau T with
+diagonal entry 1/d and off-diagonal sqrt(1 - 1/d^2) towards the tableau
+with k and k+1 swapped, where d is the axial distance (content of k+1) -
+(content of k) in T and the content of a cell is its column less its row.
+Swapping k and k+1 swaps positions k and k+1 of the row word, so the
+matrices of all tableaux come from one (tableaux, n) array of rows and
+one of contents.
 
 The basis is a Gelfand-Tsetlin basis: on S_{n-1} the matrices of shape
 lam split into those of the shapes mu = lam less a corner, on the
-tableaux with n in that corner.  branching() hands that structure to the
-Fourier transform.  Everything is rebuilt in memory: the generators of
-every shape up to level 8 take well under 0.1 s.
+tableaux with n in that corner.  Those are the tableaux whose row word
+ends in the corner's row, and dropping that last letter leaves mu's row
+words in the same order.  branching() hands that structure to the
+Fourier transform.
 """
 
 from __future__ import annotations
@@ -21,43 +26,46 @@ from typing import Iterable
 
 import numpy as np
 
-from .partitions import check_partition, standard_tableaux
+from .partitions import check_partition, hook_dimension, standard_tableaux
 from .permutations import Permutation, adjacent_word
 
 
-def _positions(tab: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, int]]:
-    return {v: (i, j) for i, row in enumerate(tab) for j, v in enumerate(row)}
+def _rows_and_contents(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two (d, n) arrays: entry [t, v - 1] is the row, then the content, of v in tableau t."""
+    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    tabs = standard_tableaux(lam)
+    # cells lists the cells row by row; held[t, p] is the entry of tableau t in cells[p].
+    held = np.array([[v for row in tab for v in row] for tab in tabs], dtype=np.int64)
+    t = np.arange(len(tabs))[:, None]
+    row_of, content_of = np.empty_like(held), np.empty_like(held)
+    row_of[t, held - 1] = rows
+    content_of[t, held - 1] = cols - rows
+    return row_of, content_of
 
 
 @lru_cache(maxsize=None)
 def yor_generators(lam: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Matrices of the adjacent transpositions (1,2), ..., (n-1,n) for shape lam."""
     lam = check_partition(lam)
-    n = sum(lam)
-    tabs = standard_tableaux(lam)
-    index = {t: i for i, t in enumerate(tabs)}
-    d = len(tabs)
+    rows, contents = _rows_and_contents(lam)
+    d, n = rows.shape
+    # The row words increase strictly, so a binary search over them as byte
+    # strings finds a tableau from its row word.
+    keys = rows.astype(np.uint8).view(f"V{n}").ravel()
     mats = []
     for k in range(1, n):
+        dist = contents[:, k] - contents[:, k - 1]
         m = np.zeros((d, d))
-        for t, j in index.items():
-            pos = _positions(t)
-            (r1, c1), (r2, c2) = pos[k], pos[k + 1]
-            dist = (c2 - r2) - (c1 - r1)
-            m[j, j] = 1.0 / dist
-            if abs(dist) >= 2:
-                swapped = tuple(
-                    tuple(k + 1 if v == k else k if v == k + 1 else v for v in row)
-                    for row in t
-                )
-                m[index[swapped], j] = np.sqrt(1.0 - 1.0 / dist**2)
+        np.fill_diagonal(m, 1.0 / dist)
+        moved = np.flatnonzero(abs(dist) >= 2)
+        swapped = rows[moved].astype(np.uint8)
+        swapped[:, [k - 1, k]] = swapped[:, [k, k - 1]]
+        target = np.searchsorted(keys, swapped.view(f"V{n}").ravel())
+        m[target, moved] = np.sqrt(1.0 - 1.0 / dist[moved] ** 2)
         m.flags.writeable = False
         mats.append(m)
     return tuple(mats)
-
-
-def irrep_dimension(lam: Iterable[int]) -> int:
-    return len(standard_tableaux(check_partition(lam)))
 
 
 def irrep_matrix(lam: Iterable[int], p: Permutation) -> np.ndarray:
@@ -70,9 +78,8 @@ def irrep_matrix(lam: Iterable[int], p: Permutation) -> np.ndarray:
     if p.level > n:
         raise ValueError(f"permutation of level {p.level} does not fit shape {lam}")
     gens = yor_generators(lam)
-    d = irrep_dimension(lam)
     word = adjacent_word(p, n)
-    return reduce(np.matmul, (gens[i - 1] for i in word), np.eye(d))
+    return reduce(np.matmul, (gens[i - 1] for i in word), np.eye(hook_dimension(lam)))
 
 
 @lru_cache(maxsize=None)
@@ -89,22 +96,15 @@ def branching(
     those rows and 0 between the rows of different mu.
     """
     lam = check_partition(lam)
-    k = sum(lam)
-    mats = [np.eye(irrep_dimension(lam))]
+    mats = [np.eye(hook_dimension(lam))]
     for gen in reversed(yor_generators(lam)):
         mats.append(gen @ mats[-1])
     cosets = np.hstack(mats[::-1])
     cosets.flags.writeable = False
-    index = {t: i for i, t in enumerate(standard_tableaux(lam))}
+    last = _rows_and_contents(lam)[0][:, -1]
     rows = {}
-    for r in range(len(lam)):
-        if r + 1 < len(lam) and lam[r] == lam[r + 1]:
-            continue  # no corner at the end of row r
+    for r in sorted(set(last.tolist())):
         mu = tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)
-        held = []
-        for tab in standard_tableaux(mu):
-            tab = tab + ((),) * (len(lam) - len(tab))
-            held.append(index[tuple(row + (k,) if i == r else row for i, row in enumerate(tab))])
-        rows[mu] = np.array(held)
+        rows[mu] = np.flatnonzero(last == r)
         rows[mu].flags.writeable = False
     return cosets, rows

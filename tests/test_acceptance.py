@@ -330,7 +330,15 @@ def _standard_form_residuals(state, k, pairs_mode):
     else:
         small = [group[0], transposition(1, 2), Permutation.from_cycles([list(range(1, k + 1))])]
         pairs = [(g, h) for g in small for h in small]
+    # rho in {pi, right} is a homomorphism exactly when rho(e) = 1 and
+    # rho(g t) = rho(g) rho(t) for every g and adjacent transposition t.
+    eye = np.eye(sf.dimension)
     res_hom = 0.0
+    for rho in (bireg.pi, bireg.right):
+        res_hom = max(res_hom, float(np.linalg.norm(rho[group[0]] - eye)))
+        for g in group:
+            for t in (transposition(i, i + 1) for i in range(1, k)):
+                res_hom = max(res_hom, float(np.linalg.norm(rho[g * t] - rho[g] @ rho[t])))
     for g1, h1 in pairs:
         for g2, h2 in pairs:
             lhs = bireg(g1 * g2, h1 * h2)
@@ -387,6 +395,18 @@ def test_criterion_09_standard_form_suite():
         "residuals: k=3 %.1e, tracial %.1e, k=4 %.1e in %.0f s"
         % (worst3, res_trace, worst4, elapsed),
     )
+
+
+def test_criterion_09_rejects_a_right_factor_off_by_1e_6(monkeypatch):
+    # The 3-element sample at k = 4 passes this factor; the generator links do not.
+    def scaled(sf, rep, build=biregular):
+        bireg = build(sf, rep)
+        t = Permutation.from_cycles([[1, 3]])
+        bireg.right[t] = bireg.right[t] * (1 + 1e-6)
+        return bireg
+
+    monkeypatch.setattr(sys.modules[__name__], "biregular", scaled)
+    assert _standard_form_residuals(BATTERY[0], 4, "generators") > 1e-8
 
 
 def test_criterion_10_induction_matches_lr():

@@ -109,3 +109,11 @@ def test_standard_tableaux_sorted_by_row_word():
         tabs = standard_tableaux(lam)
         words = [tuple(x for row in tab for x in row) for tab in tabs]
         assert words == sorted(words)
+    # The basis order: row words (the row holding 1, 2, ..., n) strictly increase.
+    for n in range(9):
+        for lam in partitions_of(n):
+            words = []
+            for tab in standard_tableaux(lam):
+                row_of = {v: r for r, row in enumerate(tab) for v in row}
+                words.append(tuple(row_of[v] for v in range(1, n + 1)))
+            assert all(a < b for a, b in zip(words, words[1:])), lam

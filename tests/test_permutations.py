@@ -150,7 +150,7 @@ def test_group_words_are_ranked_by_position():
 def test_coset_order_lists_nested_cosets():
     # Row p is c_{j_n} ... c_{j_1} with c_j = (j j+1 ... k) in S_k and the
     # digits j_k - 1 of p in mixed radix, j_n most significant.
-    for n in range(6):
+    for n in range(7):
         index = element_index(n)
         want = []
         for digits in itertools.product(*(range(1, k + 1) for k in range(n, 0, -1))):

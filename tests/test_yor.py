@@ -8,9 +8,9 @@ import pytest
 
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction, fourier
-from stablerep.partitions import hook_dimension, partitions_of
+from stablerep.partitions import hook_dimension, partitions_of, standard_tableaux
 from stablerep.permutations import Permutation, cycle, symmetric_group, transposition
-from stablerep.yor import branching, irrep_dimension, irrep_matrix, yor_generators
+from stablerep.yor import branching, irrep_matrix, yor_generators
 
 
 def test_generator_shapes_and_dimensions():
@@ -18,10 +18,65 @@ def test_generator_shapes_and_dimensions():
         for lam in partitions_of(n):
             gens = yor_generators(lam)
             d = hook_dimension(lam)
-            assert irrep_dimension(lam) == d
+            assert len(standard_tableaux(lam)) == d
             assert len(gens) == max(n - 1, 0)
             for m in gens:
                 assert m.shape == (d, d)
+
+
+def _generators_by_tableau(lam):
+    # Young's rule entry by entry: locate k and k+1 in each tableau, swap them.
+    tabs = standard_tableaux(lam)
+    index = {t: i for i, t in enumerate(tabs)}
+    mats = []
+    for k in range(1, sum(lam)):
+        m = np.zeros((len(tabs), len(tabs)))
+        for t, j in index.items():
+            pos = {v: (r, c) for r, row in enumerate(t) for c, v in enumerate(row)}
+            (r1, c1), (r2, c2) = pos[k], pos[k + 1]
+            dist = (c2 - r2) - (c1 - r1)
+            m[j, j] = 1.0 / dist
+            if abs(dist) >= 2:
+                swapped = tuple(
+                    tuple(k + 1 if v == k else k if v == k + 1 else v for v in row)
+                    for row in t
+                )
+                m[index[swapped], j] = np.sqrt(1.0 - 1.0 / dist**2)
+        mats.append(m)
+    return mats
+
+
+def _branching_rows_by_tableau(lam):
+    # Append k to row r of each mu-tableau and find the result among lam's.
+    k = sum(lam)
+    index = {t: i for i, t in enumerate(standard_tableaux(lam))}
+    rows = {}
+    for r in range(len(lam)):
+        if r + 1 < len(lam) and lam[r] == lam[r + 1]:
+            continue  # no corner at the end of row r
+        mu = tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)
+        held = []
+        for tab in standard_tableaux(mu):
+            tab = tab + ((),) * (len(lam) - len(tab))
+            held.append(index[tuple(row + (k,) if i == r else row for i, row in enumerate(tab))])
+        rows[mu] = np.array(held)
+    return rows
+
+
+def test_generators_and_branching_rows_match_the_tableau_loops():
+    for n in range(8):
+        for lam in partitions_of(n):
+            gens = yor_generators(lam)
+            want = _generators_by_tableau(lam)
+            assert len(gens) == len(want)
+            for i, (m, w) in enumerate(zip(gens, want)):
+                assert np.array_equal(m, w), (lam, i)
+            if n:
+                rows = branching(lam)[1]
+                want = _branching_rows_by_tableau(lam)
+                assert list(rows) == list(want), lam
+                for mu in want:
+                    assert np.array_equal(rows[mu], want[mu]), (lam, mu)
 
 
 def test_coxeter_relations():
