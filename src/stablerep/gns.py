@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .fourier import StateFunction, gram_matrix
 from .characters import class_representative, class_size, mn_character
@@ -284,10 +283,12 @@ def standard_form(
     xi = whalf @ np.trace(stack, axis1=1, axis2=2).conj()
 
     # The adjoint map x -> x* in basis coefficients: S v = SA conj(v) on the
-    # carrier. With SA = U P (polar), S = (U conj)(conj P) and J = U conj.
+    # carrier. With SA = U P (polar), S = (U conj)(conj P) and J = U conj;
+    # from the SVD SA = W diag(s) Vh, U = W Vh.
     A = _coefficients(stack, stack.transpose(0, 2, 1).conj())
     SA = whalf @ A @ np.conj(winvhalf)
-    j, _ = linalg.polar(SA)
+    w, _, vh = np.linalg.svd(SA)
+    j = w @ vh
 
     return StandardForm(basis=basis, xi=xi, j=j, _whalf=whalf, _winvhalf=winvhalf)
 

@@ -4,18 +4,23 @@ An extremal character is determined by two weakly decreasing summable
 sequences alpha, beta of positive reals with total mass at most 1.  Its
 value on a permutation is a product over cycles: a k-cycle contributes
 sum(alpha_i^k) + (-1)^(k+1) sum(beta_j^k).
+
+recover_params fits (alpha, beta) to cycle values with numpy alone: every
+minimum over c = sum(alpha) + sum(beta) of a Padé form of Thoma's formula
+seeds a start, and a projected Levenberg-Marquardt polish on the box
+[0, 1] finishes the start that fits best.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy import optimize
 
 SUM_SLACK = 1e-12
 
@@ -153,20 +158,131 @@ def _tied_refit(
     if all(len(g) == 1 for g in ga + gb):
         return None
     mult = np.array([len(g) for g in ga + gb])
+    starts = np.concatenate([[0], np.cumsum(mult)[:-1]])
     x0 = np.array(
         [np.mean(x[:r][g]) for g in ga] + [np.mean(x[r:][g]) for g in gb]
     )
-    fit = optimize.least_squares(
+    y, cost = _polish(
         lambda y: _model(np.repeat(y, mult), r, ks) - target,
+        # Chain rule: each tied entry's column is the sum of its copies'.
+        lambda y: np.add.reduceat(_jac(np.repeat(y, mult), r, ks), starts, axis=1),
         x0,
-        bounds=(0.0, 1.0),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
     )
-    if float(np.sum(mult * fit.x)) > 1 + 1e-9:
+    if float(np.sum(mult * y)) > 1 + 1e-9:
         return None
-    return np.repeat(fit.x, mult), 2 * fit.cost
+    return np.repeat(y, mult), cost
+
+
+# The damped loop stops once its step is below STEP_TOL relative to x, or
+# after MAX_STEPS steps; the undamped steps after it start at most GN_REACH.
+STEP_TOL = 1e-15
+MAX_STEPS = 200
+GN_REACH = 1e-6
+# Length of the polish's probes along directions that J does not see.
+PROBE_STEP = 1e-4
+
+
+def _levenberg_marquardt(fun, jac, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Local least-squares minimum of fun on the box [0, 1]^n from x.
+
+    Damped steps (see _step) are accepted when they lower the sum of
+    squares, and mu follows Nielsen's gain-ratio rule.  Within about
+    sqrt(eps) of the minimum the sum of squares is flat below its own
+    rounding error, so the damped loop stops there; the Gauss-Newton step
+    still points at the stationary point, and is then taken undamped for
+    as long as it halves.  Returns the point and its sum of squares.
+    """
+    f = fun(x)
+    cost = float(f @ f)
+    mu, nu = None, 2.0
+    for _ in range(MAX_STEPS):
+        if cost == 0.0:
+            break
+        J = jac(x)
+        if mu is None:
+            mu = 1e-3 * max(float(np.max(np.sum(J * J, axis=0))), 1e-300)
+        x_new = _step(x, f, J, mu)
+        h = x_new - x
+        if np.linalg.norm(h) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
+            break
+        f_new = fun(x_new)
+        cost_new = float(f_new @ f_new)
+        predicted = cost - float(np.sum((f + J @ h) ** 2))
+        if cost_new < cost and predicted > 0:
+            rho = (cost - cost_new) / predicted
+            x, f, cost = x_new, f_new, cost_new
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2
+    size = GN_REACH
+    for _ in range(MAX_STEPS):
+        if cost == 0.0:
+            break
+        x_new = _step(x, f, jac(x), 0.0)
+        length = np.linalg.norm(x_new - x)
+        if not 0 < length <= size:
+            break
+        x, f = x_new, fun(x_new)
+        cost, size = float(f @ f), length / 2
+    return x, cost
+
+
+def _step(x: np.ndarray, f: np.ndarray, J: np.ndarray, mu: float) -> np.ndarray:
+    """x plus the Levenberg-Marquardt step of damping mu, clipped to [0, 1].
+
+    Entries that the gradient pushes against their bound stay; the step of
+    the rest solves [J; sqrt(mu) I] h = [-f; 0] by lstsq, so J^T J is never
+    formed.
+    """
+    g = J.T @ f
+    free = ~(((x <= 0) & (g > 0)) | ((x >= 1) & (g < 0)))
+    n = int(free.sum())
+    step = np.linalg.lstsq(
+        np.vstack([J[:, free], np.sqrt(mu) * np.eye(n)]),
+        np.concatenate([-f, np.zeros(n)]),
+        rcond=None,
+    )[0]
+    x_new = x.copy()
+    x_new[free] = np.clip(x[free] + step, 0.0, 1.0)
+    return x_new
+
+
+def _polish(fun, jac, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt from x, restarted while a probe lowers the fit.
+
+    Returns the point and its sum of squares.
+    """
+    x, cost = _levenberg_marquardt(fun, jac, x)
+    for _ in range(x.size):
+        probes = _probes(x, jac(x))
+        costs = [float(np.sum(fun(p) ** 2)) for p in probes]
+        if not costs or min(costs) >= cost:
+            break
+        x_new, cost_new = _levenberg_marquardt(fun, jac, probes[int(np.argmin(costs))])
+        if cost_new >= cost:
+            break
+        x, cost = x_new, cost_new
+    return x, cost
+
+
+def _probes(x: np.ndarray, jac: np.ndarray) -> list[np.ndarray]:
+    """Points PROBE_STEP from x along directions in the null space of J.
+
+    Gauss-Newton never moves along them.  The model has two kinds: an entry
+    at 0, whose column vanishes because d(x^k)/dx = 0 there for k >= 2, and
+    two equal entries of one block, whose columns coincide, as the real
+    parts of a complex pair of Padé roots do.  The first is raised, the
+    second split.
+    """
+    norms = np.linalg.norm(jac, axis=0)
+    unit = np.eye(x.size)
+    moves = [unit[i] for i in np.flatnonzero(norms == 0)]
+    for i, j in itertools.combinations(np.flatnonzero(norms > 0), 2):
+        if np.linalg.norm(jac[:, i] - jac[:, j]) <= 1e-8 * norms[i]:
+            moves.append(unit[i] - unit[j])
+    return [np.clip(x + PROBE_STEP * m, 0.0, 1.0) for m in moves]
 
 
 # Residuals within this multiple of the values' float noise, sum((eps v_k)^2),
@@ -174,8 +290,11 @@ def _tied_refit(
 # fits that miss an entry of 1/80 lie 1e16 or more above it.
 NOISE_SLACK = 1e10
 
-# Coarse grid for the Padé start's scan of c = sum(alpha) + sum(beta).
+# Coarse grid for the Padé starts' scan of c = sum(alpha) + sum(beta); each
+# local minimum is refined on ZOOM_POINTS-point grids down to width C_TOL.
 C_GRID = np.linspace(0.0, 1.0, 101)
+ZOOM_POINTS = 21
+C_TOL = 1e-12
 
 
 def _complete_sums(c, prefix: np.ndarray) -> np.ndarray:
@@ -210,60 +329,60 @@ def _pade_residual(c, prefix: np.ndarray, r: int, s: int) -> np.ndarray:
     return np.linalg.norm(b, axis=1)
 
 
-def _pade_start(prefix: np.ndarray, r: int, s: int) -> np.ndarray:
-    """Starting point (alpha, beta) at support (r, s) from Thoma's formula.
+def _pade_starts(prefix: np.ndarray, r: int, s: int) -> list[np.ndarray]:
+    """Starting points (alpha, beta) at support (r, s) from Thoma's formula.
 
     exp(c t + sum_k p_k t^k / k) = prod(1 + beta_j t) / prod(1 - alpha_i t)
     with c = sum(alpha) + sum(beta), so for fixed c the support is an [s/r]
-    Padé problem.  c is the point of [0, 1] whose denominator fit leaves
-    the least residual.  That residual is very flat away from its minimum,
-    so every local minimum of the grid is refined, not only the lowest.
+    Padé problem.  Its denominator fit can leave no residual at several c:
+    a root that comes out negative is clipped to 0 and makes a spurious
+    zero.  So every local minimum of the grid is refined by zooming and
+    seeds one start, and the caller keeps the start that fits best.
     """
-
-    def log_residual(c: float) -> float:
-        return float(np.log(max(_pade_residual(c, prefix, r, s)[0], 1e-300)))
-
-    grid = np.log(np.maximum(_pade_residual(C_GRID, prefix, r, s), 1e-300))
-    best_c, best = 0.0, np.inf
+    grid = _pade_residual(C_GRID, prefix, r, s)
+    starts = []
     for i, v in enumerate(grid):
         lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
         if v > grid[lo] or v > grid[hi]:
             continue
-        fit = optimize.minimize_scalar(
-            log_residual, bounds=(C_GRID[lo], C_GRID[hi]), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        c, v = (fit.x, fit.fun) if fit.fun < v else (C_GRID[i], v)
-        if v < best:
-            best_c, best = c, v
-    h = _complete_sums(best_c, prefix)
-    a, b = _pade_system(h, r, s)
-    q = np.concatenate([[1.0], np.linalg.lstsq(a[0], -b[0], rcond=None)[0]])
-    p = np.convolve(q, h[0])[: s + 1]
-    x0 = np.concatenate([np.roots(q).real, -np.roots(p).real]).clip(0.0, 1.0)
-    return x0 / max(x0.sum(), 1.0)
+        c = _zoom(prefix, r, s, C_GRID[lo], C_GRID[hi])
+        h = _complete_sums(c, prefix)
+        a, b = _pade_system(h, r, s)
+        q = np.concatenate([[1.0], np.linalg.lstsq(a[0], -b[0], rcond=None)[0]])
+        p = np.convolve(q, h[0])[: s + 1]
+        x0 = np.concatenate([np.roots(q).real, -np.roots(p).real]).clip(0.0, 1.0)
+        starts.append(x0 / max(x0.sum(), 1.0))
+    return starts
+
+
+def _zoom(prefix: np.ndarray, r: int, s: int, lo: float, hi: float) -> float:
+    """The c of least Padé residual in [lo, hi], by nested grids.
+
+    The residual is vectorised over c, so each level is one batched call,
+    and the argmin's neighbours bracket the next level.
+    """
+    while True:
+        cs = np.linspace(lo, hi, ZOOM_POINTS)
+        i = int(np.argmin(_pade_residual(cs, prefix, r, s)))
+        if hi - lo <= C_TOL:
+            return float(cs[i])
+        lo, hi = cs[max(i - 1, 0)], cs[min(i + 1, ZOOM_POINTS - 1)]
 
 
 def _fit_support(
     target: np.ndarray, ks: np.ndarray, prefix: np.ndarray, r: int, s: int
 ) -> tuple[np.ndarray, float]:
-    """Best fit at exactly the support (r, s): Padé start, then polish."""
+    """Best fit at exactly the support (r, s): best Padé start, then polish."""
     if r + s == 0:
         return np.zeros(0), float(np.sum(target**2))
-    best_x = _pade_start(prefix, r, s)
-    best_val = float(np.sum((_model(best_x, r, ks) - target) ** 2))
+    starts = _pade_starts(prefix, r, s)
+    costs = [float(np.sum((_model(x, r, ks) - target) ** 2)) for x in starts]
+    best = int(np.argmin(costs))
+    best_x, best_val = starts[best], costs[best]
 
-    polish = optimize.least_squares(
-        lambda x: _model(x, r, ks) - target,
-        best_x,
-        jac=lambda x: _jac(x, r, ks),
-        bounds=(0.0, 1.0),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    if polish.x.sum() <= 1 + 1e-9 and 2 * polish.cost <= best_val:
-        best_x, best_val = polish.x, 2 * polish.cost
+    x, val = _polish(lambda x: _model(x, r, ks) - target, lambda x: _jac(x, r, ks), best_x)
+    if x.sum() <= 1 + 1e-9 and val <= best_val:
+        best_x, best_val = x, val
 
     # Ties flatten the objective to quartic order and stall Gauss-Newton a
     # few digits out; refitting with detected multiplicities restores full
@@ -284,11 +403,14 @@ def recover_params(
     values maps cycle lengths k >= 2 to the character value on a single
     k-cycle; it must hold every k in 2..r+s+1 for bounds (r, s), and every
     value must lie in [-1, 1].  Each support inside the bounds starts from the
-    roots of a Padé approximant built from the values p_2, p_3, ... up to
-    the first missing k, and a bounded least-squares polish on all given
-    values finishes it.  Among fits of equal quality, up to the float noise
+    roots of Padé approximants built from the values p_2, p_3, ... up to the
+    first missing k: every local minimum over c of the denominator fit seeds
+    one start.  The start that fits all given values best is finished by a
+    numpy least-squares polish on the box [0, 1] (projected
+    Levenberg-Marquardt).  Among fits of equal quality, up to the float noise
     of the values, the smallest support wins, which keeps padded bounds from
-    leaving near-cancelling junk entries.  The caller judges the returned residual; it is never hidden.
+    leaving near-cancelling junk entries.  The caller judges the returned
+    residual; it is never hidden.
     """
     r, s = support_bounds
     if r < 0 or s < 0:

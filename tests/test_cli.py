@@ -419,6 +419,38 @@ def test_dense_level_eight_runs_in_two_gib(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_jobs_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: neither the import nor the jobs
+    # that fit parameters or build a standard form may load scipy.
+    spec = write(tmp_path / "spec.json",
+                 {"n": 2, "lambda": [1, 1], "alpha": ["1/2", "1/5"], "beta": ["1/4"]})
+    values = write(tmp_path / "values.json", {str(k): 2.0 ** (1 - k) for k in range(2, 9)})
+    script = """
+import contextlib, io, json, sys
+import stablerep.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = {"import": scipy_modules()}
+jobs = {"recover-params": ["recover-params", sys.argv[2], "--support-bounds", "2,0"],
+        "classify": ["classify", sys.argv[1], "--level", "5", "--support-bounds", "2,1"],
+        "gns-verify": ["gns-verify", sys.argv[1], "--level", "4"]}
+codes = {}
+for name, argv in jobs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = stablerep.cli.main(argv)
+loaded["jobs"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, spec, values],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {"recover-params": 0, "classify": 0, "gns-verify": 0}
+    assert result["loaded"] == {"import": [], "jobs": []}
+
+
 def test_gns_verify_of_zero_state_fails_with_report(capsys, tmp_path):
     # The zero functional has an empty GNS carrier; this used to raise an
     # IndexError traceback from the commutant of 0 x 0 matrices.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablerep import thoma
 from stablerep.fourier import StateFunction, is_positive_definite
 from stablerep.permutations import symmetric_group
 from stablerep.thoma import (
@@ -267,3 +268,89 @@ def test_recovery_keeps_an_entry_of_one_eightieth(alpha, beta):
     assert result.residual < 1e-10
     assert param_error(result.params.alpha, p.alpha) < 1e-6
     assert param_error(result.params.beta, p.beta) < 1e-6
+
+
+# With values only up to p_3 the Padé residual at support (1, 1) vanishes at
+# two c: the true one, and one whose beta root comes out negative and is
+# clipped to 0.  Each minimum over c must seed its own start; the better fit
+# of the two wins, not the more exact zero.
+@pytest.mark.parametrize("alpha,beta", [(F(3, 10), F(3, 20)), (F(1, 5), F(1, 4)),
+                                        (F(2, 5), F(1, 2))])
+def test_two_values_recover_the_true_root_over_c(alpha, beta):
+    p, values = plant((alpha,), (beta,), kmax=3)
+    starts = thoma._pade_starts(np.array([values[2], values[3]]), 1, 1)
+    assert min(np.max(np.abs(x - [float(alpha), float(beta)])) for x in starts) < 1e-12
+    result = recover_params(values, (1, 1))
+    assert param_error(result.params.alpha, p.alpha) < 1e-12
+    assert param_error(result.params.beta, p.beta) < 1e-12
+
+
+def fit_problem(values, r):
+    ks = np.array(sorted(values))
+    target = np.array([values[k] for k in ks])
+    return ks, target, (lambda x: thoma._model(x, r, ks) - target,
+                        lambda x: thoma._jac(x, r, ks))
+
+
+def exact_sum_of_squares(x, r, ks, target):
+    # In floats a sum of squares near 1e-3 carries rounding noise near 1e-19,
+    # which would decide a comparison at 1e-20; the end points are scored exactly.
+    total = F(0)
+    for k, t in zip(ks.tolist(), target.tolist()):
+        model = sum(F(a) ** k for a in x[:r].tolist()) - (-1) ** k * sum(
+            F(b) ** k for b in x[r:].tolist())
+        total += (model - F(t)) ** 2
+    return total
+
+
+def benchmark_style_values(seed):
+    """Planted supports (2, 1), (2, 2), (3, 2) under bounds (2, 1), (2, 2), (3, 3).
+
+    Entries are k/40, spaced at least 1/20 across alpha and beta, with mass
+    at most 0.9; values run to k = r + s + 4.
+    """
+    rng = np.random.default_rng(seed)
+    for bounds, (na, nb) in zip(((2, 1), (2, 2), (3, 3)), ((2, 1), (2, 2), (3, 2))):
+        while True:
+            ks = rng.choice(np.arange(2, 25), na + nb, replace=False).tolist()
+            if sum(ks) <= 36 and min(np.diff(sorted(ks))) >= 2:
+                break
+        alpha, beta = [F(k, 40) for k in ks[:na]], [F(k, 40) for k in ks[na:]]
+        yield plant(alpha, beta, kmax=sum(bounds) + 4)[1], bounds
+
+
+# A Padé start with a complex pair of roots has two equal alpha entries, and
+# Gauss-Newton never separates them: it ended at 9.620e-8 against 9.614e-8.
+POLISH_CASES = {
+    **{"seed%d-%d,%d" % (seed, *bounds): (values, bounds)
+       for seed in range(3) for values, bounds in benchmark_style_values(seed)},
+    "equal-alpha-start": (plant((F(13, 40), F(9, 40), F(1, 8)), (F(7, 40), F(1, 20)),
+                                kmax=10)[1], (2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", POLISH_CASES)
+def test_polish_ends_no_higher_than_scipy_least_squares(case):
+    from scipy import optimize
+
+    values, bounds = POLISH_CASES[case]
+    for r, s in itertools.product(range(bounds[0] + 1), range(bounds[1] + 1)):
+        if r + s == 0:
+            continue
+        ks, target, (fun, jac) = fit_problem(values, r)
+        start = min(thoma._pade_starts(target, r, s), key=lambda x: np.sum(fun(x) ** 2))
+        x, _ = thoma._polish(fun, jac, start)
+        ref = optimize.least_squares(fun, start, jac=jac, bounds=(0.0, 1.0),
+                                     xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        ours = exact_sum_of_squares(x, r, ks, target)
+        theirs = exact_sum_of_squares(ref.x, r, ks, target)
+        assert ours <= theirs + F(1e-20), ((r, s), float(ours), float(theirs))
+
+
+def test_polish_moves_an_entry_off_zero():
+    # d(x^k)/dx = 0 at x = 0 for every k >= 2: projected Levenberg-Marquardt
+    # alone stalls at 1.5e-4 from this start.
+    values = {2: 0.0675, 3: 0.030375, 4: 0.00759375, 5: 0.002506640625, 6: 0.00071505}
+    _, _, (fun, jac) = fit_problem(values, 2)
+    _, cost = thoma._polish(fun, jac, np.array([0.268905, 0.0, 0.0, 0.0]))
+    assert cost <= 1e-11
