@@ -35,7 +35,6 @@ from .fourier import (
     gram_matrix,
     inverse_fourier,
     is_positive_definite,
-    restricted_distance,
 )
 from .thoma import (
     FactorType,

@@ -186,7 +186,7 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.matmul(a, z.view(np.float64)).view(complex)
 
 
-def fourier(f: StateFunction, level: Optional[int] = None) -> FourierBlocks:
+def fourier(f: StateFunction) -> FourierBlocks:
     """Blocks sum_g f(g) rho_lam(g) for every shape lam of weight f.level.
 
     Clausen's recursion over S_1 < ... < S_n.  Listed in
@@ -196,7 +196,7 @@ def fourier(f: StateFunction, level: Optional[int] = None) -> FourierBlocks:
     (+)_mu places it on the rows of yor.branching.  Each shape and level
     is one batched matrix product over all prefixes.
     """
-    f = as_table(f, level)
+    f = as_table(f)
     n = f.level
     fact = math.factorial(n)
     blocks = {(): f.vector[coset_order(n)].reshape(fact, 1, 1)}
@@ -245,28 +245,28 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     return StateFunction.from_vector(n, vec)
 
 
-def dual_norm(f: StateFunction, level: Optional[int] = None) -> float:
+def dual_norm(f: StateFunction) -> float:
     """Norm of f as a functional on the group C* algebra of S_level.
 
-    Equals sum_lam (d_lam / n!) * tracenorm(sum_g f(g) rho_lam(g^-1)).  The
-    weighted singular values are summed exactly (math.fsum), then divided
-    by n! once.
+    Equals sum_lam (d_lam / n!) * tracenorm(sum_g f(g) rho_lam(g^-1)), d_lam
+    being the block's size.  The weighted singular values are summed exactly
+    (math.fsum), then divided by n! once.
     """
-    f = as_table(f, level)
+    f = as_table(f)
     terms = []
-    for lam, block in fourier(f).items():
+    for block in fourier(f).blocks.values():
         # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
-        terms.extend(hook_dimension(lam) * np.linalg.svd(block, compute_uv=False))
+        terms.extend(block.shape[0] * np.linalg.svd(block, compute_uv=False))
     return math.fsum(terms) / math.factorial(f.level)
 
 
 # Relative float noise within which two values tie for a witness.
 WITNESS_SLACK = 1e-12
+# Largest |f(g^-1) - conj f(g)| that is_positive_definite accepts as hermitian.
+HERMITIAN_TOL = 1e-8
 
 
-def is_positive_definite(
-    f: StateFunction, tol: float = 1e-9, hermitian_tol: float = 1e-8
-) -> PsdCertificate:
+def is_positive_definite(f: StateFunction, tol: float = 1e-9) -> PsdCertificate:
     """Certify positive definiteness via the minimal block eigenvalue.
 
     Rejects non-hermitian input.  The certificate is equivalent to the
@@ -277,7 +277,7 @@ def is_positive_definite(
     arithmetic do not pick the witness by their rounding.
     """
     defect = f.hermitian_defect()
-    if defect > hermitian_tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"input is not hermitian (defect {defect:.3e})")
     lows = {}
     for lam, block in fourier(f).items():
@@ -293,8 +293,3 @@ def gram_matrix(f: StateFunction, n: Optional[int] = None) -> np.ndarray:
     """Matrix [f(g^-1 h)] over S_n in symmetric_group order."""
     n = f.level if n is None else n
     return f.restrict(n).vector[product_table(n)[inverse_map(n)]]
-
-
-def restricted_distance(f: StateFunction, h: StateFunction, n: int) -> float:
-    """dual_norm of (f - h) restricted to S_n."""
-    return dual_norm(f.restrict(n) - h.restrict(n))

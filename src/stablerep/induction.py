@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .characters import centralizer_order, class_size, mn_character
+from .characters import _mn, centralizer_order, class_size, mn_character
 from .partitions import check_partition, partitions_of
 
 
@@ -62,11 +62,18 @@ def character_inner(
 def decompose_induced(
     n: int, lam: tuple[int, ...], mu: tuple[int, ...], m: int
 ) -> dict[tuple[int, ...], int]:
-    """Multiplicities of each irreducible of S_m in the induced character."""
+    """Multiplicities of each irreducible of S_m in the induced character.
+
+    That of nu is character_inner's sum_tau |C_tau| Ind(tau) chi_nu(tau) / m!,
+    summed in integers (induced character values are) and divided once.
+    """
     values = induced_character(n, lam, mu, m)
+    weights = [(tau, int(v) * class_size(tau)) for tau, v in values.items()]
+    order = math.factorial(m)
     out = {}
     for nu in partitions_of(m):
-        c = character_inner(values, nu, m)
+        # nu and tau come from partitions_of, so _mn needs no validation.
+        c = Fraction(sum(w * _mn(nu, tau) for tau, w in weights), order)
         if c.denominator != 1 or c < 0:
             raise ValueError(f"multiplicity of {nu} is {c}, not a nonnegative integer")
         if c:

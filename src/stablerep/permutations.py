@@ -14,7 +14,6 @@ the Fourier transform.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -290,8 +289,15 @@ def group_words(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    perms = itertools.permutations(range(1, n + 1))
-    words = np.array(list(perms), dtype=np.int8).reshape(math.factorial(n), n)
+    words = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        # The words starting with v, in order: v, then the S_{k-1} words
+        # lifted past v, which keeps their order.
+        grown = np.empty((k, len(words), k), dtype=np.int8)
+        for v in range(1, k + 1):
+            grown[v - 1, :, 0] = v
+            grown[v - 1, :, 1:] = words + (words >= v)
+        words = grown.reshape(-1, k)
     words.flags.writeable = False
     return words
 
@@ -304,10 +310,12 @@ def word_ranks(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words)
     n = words.shape[1]
-    # Lehmer digit i counts the later entries smaller than entry i.
-    digits = np.triu(words[:, :, None] > words[:, None, :], k=1).sum(axis=2)
-    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
-    return digits @ weights
+    ranks = np.zeros(len(words), dtype=np.int64)
+    # Horner form of sum_i digit_i (n - 1 - i)!, where Lehmer digit i
+    # counts the later entries smaller than entry i.
+    for i in range(n):
+        ranks = ranks * (n - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
+    return ranks
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Conjugation orbits and the truncated stability metric.
 
-rho_distance compares two states by the largest dual-norm gap among all
-restrictions up to a truncation level; the stability profile measures
-how far a state is from being fixed by conjugations living above each
-cut m.
+rho_distance compares two states by the dual norm of their difference at
+the truncation level K, which bounds the dual-norm gap of every
+restriction to S_n, n <= K; the stability profile measures how far a
+state is from being fixed by conjugations living above each cut m.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .fourier import WITNESS_SLACK, Evaluator, StateFunction, as_table, restricted_distance
+from .fourier import WITNESS_SLACK, Evaluator, StateFunction, as_table, dual_norm
 from .permutations import (
     Permutation,
     conjugate_words,
@@ -62,10 +62,14 @@ def ad_orbit_state(f: Evaluator, t: Permutation) -> Evaluator:
 
 
 def rho_distance(f: Evaluator, h: Evaluator, K: int) -> float:
-    """sup over n <= K of the dual-norm distance between restrictions to S_n."""
-    ft = as_table(f, K)
-    ht = as_table(h, K)
-    return max(restricted_distance(ft, ht, n) for n in range(K + 1))
+    """Dual-norm distance of f and h on S_K.
+
+    This is also sup over n <= K of the distance between the restrictions
+    to S_n: C*(S_n) sits isometrically inside C*(S_K), so restricting a
+    functional to it never raises its norm, and the sup is the n = K term
+    (Eymard 1964; Herz 1973).
+    """
+    return dual_norm(as_table(f, K) - as_table(h, K))
 
 
 @dataclass(frozen=True)

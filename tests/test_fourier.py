@@ -19,12 +19,12 @@ from stablerep.fourier import (
     gram_matrix,
     inverse_fourier,
     is_positive_definite,
-    restricted_distance,
 )
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import (
     IDENTITY,
     Permutation,
+    restriction_map,
     symmetric_group,
     transposition,
 )
@@ -238,8 +238,8 @@ def test_psd_witness_ignores_float_noise(monkeypatch):
         for sign in (1, -1):
             for noise in ([sign * (-1) ** i * 1e-15 for i in range(shapes)],
                           [sign * (i % 3 - 1) * 1e-15 for i in range(shapes)]):
-                def noisy(g, level=None, noise=noise):
-                    blocks = clean(g, level)
+                def noisy(g, noise=noise):
+                    blocks = clean(g)
                     return FourierBlocks(blocks.level, {
                         lam: b + eps * np.eye(len(b))
                         for (lam, b), eps in zip(blocks.items(), noise)})
@@ -256,14 +256,38 @@ def test_gram_matrix_shape_and_hermiticity():
     assert np.allclose(gram, gram.conj().T, atol=1e-12)
 
 
+def restricted_distance(f, h, n):
+    return dual_norm(f.restrict(n) - h.restrict(n))
+
+
 def test_restricted_distance_pinned_example():
     f = StateFunction.delta(4)
     h = StateFunction.from_callable(4, lambda g: g.sign)
     assert restricted_distance(f, h, 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def random_vector(gen, size):
+    return gen.normal(size=size) + 1j * gen.normal(size=size)
+
+
 def test_restricted_distance_is_monotone_in_level():
+    # C*(S_n) sits isometrically inside C*(S_{n+1}), so restriction never
+    # raises the dual norm.  A difference supported on S_m is the equality
+    # case: every level from m up reads the same norm.
     rng = random.Random(9)
     f, h = random_function(rng, 4), random_function(rng, 4)
     dists = [restricted_distance(f, h, n) for n in range(1, 5)]
     assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
+    for seed in range(4):
+        gen = np.random.default_rng(seed)
+        for level in range(1, 7):
+            f = StateFunction.from_vector(level, random_vector(gen, math.factorial(level)))
+            h = StateFunction.from_vector(level, random_vector(gen, math.factorial(level)))
+            m = int(gen.integers(0, level + 1))
+            diff = np.zeros(math.factorial(level), dtype=complex)
+            diff[restriction_map(m, level)] = random_vector(gen, math.factorial(m))
+            on_subgroup = f - StateFunction.from_vector(level, diff)
+            for g, equal_from in ((h, level), (on_subgroup, m)):
+                dists = [restricted_distance(f, g, n) for n in range(level + 1)]
+                assert all(a <= b * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
+                assert dists[equal_from] == pytest.approx(dists[level], rel=1e-12)

@@ -7,8 +7,8 @@ import pytest
 
 from stablerep import stability
 from stablerep.canonical import CanonicalState
-from stablerep.fourier import StateFunction
-from stablerep.permutations import cycle, symmetric_group, transposition
+from stablerep.fourier import StateFunction, dual_norm
+from stablerep.permutations import cut_generators, cycle, symmetric_group, transposition
 from stablerep.stability import (
     ad_orbit_state,
     as_table,
@@ -18,6 +18,7 @@ from stablerep.stability import (
     stability_profile,
 )
 from stablerep.thoma import ThomaParams, thoma_character
+from test_acceptance import BATTERY
 
 F = Fraction
 
@@ -69,6 +70,26 @@ def test_rho_distance_monotone_in_truncation():
     b = as_table(CanonicalState(2, (2,), MIXED), 4)
     dists = [rho_distance(a, b, K) for K in range(1, 5)]
     assert all(x <= y + 1e-12 for x, y in zip(dists, dists[1:]))
+
+
+def test_rho_distance_is_the_sup_over_restrictions():
+    # The defining sup over n <= K of the restricted dual norms, on the
+    # battery's profile probes (as criterion 8 runs them) and on the cut
+    # generators of centrality_defect.
+    def sup_over_restrictions(f, h, K):
+        ft, ht = as_table(f, K), as_table(h, K)
+        return max(dual_norm(ft.restrict(n) - ht.restrict(n)) for n in range(K + 1))
+
+    K = 6
+    for state in BATTERY:
+        table = as_table(state, K)
+        probes = [t for m in range(state.n + 3) for t in probe_generators(m)]
+        pairs = [(ad_orbit_state(state, t), table) for t in probes]
+        generators = dict.fromkeys(t for n in range(K - 1) for t in cut_generators(n, K))
+        pairs += [(ad_orbit_state(table, t), table) for t in generators]
+        for f, h in pairs:
+            want = sup_over_restrictions(f, h, K)
+            assert abs(rho_distance(f, h, K) - want) <= 1e-12 * max(1, want)
 
 
 def test_probe_generators():
