@@ -48,7 +48,6 @@ from .thoma import (
 from .canonical import (
     AsymptoticResult,
     CanonicalState,
-    ClassInvariant,
     ClassificationError,
     ClassificationResult,
     ShiftSequence,

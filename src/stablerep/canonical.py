@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -112,14 +112,6 @@ class CanonicalState:
         out[split] = np.array(values, dtype=complex)[which.reshape(-1)]
         return out
 
-    def invariant(self) -> "ClassInvariant":
-        return ClassInvariant(
-            self.n,
-            self.partition,
-            tuple(float(a) for a in self.alpha),
-            tuple(float(b) for b in self.beta),
-        )
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -134,33 +126,6 @@ class CanonicalState:
             int(data["n"]),
             tuple(data["lambda"]),
             ThomaParams.from_json(data),
-        )
-
-
-@dataclass(frozen=True)
-class ClassInvariant:
-    """The complete invariant (n, partition, alpha, beta) of a stable state."""
-
-    n: int
-    partition: tuple[int, ...]
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda": list(self.partition),
-            "alpha": list(self.alpha),
-            "beta": list(self.beta),
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ClassInvariant":
-        return cls(
-            int(data["n"]),
-            tuple(data["lambda"]),
-            tuple(float(a) for a in data.get("alpha", ())),
-            tuple(float(b) for b in data.get("beta", ())),
         )
 
 
@@ -209,16 +174,14 @@ class ShiftSequence:
         return True
 
 
-def shift_sequence(g: Permutation, M: int, m0: Optional[int] = None) -> ShiftSequence:
-    """Build sigma_m for m0 <= m <= M.
+def shift_sequence(g: Permutation, M: int) -> ShiftSequence:
+    """Build sigma_m for m0 <= m <= M, with m0 the level of g.
 
     sigma_m0 relocates the support of g to the block just above m0 by
     disjoint transpositions; each later conjugator prepends the cycle
     (m+1, ..., m+r+1), which fixes 1..m.
     """
-    m0 = g.level if m0 is None else m0
-    if m0 < g.level:
-        raise ValueError(f"m0={m0} is below the level {g.level} of g")
+    m0 = g.level
     if M < m0:
         raise ValueError("M must be >= m0")
     supp = sorted(g.support)
@@ -253,7 +216,6 @@ def asymptotic_character(
     state: Evaluator,
     g: Permutation,
     M: int,
-    m0: Optional[int] = None,
     tol: float = 1e-12,
 ) -> AsymptoticResult:
     """Evaluate state along a shift sequence of g and report stabilization.
@@ -262,7 +224,7 @@ def asymptotic_character(
     leave room for at least two values so stabilization is witnessed,
     never guessed.
     """
-    seq = shift_sequence(g, M, m0)
+    seq = shift_sequence(g, M)
     if M < seq.m0 + 1:
         raise ValueError("need M >= m0 + 1 to witness stabilization")
     trace = tuple((m, state(seq.shifted(m))) for m in range(seq.m0, M + 1))
@@ -281,42 +243,48 @@ def asymptotic_character(
 # Recovery of the discrete data (depth and partition) from an evaluator.
 
 
-def central_depth(
-    state: Evaluator, K: int, tol: float = 1e-10
-) -> Optional[int]:
+# Largest value, or change of value under a conjugation, that central_depth
+# reads as 0 in a state's table.
+CENTRAL_TOL = 1e-10
+
+
+def central_depth(state: Evaluator, K: int) -> Optional[int]:
     """Smallest n <= K at which the state looks centrally supported.
 
     Checks, over all of S_K: vanishing off the subgroup product at cut n,
-    and invariance under conjugation by generators of both factors.
-    Returns None when no n <= K passes (reported upstream as "> K").
+    and invariance under conjugation by generators of both factors, both
+    within CENTRAL_TOL.  Returns None when no n <= K passes (reported
+    upstream as "> K").
     """
     values = as_table(state, K).vector
     words = group_words(K)
     for n in range(K + 1):
         outside = ~np.all(words[:, :n] <= n, axis=1)
-        if np.any(np.abs(values[outside]) > tol):
+        if np.any(np.abs(values[outside]) > CENTRAL_TOL):
             continue
         if not any(
-            np.any(np.abs(values[conjugation_map(K, t)] - values) > tol)
+            np.any(np.abs(values[conjugation_map(K, t)] - values) > CENTRAL_TOL)
             for t in cut_generators(n, K)
         ):
             return n
     return None
 
 
-def recover_lambda(
-    state: Evaluator, n: int, tol: float = 1e-8
-) -> tuple[int, ...]:
+# Smallest character projection that recover_lambda counts as surviving.
+PROJECTION_TOL = 1e-8
+
+
+def recover_lambda(state: Evaluator, n: int) -> tuple[int, ...]:
     """Identify the partition by projecting onto each irreducible character.
 
     Exactly one projection sum_{g in S_n} state(g) chi_mu(g), the trace of
-    the state's Fourier block of shape mu, must survive the threshold;
+    the state's Fourier block of shape mu, must exceed PROJECTION_TOL;
     anything else raises ClassificationError.
     """
     if n == 0:
         return ()
     blocks = fourier(as_table(state, n))
-    survivors = [mu for mu, b in blocks.items() if abs(np.trace(b)) > tol]
+    survivors = [mu for mu, b in blocks.items() if abs(np.trace(b)) > PROJECTION_TOL]
     if len(survivors) != 1:
         raise ClassificationError(
             f"character projection found {len(survivors)} surviving partitions: {survivors}"
@@ -326,7 +294,7 @@ def recover_lambda(
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    invariant: ClassInvariant
+    invariant: CanonicalState
     factor_type: FactorType
     residual: float
     asymptotic_values: dict[int, float]
@@ -345,25 +313,22 @@ def classify(
     state: Evaluator,
     K: int,
     support_bounds: tuple[int, int],
-    cycle_max: Optional[int] = None,
-    depth_tol: float = 1e-10,
-    lambda_tol: float = 1e-8,
 ) -> ClassificationResult:
-    """Recover the full invariant (n, partition, alpha, beta) of a state.
+    """Recover the canonical state (n, partition, alpha, beta) of a state.
 
     Runs central_depth at truncation K, projects onto finite characters,
-    reads asymptotic values on k-cycles for k = 2..cycle_max, and fits
-    Thoma parameters within the given support bounds.
+    reads asymptotic values on k-cycles for k = 2..max(K, r + s + 1), and
+    fits Thoma parameters within the support bounds (r, s).  The caller
+    judges the returned residual.
     """
     r, s = support_bounds
-    kmax = max(K, r + s + 1) if cycle_max is None else cycle_max
-    n = central_depth(state, K, tol=depth_tol)
+    n = central_depth(state, K)
     if n is None:
         raise ClassificationError(f"no central depth found up to truncation {K}")
-    lam = recover_lambda(state, n, tol=lambda_tol)
+    lam = recover_lambda(state, n)
     values: dict[int, float] = {}
     stabilized: dict[int, int] = {}
-    for k in range(2, kmax + 1):
+    for k in range(2, max(K, r + s + 1) + 1):
         g = cycle(*range(1, k + 1))
         res = asymptotic_character(state, g, M=max(k, n) + 2)
         if res.stabilized_at is None:
@@ -373,9 +338,9 @@ def classify(
         values[k] = float(complex(res.value).real)
         stabilized[k] = res.stabilized_at
     rec = recover_params(values, support_bounds)
-    invariant = ClassInvariant(n, lam, rec.params.alpha, rec.params.beta)
     return ClassificationResult(
-        invariant, type_classify(rec.params), rec.residual, values, stabilized
+        CanonicalState(n, lam, rec.params), type_classify(rec.params), rec.residual,
+        values, stabilized,
     )
 
 
@@ -386,15 +351,11 @@ def _padded_close(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
     return all(abs(float(x) - float(y)) <= tol for x, y in zip(pa, pb))
 
 
-def quasi_equivalent(
-    a: Union[ClassInvariant, CanonicalState],
-    b: Union[ClassInvariant, CanonicalState],
-    tol: float = 1e-9,
-) -> bool:
+def quasi_equivalent(a: CanonicalState, b: CanonicalState, tol: float = 1e-9) -> bool:
     """Equality of invariants: same depth, same partition, same parameters.
 
-    Parameter lists are compared entrywise after zero padding, so a
-    trailing explicit zero never separates two descriptions.
+    Parameter lists are compared entrywise after zero padding, so an
+    entry within tol of 0 in one list matches a missing entry in the other.
     """
     return (
         a.n == b.n

@@ -67,7 +67,14 @@ class GnsTriple:
         return [self.rep[transposition(i, i + 1)] for i in range(1, self.level)]
 
 
-def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10) -> GnsTriple:
+# A Gram eigenvalue below -GRAM_NEGATIVE_TOL rejects the state as not
+# positive; the carrier keeps eigenvalues above CARRIER_CUT relative to
+# the largest (and above it absolutely).
+GRAM_NEGATIVE_TOL = 1e-9
+CARRIER_CUT = 1e-10
+
+
+def gns(k: int, f: StateFunction) -> GnsTriple:
     """Carrier, representation and cyclic vector for the state f on S_k.
 
     The carrier is the column space of the Gram matrix [f(g^-1 h)]; the
@@ -79,9 +86,9 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
     G = gram_matrix(f, k)
     G = (G + G.conj().T) / 2
     w, V = np.linalg.eigh(G)
-    if w[0] < -psd_tol:
+    if w[0] < -GRAM_NEGATIVE_TOL:
         raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")
-    keep = w > max(rank_tol * max(w[-1], 0.0), rank_tol)
+    keep = w > max(CARRIER_CUT * max(w[-1], 0.0), CARRIER_CUT)
     if not keep.any():
         raise ValueError(f"state vanishes on S_{k}: its GNS carrier is empty")
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
@@ -98,7 +105,7 @@ def gns(k: int, f: StateFunction, psd_tol: float = 1e-9, rank_tol: float = 1e-10
 RANK_TOL = 1e-9
 
 
-def commutant(mats: Sequence[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
+def commutant(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of {X : XA = AX for all A in mats}.
 
     Solved as one linear system on vec(X); the basis is orthonormal for
@@ -115,13 +122,13 @@ def commutant(mats: Sequence[np.ndarray], tol: float = RANK_TOL) -> list[np.ndar
         pad = np.zeros((d * d - rows.shape[0], d * d), dtype=complex)
         rows = np.vstack([rows, pad])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    null = vh[s < tol * max(s[0], 1.0)].conj()
+    null = vh[s < RANK_TOL * max(s[0], 1.0)].conj()
     return [v.reshape(d, d) for v in null]
 
 
-def double_commutant(mats: Sequence[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
+def double_commutant(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of the von Neumann algebra generated by mats."""
-    return commutant(commutant(mats, tol), tol)
+    return commutant(commutant(mats))
 
 
 def _span_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -158,9 +165,13 @@ def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float
 # Support projections.
 
 
-def support_projection(
-    density: np.ndarray, algebra_basis: Sequence[np.ndarray], tol: float = 1e-9
-) -> np.ndarray:
+# Eigenvalue cut of support_projection: below -SUPPORT_TOL the density is
+# not positive, and the support keeps eigenvalues above SUPPORT_TOL relative
+# to the largest (and above it absolutely).
+SUPPORT_TOL = 1e-9
+
+
+def support_projection(density: np.ndarray, algebra_basis: Sequence[np.ndarray]) -> np.ndarray:
     """Smallest projection E in the algebra with tr(density (1 - E)) = 0.
 
     density must be positive semidefinite; the functional x -> tr(density x)
@@ -170,12 +181,12 @@ def support_projection(
     density = np.asarray(density, dtype=complex)
     herm = (density + density.conj().T) / 2
     low = float(np.linalg.eigvalsh(herm)[0])
-    if low < -tol:
+    if low < -SUPPORT_TOL:
         raise ValueError(f"density is not positive (eigenvalue {low:.3e})")
     compressed, _ = project_to_span(algebra_basis, herm)
     compressed = (compressed + compressed.conj().T) / 2
     w, V = np.linalg.eigh(compressed)
-    cut = max(tol * max(float(w[-1]), 0.0), tol)
+    cut = max(SUPPORT_TOL * max(float(w[-1]), 0.0), SUPPORT_TOL)
     keep = w > cut
     return V[:, keep] @ V[:, keep].conj().T
 
@@ -257,16 +268,16 @@ def _hermitian_root(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-def standard_form(
-    algebra_basis: Sequence[np.ndarray],
-    density: np.ndarray,
-    faithful_tol: float = 1e-12,
-) -> StandardForm:
+# Smallest Gram eigenvalue at which standard_form takes a state as faithful.
+FAITHFUL_FLOOR = 1e-12
+
+
+def standard_form(algebra_basis: Sequence[np.ndarray], density: np.ndarray) -> StandardForm:
     """Standard form of the algebra with respect to the state tr(density x).
 
     The state must be faithful on the algebra: the Gram matrix of the
-    basis in the state inner product has to be strictly positive, and
-    its smallest eigenvalue is reported when rejecting.
+    basis in the state inner product has to be at least FAITHFUL_FLOOR,
+    and its smallest eigenvalue is reported when rejecting.
     """
     basis = tuple(np.asarray(b, dtype=complex) for b in algebra_basis)
     density = np.asarray(density, dtype=complex)
@@ -275,7 +286,7 @@ def standard_form(
     W = _coefficients(stack, stack @ density)
     W = (W + W.conj().T) / 2
     wmin = float(np.linalg.eigvalsh(W)[0])
-    if wmin < faithful_tol:
+    if wmin < FAITHFUL_FLOOR:
         raise ValueError(f"state is not faithful on the algebra (Gram eigenvalue {wmin:.3e})")
     whalf, winvhalf = _hermitian_root(W)
 
@@ -293,22 +304,25 @@ def standard_form(
     return StandardForm(basis=basis, xi=xi, j=j, _whalf=whalf, _winvhalf=winvhalf)
 
 
+# Weight of the normalized carrier trace in the faithful state of
+# gns_standard_pipeline.
+TRACE_WEIGHT = 1e-3
+
+
 def gns_standard_pipeline(
-    k: int,
-    f: StateFunction,
-    eps: float = 1e-3,
+    k: int, f: StateFunction
 ) -> tuple[GnsTriple, list[np.ndarray], StandardForm]:
     """GNS representation, generated algebra, and its standard form.
 
     The generated algebra is the span of the representing unitaries.
     The standard form needs a faithful state; the GNS state itself may
     fail that, so it is mixed with the normalized carrier trace:
-    phi = (1 - eps) <xi, . xi> + eps tr(.)/dim.
+    phi = (1 - TRACE_WEIGHT) <xi, . xi> + TRACE_WEIGHT tr(.)/dim.
     """
     triple = gns(k, f)
     M = _span_basis(list(triple.rep.values()))
     d = triple.dimension
-    density = (1 - eps) * np.outer(triple.xi, triple.xi.conj()) + eps * np.eye(d) / d
+    density = (1 - TRACE_WEIGHT) * np.outer(triple.xi, triple.xi.conj()) + TRACE_WEIGHT * np.eye(d) / d
     sf = standard_form(M, density)
     return triple, M, sf
 
@@ -346,11 +360,17 @@ def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> Biregu
 # Central supports of finite representations, for quasi-equivalence checks.
 
 
-def central_support(rep: Mapping[Permutation, np.ndarray], k: int, tol: float = 1e-6) -> frozenset[tuple[int, ...]]:
+# Largest distance from an integer that central_support accepts in a
+# multiplicity computed in floating point.
+MULTIPLICITY_TOL = 1e-6
+
+
+def central_support(rep: Mapping[Permutation, np.ndarray], k: int) -> frozenset[tuple[int, ...]]:
     """Set of shapes with nonzero multiplicity in a representation of S_k.
 
     Multiplicities come from exact character inner products; they must
-    land near nonnegative integers or the input was not a representation.
+    land within MULTIPLICITY_TOL of nonnegative integers or the input was
+    not a representation.
     """
     fact = math.factorial(k)
     out = set()
@@ -360,7 +380,7 @@ def central_support(rep: Mapping[Permutation, np.ndarray], k: int, tol: float = 
             g = class_representative(mu)
             acc += class_size(mu) * np.trace(rep[g]).real * mn_character(lam, mu)
         mult = acc / fact
-        if abs(mult - round(mult)) > tol or round(mult) < 0:
+        if abs(mult - round(mult)) > MULTIPLICITY_TOL or round(mult) < 0:
             raise ValueError(f"multiplicity of {lam} is {mult}, not a nonnegative integer")
         if round(mult) > 0:
             out.add(lam)

@@ -138,7 +138,9 @@ def stability_profile(f: Evaluator, K: int, M: int, exhaustive: bool = False) ->
             probes = tuple(g.shift(m) for g in symmetric_group(K - m) if not g.is_identity())
         else:
             probes = probe_generators(m)
-        dists = [rho_distance(ad_orbit_state(f, t), table, K) for t in probes]
+        # A probe inside S_K gathers the table; one that leaves it pulls f back.
+        dists = [rho_distance(ad_orbit_state(table if t.level <= K else f, t), table, K)
+                 for t in probes]
         worst = max(dists)
         witness = next(t for t, d in zip(probes, dists) if d >= worst * (1 - WITNESS_SLACK))
         points.append(ProfilePoint(m, worst, witness))

@@ -24,6 +24,11 @@ import numpy as np
 
 SUM_SLACK = 1e-12
 
+# Largest fit residual (sum of squares over the given cycle values) that
+# counts as a recovery; RecoveryResult.ok, recover-params and classify all
+# judge a fit by it.
+RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ThomaParams:
@@ -100,15 +105,17 @@ def thoma_character(params: ThomaParams, cycle_type: Iterable[int]):
     return value
 
 
-def type_classify(params: ThomaParams, tol: float = 1e-9) -> FactorType:
+# A total mass within this of 1 is full mass: fitted parameters carry the
+# rounding of their fit.
+MASS_TOL = 1e-9
+
+
+def type_classify(params: ThomaParams) -> FactorType:
     """Factor type of the generated representation from the total mass.
 
-    Mass 1 (within tol) gives II_infinity, strictly smaller gives II_1.
+    Mass 1 (within MASS_TOL) gives II_infinity, strictly smaller gives II_1.
     """
-    total = float(params.total)
-    if total > 1 + tol:
-        raise ValueError(f"total mass {total} exceeds 1")
-    if abs(total - 1) <= tol:
+    if abs(float(params.total) - 1) <= MASS_TOL:
         return FactorType.II_INFINITY
     return FactorType.II1
 
@@ -118,7 +125,7 @@ class RecoveryResult:
     params: ThomaParams
     residual: float
 
-    def ok(self, threshold: float = 1e-8) -> bool:
+    def ok(self, threshold: float = RESIDUAL_TOL) -> bool:
         return self.residual <= threshold
 
 
@@ -134,12 +141,12 @@ def _jac(x: np.ndarray, r: int, ks: np.ndarray) -> np.ndarray:
     return jac
 
 
+# Fitted entries of one block closer than this are refit as one tied entry.
+TIE_GAP = 1e-3
+
+
 def _tied_refit(
-    x: np.ndarray,
-    r: int,
-    ks: np.ndarray,
-    target: np.ndarray,
-    gap: float = 1e-3,
+    x: np.ndarray, r: int, ks: np.ndarray, target: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """Re-fit with near-equal entries forced equal; None when nothing ties."""
 
@@ -147,7 +154,7 @@ def _tied_refit(
         order = np.argsort(vals)[::-1]
         groups: list[list[int]] = []
         for i in order:
-            if groups and abs(vals[groups[-1][-1]] - vals[i]) < gap:
+            if groups and abs(vals[groups[-1][-1]] - vals[i]) < TIE_GAP:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -393,10 +400,13 @@ def _fit_support(
     return best_x, best_val
 
 
+# Fitted entries at or below this count as 0 and are dropped, since
+# ThomaParams takes positive entries only.
+DROP_FLOOR = 1e-8
+
+
 def recover_params(
-    values: Mapping[int, float],
-    support_bounds: tuple[int, int],
-    drop_tol: float = 1e-8,
+    values: Mapping[int, float], support_bounds: tuple[int, int]
 ) -> RecoveryResult:
     """Fit (alpha, beta) with bounded supports to observed cycle values.
 
@@ -447,8 +457,8 @@ def recover_params(
     r2, s2 = min(candidates, key=lambda key: (key[0] + key[1], key))
     best_x = fits[(r2, s2)][0]
 
-    alpha = tuple(float(a) for a in sorted(best_x[:r2], reverse=True) if a > drop_tol)
-    beta = tuple(float(b) for b in sorted(best_x[r2:], reverse=True) if b > drop_tol)
+    alpha = tuple(float(a) for a in sorted(best_x[:r2], reverse=True) if a > DROP_FLOOR)
+    beta = tuple(float(b) for b in sorted(best_x[r2:], reverse=True) if b > DROP_FLOOR)
     scale = sum(alpha) + sum(beta)
     if 1 < scale <= 1 + 1e-9:
         alpha = tuple(a / scale for a in alpha)

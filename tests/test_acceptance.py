@@ -242,7 +242,7 @@ def test_criterion_06_classification_round_trip():
                 and err(inv.beta, state.beta) < 1e-6
             )
         if not good:
-            detail.append(str(state.invariant().to_json()))
+            detail.append(str(state.to_json()))
         ok = ok and good
     separated = True
     for a, b in itertools.combinations(BATTERY, 2):

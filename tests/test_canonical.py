@@ -8,7 +8,6 @@ import pytest
 from stablerep.canonical import (
     CanonicalState,
     ClassificationError,
-    ClassInvariant,
     asymptotic_character,
     central_depth,
     classify,
@@ -165,7 +164,7 @@ def test_classify_needs_room_on_bounded_tables():
 
     table = as_table(CanonicalState(2, (1, 1), MIXED), 4)
     with pytest.raises((ClassificationError, ValueError)):
-        classify(table, 4, (2, 2), cycle_max=9)
+        classify(table, 4, (2, 2))
 
 
 def test_quasi_equivalence_partitions_battery():
@@ -183,13 +182,18 @@ def test_quasi_equivalence_partitions_battery():
 
 
 def test_quasi_equivalence_ignores_trailing_zeros():
-    a = ClassInvariant(2, (1, 1), (0.5, 0.5), ())
-    b = ClassInvariant(2, (1, 1), (0.5, 0.5, 0.0), (0.0,))
+    # ThomaParams takes no zero entries, so the longer lists end in entries
+    # below the tolerance.
+    a = CanonicalState(2, (1, 1), ThomaParams((0.5, 0.25), ()))
+    b = CanonicalState(2, (1, 1), ThomaParams((0.5, 0.25, 1e-12), (1e-12,)))
     assert quasi_equivalent(a, b)
 
 
-def test_class_invariant_json():
-    inv = ClassInvariant(2, (1, 1), (0.5,), (0.25,))
+def test_classified_invariant_round_trips_through_json():
+    inv = classify(CanonicalState(2, (1, 1), MIXED), 5, (2, 1)).invariant
+    assert isinstance(inv, CanonicalState)
     data = inv.to_json()
-    assert data == {"n": 2, "lambda": [1, 1], "alpha": [0.5], "beta": [0.25]}
-    assert ClassInvariant.from_json(data) == inv
+    assert data["n"] == 2 and data["lambda"] == [1, 1]
+    back = CanonicalState.from_json(data)
+    assert back == inv
+    assert quasi_equivalent(back, CanonicalState(2, (1, 1), MIXED))

@@ -486,6 +486,16 @@ def test_classify_refuses_a_fit_over_the_residual_threshold(capsys, tmp_path):
     assert report["alpha"] == [pytest.approx(0.5)] and report["residual"] <= 1e-10
 
 
+def test_fit_threshold_has_one_home():
+    # classify's gate and recover-params' default read thoma's threshold,
+    # the default of RecoveryResult.ok.
+    from stablerep import thoma
+
+    assert cli.RESIDUAL_TOL is thoma.RESIDUAL_TOL
+    assert cli._build_parser().parse_args(
+        ["recover-params", "v.json", "--support-bounds", "1,0"]).tol is thoma.RESIDUAL_TOL
+
+
 def test_bad_support_bounds_exit_3(capsys, spec_a):
     code, _, err = run(
         capsys, "classify", spec_a, "--level", "5", "--support-bounds", "2"
@@ -522,6 +532,27 @@ def test_reports_match_golden_files(capsys, command, state):
     code, out, _ = run(capsys, command, str(GOLDEN / (state + ".json")), "--level", "6")
     assert code == 0
     assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("classify_spec_cut2", ["classify", "spec_cut2", "--level", "6", "--support-bounds", "2,2"]),
+    ("stability-profile_spec_cut2", ["stability-profile", "spec_cut2", "--level", "6"]),
+    ("stability-profile_table_cut1_l6", ["stability-profile", "table_cut1_l6", "--level", "6"]),
+    ("stability-profile-max-shift-5_spec_cut2",
+     ["stability-profile", "spec_cut2", "--level", "6", "--max-shift", "5"]),
+    ("centrality-defect_spec_cut2", ["centrality-defect", "spec_cut2", "--cut", "1", "--level", "6"]),
+    ("centrality-defect_table_cut1_l6",
+     ["centrality-defect", "table_cut1_l6", "--cut", "1", "--level", "6"]),
+])
+def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
+    # Pinned byte for byte: the classified invariant and the stability
+    # defects.  Probes inside S_6 gather the level-6 table; from (5 6 7) at
+    # cut 4 on, the probes of --max-shift 5 leave S_6 and pull the spec back.
+    argv = [str(GOLDEN / (a + ".json")) if a in ("spec_cut2", "table_cut1_l6") else a
+            for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / (name + ".json")).read_text()
 
 
 def test_cache_dir_flag_is_gone(capsys, spec_a):

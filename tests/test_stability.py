@@ -121,6 +121,43 @@ def test_exhaustive_sweep_agrees_with_generators():
         stability_profile(STATE, K=4, M=3, exhaustive=True)
 
 
+@pytest.mark.parametrize("M, tabulations", [
+    (3, 1),  # every probe lies inside S_6
+    (5, 4),  # (5 6 7), (6 7) and (6 7 8) leave S_6
+])
+def test_profile_tabulates_a_spec_once_and_again_per_probe_leaving_the_table(
+        monkeypatch, M, tabulations):
+    # Probes inside S_K gather the level-K table; only a probe that leaves
+    # S_K tabulates the spec again, on its conjugated words.
+    calls = []
+    evaluate_words = CanonicalState.evaluate_words
+    monkeypatch.setattr(CanonicalState, "evaluate_words",
+                        lambda self, words: calls.append(len(words)) or evaluate_words(self, words))
+    stability_profile(STATE, 6, M)
+    leaving = sum(t.level > 6 for m in range(M + 1) for t in probe_generators(m))
+    assert len(calls) == tabulations == 1 + leaving
+
+
+def _per_probe_defects(state, K, M, exhaustive=False):
+    table = as_table(state, K)
+    defects = []
+    for m in range(M + 1):
+        if exhaustive:
+            probes = [g.shift(m) for g in symmetric_group(K - m) if not g.is_identity()]
+        else:
+            probes = probe_generators(m)
+        defects.append(max(rho_distance(ad_orbit_state(state, t), table, K) for t in probes))
+    return defects
+
+
+def test_profile_defects_equal_per_probe_pullbacks():
+    for state in BATTERY:
+        got = list(stability_profile(state, 6, 5).defects().values())
+        assert got == _per_probe_defects(state, 6, 5), state
+        got = list(stability_profile(state, 5, 3, exhaustive=True).defects().values())
+        assert got == _per_probe_defects(state, 5, 3, exhaustive=True), state
+
+
 @pytest.mark.parametrize("second, picked", [
     (math.nextafter(0.5, 1.0), 0),  # a tie up to the last bit: the first probe
     (0.6, 1),  # a real gap: the worse probe

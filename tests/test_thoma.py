@@ -187,6 +187,9 @@ def test_recovery_result_threshold():
     assert good.ok()
     assert not bad.ok()
     assert bad.ok(threshold=1.0)
+    # The default is the one fit threshold that recover-params and classify use.
+    assert not RecoveryResult(p, 5e-10).ok()
+    assert RecoveryResult(p, thoma.RESIDUAL_TOL).ok()
 
 
 def test_recovery_drops_junk_support():
