@@ -96,16 +96,13 @@ class CanonicalState:
         lengths = cycle_lengths(words[split])
         # A k-cycle puts k entries equal to k in its block, so the sorted
         # lengths on each side of the cut name the pair of cycle types.
-        pairs = np.hstack([
-            np.sort(lengths[:, :cut], axis=1),
-            np.sort(lengths[:, cut:], axis=1),
-            np.zeros((len(lengths), 1), dtype=lengths.dtype),
-        ])
-        keys, which = np.unique(pairs, axis=0, return_inverse=True)
+        pairs = np.hstack([np.sort(lengths[:, :cut], axis=1), np.sort(lengths[:, cut:], axis=1)])
+        _, first, which = np.unique(_row_codes(pairs, words.shape[1] + 1),
+                                    return_index=True, return_inverse=True)
         finite = hook_dimension(self.partition)
         values = []
-        for key in keys.tolist():
-            low, high = _cycle_type(key[:cut]), _cycle_type(key[cut:-1])
+        for key in pairs[first].tolist():
+            low, high = _cycle_type(key[:cut]), _cycle_type(key[cut:])
             value = Fraction(mn_character(self.partition, low), finite)
             values.append(complex(value * thoma_character(self.params, high)))
         out = np.zeros(len(words), dtype=complex)
@@ -127,6 +124,25 @@ class CanonicalState:
             tuple(data["lambda"]),
             ThomaParams.from_json(data),
         )
+
+
+def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 per row of an array with entries in 0..base-1, equal iff the rows are.
+
+    The code reads the row as a number in base `base`.  Where that would
+    overflow int64 (16 columns in base 17) the codes so far are first
+    renumbered 0, 1, ... by value, so the rows stay told apart.
+    """
+    code = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # every code so far is below span
+    for column in rows.T:
+        if span > np.iinfo(np.int64).max // base:
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+            span = len(rows)
+        code *= base
+        code += column
+        span *= base
+    return code
 
 
 def _cycle_type(point_lengths: list[int]) -> tuple[int, ...]:

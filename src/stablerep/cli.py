@@ -21,6 +21,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -41,7 +42,14 @@ from .fourier import StateFunction, as_table, dual_norm, is_positive_definite
 from .gns import biregular, central_support, gns_standard_pipeline, project_to_span
 from .induction import decompose_induced
 from .partitions import check_partition, hook_dimension
-from .permutations import IDENTITY, Permutation, symmetric_group, transposition
+from .permutations import (
+    IDENTITY,
+    Permutation,
+    cycle_words,
+    symmetric_group,
+    transposition,
+    word_ranks,
+)
 from .stability import centrality_defect, stability_profile
 from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, type_classify
 
@@ -49,6 +57,10 @@ from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, t
 # takes about 0.6 s and 44 MB at level 8 and 3.6 s and 152 MB at level 9
 # (2-CPU Xeon VM, one BLAS thread); the cap stays at 8.
 HARD_CAP = 8
+
+# A table holds level! complex values: 20! of them overflow numpy's array
+# sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.
+MAX_TABLE_LEVEL = 19
 
 EXIT_OK = 0
 EXIT_CERT = 1
@@ -90,10 +102,24 @@ def _parse_json_flag(text, flag):
         raise InputError("invalid JSON in %s: %s" % (flag, exc.msg), location=flag)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(row):
+    return isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)
+
+
+def _is_cycles(data):
+    """True when data is a list of lists of integers."""
+    return isinstance(data, list) and all(
+        isinstance(c, list) and all(map(_is_int, c)) for c in data)
+
+
 def _perm_from_cycles(data, where):
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise InputError("permutation must be a list of cycles", location=where)
-    if not all(isinstance(p, int) and not isinstance(p, bool) for c in data for p in c):
+    if not _is_cycles(data):
         raise InputError("cycle points must be integers, got %r" % (data,), location=where)
     try:
         return Permutation.from_cycles([tuple(c) for c in data])
@@ -104,7 +130,7 @@ def _perm_from_cycles(data, where):
 def _partition_from(data, where):
     if not isinstance(data, list):
         raise InputError("partition must be a list", location=where)
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in data):
+    if not all(map(_is_int, data)):
         raise InputError("partition entries must be integers, got %r" % (data,),
                          location=where)
     lam = tuple(data)
@@ -115,8 +141,8 @@ def _partition_from(data, where):
     return lam
 
 
-def _number_from(value, where):
-    """A finite int or float, or a 'p/q' string with a nonzero denominator."""
+def _number(value):
+    """A finite int or float, or a 'p/q' string with a nonzero denominator; else None."""
     number = None
     if isinstance(value, str):
         try:
@@ -129,7 +155,12 @@ def _number_from(value, where):
         finite = number is not None and math.isfinite(number)
     except OverflowError:  # an int or Fraction beyond the float range
         finite = False
-    if not finite:
+    return number if finite else None
+
+
+def _number_from(value, where):
+    number = _number(value)
+    if number is None:
         raise InputError("expected a finite number or 'p/q' string, got %r" % (value,),
                          location=where)
     return number
@@ -173,20 +204,48 @@ def _table_from(data, where):
     if not isinstance(rows, list):
         raise InputError("state file needs a 'values' list of [cycles, value] pairs",
                          location=where)
-    values = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 2:
-            raise InputError("values[%d] is not a [cycles, value] pair" % i,
-                             location=where)
-        g = _perm_from_cycles(row[0], "%s values[%d]" % (where, i))
-        if g in values:
-            raise InputError("the permutation of an earlier row is given again",
-                             location="%s values[%d]" % (where, i))
-        if g.level > level:
-            raise InputError("values[%d] moves a point above level %d" % (i, level),
-                             location=where)
-        values[g] = _number_from(row[1], "%s values[%d]" % (where, i))
-    return StateFunction(level, values)
+    if level > MAX_TABLE_LEVEL:
+        raise InfeasibleError("a level %d table has %d! values, more than an array can hold"
+                              % (level, level))
+    # Rows are read in bulk up to the first that is not a pair of a list of
+    # lists of integers and a value; the first bad row is then read alone
+    # for its error, checked in the order that one row's checks are made.
+    head = list(itertools.takewhile(_is_pair, rows))
+    flat = list(itertools.chain.from_iterable(row[0] for row in head))
+    if not (set(map(type, flat)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(flat))) <= {int}):
+        head = head[:next((i for i, row in enumerate(head) if not _is_cycles(row[0])), len(head))]
+        flat = list(itertools.chain.from_iterable(row[0] for row in head))
+    numbers = [_number(row[1]) for row in head]
+    words, valid = cycle_words(list(itertools.chain.from_iterable(flat)),
+                               list(map(len, flat)), [len(row[0]) for row in head], level)
+    ranks = word_ranks(words[valid])
+    # The valid rows whose rank an earlier row already has give it again.
+    given_again = np.delete(np.flatnonzero(valid), np.unique(ranks, return_index=True)[1])
+    bad = ~valid
+    bad[given_again] = True
+    bad[[v is None for v in numbers]] = True
+    first = int(np.argmax(bad)) if bad.any() else len(head)
+    if first < len(rows):
+        _row_error(rows[first], first, where, level, given_again=first in given_again)
+        raise AssertionError("values[%d] was flagged but reads clean" % first)
+    vector = np.zeros(math.factorial(level), dtype=complex)
+    vector[ranks] = [complex(v) for v in numbers]
+    return StateFunction.from_vector(level, vector, copy=False)
+
+
+def _row_error(row, i, where, level, given_again):
+    """Raise the error of values[i], the first bad row of a table; given_again
+    says whether an earlier row has the same permutation."""
+    loc = "%s values[%d]" % (where, i)
+    if not isinstance(row, list) or len(row) != 2:
+        raise InputError("values[%d] is not a [cycles, value] pair" % i, location=where)
+    g = _perm_from_cycles(row[0], loc)
+    if given_again:
+        raise InputError("the permutation of an earlier row is given again", location=loc)
+    if g.level > level:
+        raise InputError("moves a point above level %d" % level, location=loc)
+    _number_from(row[1], loc)
 
 
 def _load_state(path):

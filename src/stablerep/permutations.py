@@ -310,12 +310,70 @@ def word_ranks(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words)
     n = words.shape[1]
+    columns = np.ascontiguousarray(words.T)
     ranks = np.zeros(len(words), dtype=np.int64)
+    less = np.empty(len(words), dtype=bool)
     # Horner form of sum_i digit_i (n - 1 - i)!, where Lehmer digit i
     # counts the later entries smaller than entry i.
     for i in range(n):
-        ranks = ranks * (n - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
+        ranks *= n - i
+        for j in range(i + 1, n):
+            ranks += np.less(columns[j], columns[i], out=less)
     return ranks
+
+
+def cycle_words(points, lengths, counts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-line words in S_n of permutations given as lists of disjoint cycles.
+
+    points lists the points of every cycle, cycle after cycle and row after
+    row; lengths[c] is the length of cycle c and counts[r] the number of
+    cycles of row r.  Row r is valid when its points are distinct and
+    positive and its cycles of length >= 2 stay inside 1..n; a 1-cycle is
+    a fixed point and may name any positive integer.  Returns the (N, n)
+    words, with the identity on invalid rows, and the (N,) mask of valid rows.
+
+    >>> words, valid = cycle_words([1, 2, 3, 9, 1, 1], [3, 1, 2], [2, 1], 3)
+    >>> words.tolist(), valid.tolist()
+    ([[2, 3, 1], [1, 2, 3]], [True, False])
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    per_point = np.repeat(lengths, lengths)
+    pts = _point_codes(points, n)
+    row = np.repeat(np.repeat(np.arange(len(counts)), counts), lengths)
+    moved = per_point > 1
+    valid = np.ones(len(counts), dtype=bool)
+    valid[row[(pts < 1) | (moved & (pts > n))]] = False
+    # A point met twice in one row: neighbours once sorted by (row, point).
+    order = np.lexsort((pts, row))
+    again = (np.diff(pts[order]) == 0) & (np.diff(row[order]) == 0)
+    valid[row[order[1:][again]]] = False
+    # Each moved point of a valid row goes to the next point of its cycle,
+    # the last one back to the first.
+    after = np.arange(1, len(pts) + 1)
+    wrap = after == np.repeat(np.cumsum(lengths), lengths)
+    after[wrap] -= per_point[wrap]
+    keep = moved & valid[row]
+    words = np.tile(np.arange(1, n + 1), (len(counts), 1))
+    words[row[keep], pts[keep] - 1] = pts[after[keep]]
+    return words, valid
+
+
+def _point_codes(points, n: int) -> np.ndarray:
+    """points as an int64 array.
+
+    Points beyond int64 can only be fixed points or errors; when there are
+    some, each point outside 1..n becomes a code that keeps its equalities
+    and its side of 1..n.
+    """
+    try:
+        return np.array(points, dtype=np.int64)
+    except OverflowError:
+        distinct, which = np.unique(np.array(points, dtype=object), return_inverse=True)
+        rank = np.arange(len(distinct))
+        codes = np.where(distinct < 1, rank - len(distinct),
+                         np.where(distinct > n, n + 1 + rank, distinct))
+        return codes.astype(np.int64)[which.reshape(-1)]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -330,7 +388,11 @@ def inverse_map(n: int) -> np.ndarray:
     >>> inverse_map(3)
     array([0, 1, 2, 4, 3, 5])
     """
-    return _frozen(word_ranks(np.argsort(group_words(n), axis=1) + 1))
+    words = group_words(n)
+    # g^-1 sends g(i) to i: scatter each column index to the entry it holds.
+    inverse = np.empty_like(words)
+    np.put_along_axis(inverse, words - 1, np.arange(1, n + 1, dtype=words.dtype)[None], axis=1)
+    return _frozen(word_ranks(inverse))
 
 
 @lru_cache(maxsize=4)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from stablerep import cli
 from stablerep.cli import main
 from stablerep.partitions import partitions_of
+from stablerep.permutations import Permutation, symmetric_group
 
 
 def write(path, data):
@@ -228,13 +229,38 @@ def test_non_integer_perm_point_exits_2(capsys, spec_a, argv):
     ([[[], 1.0], [[[True, 2]], 0.25]], 1),
     ([[[], 1.0], [[[1, 2]], 0.25], [[[2, 1]], 0.7]], 2),
     ([[[], 1.0], [[], 0.5]], 1),
-], ids=["float-point", "bool-point", "repeated-transposition", "repeated-identity"])
+    ([[[], 1.0], [[[1, 4]], 0.5]], 1),
+    ([[[[9]], 1.0], [[[1, 10 ** 21]], 0.5]], 1),
+    ([[[[2 ** 65]], 1.0], [[[0]], 0.5]], 1),
+], ids=["float-point", "bool-point", "repeated-transposition", "repeated-identity",
+        "above-level", "far-above-level", "zero-point"])
 def test_bad_table_row_exits_2(capsys, tmp_path, rows, bad_row):
     # A later row for the same permutation used to overwrite the earlier one.
     table = write(tmp_path / "t.json", {"level": 3, "values": rows})
     code, out, err = run(capsys, "dual-norm", table, "--level", "3")
     assert code == 2 and out == ""
     assert "[%s values[%d]]" % (table, bad_row) in err
+
+
+def test_table_of_a_level_no_array_can_hold_exits_3(capsys, tmp_path):
+    table = write(tmp_path / "t.json", {"level": 20, "values": [[[], 1.0]]})
+    code, out, err = run(capsys, "dual-norm", table, "--level", "3")
+    assert code == 3 and out == ""
+    assert "level 20 table" in err
+
+
+def test_dense_table_is_read_without_a_permutation_per_row(capsys, monkeypatch, tmp_path):
+    rows = [[g.cycles(), 1.0 if g.is_identity() else 0.0] for g in symmetric_group(7)]
+    table = write(tmp_path / "t.json", {"level": 7, "values": rows})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table row was read through Permutation")
+
+    monkeypatch.setattr(Permutation, "from_cycles", refuse)
+    code, out, _ = run(capsys, "dual-norm", table, "--level", "7")
+    assert code == 0 and json.loads(out)["dual_norm"] == 1.0
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    assert np.array_equal(cli._load_state(table).vector, np.eye(1, 5040)[0])
 
 
 def test_rational_is_set_for_exact_values_only(capsys, tmp_path):

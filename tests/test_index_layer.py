@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stablerep.canonical import CanonicalState, central_depth
+from stablerep.canonical import CanonicalState, _row_codes, central_depth
 from stablerep.fourier import StateFunction, fourier, gram_matrix
 from stablerep.partitions import partitions_of
 from stablerep.permutations import (
@@ -22,6 +22,7 @@ from stablerep.permutations import (
     cut_generators,
     cycle,
     cycle_lengths,
+    cycle_words,
     element_index,
     group_words,
     inverse_map,
@@ -29,6 +30,7 @@ from stablerep.permutations import (
     restriction_map,
     symmetric_group,
     transposition,
+    word_ranks,
 )
 from stablerep.stability import ad_orbit_state, as_table, centrality_defect
 from stablerep.thoma import ThomaParams
@@ -52,6 +54,60 @@ def test_inverse_map_is_inversion(n):
     index = element_index(n)
     want = [index[g.inverse()] for g in symmetric_group(n)]
     assert inverse_map(n).tolist() == want
+
+
+def _summed_ranks(words):
+    # Lehmer digits as row sums of a broadcast comparison.
+    ranks = np.zeros(len(words), dtype=np.int64)
+    for i in range(words.shape[1]):
+        ranks = ranks * (words.shape[1] - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
+    return ranks
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_word_ranks_and_inverse_map_equal_the_summed_formulas(n):
+    words = group_words(n)
+    for w in (words, words[:, ::-1], words.astype(np.int64)[::-7]):
+        assert np.array_equal(word_ranks(w), _summed_ranks(w))
+    assert np.array_equal(inverse_map(n), _summed_ranks(np.argsort(words, axis=1) + 1))
+
+
+def test_cycle_words_match_permutations():
+    rng = random.Random(5)
+    for n in range(7):
+        perms = [random_perm(rng, n) for _ in range(20)]
+        rows = [[list(c) for c in g.cycles()] + [[p] for p in range(1, n + 3) if g(p) == p]
+                for g in perms]
+        for row in rows:
+            rng.shuffle(row)
+        cycles = [c for row in rows for c in row]
+        words, valid = cycle_words([p for c in cycles for p in c], [len(c) for c in cycles],
+                                   [len(row) for row in rows], n)
+        assert valid.all()
+        assert words.tolist() == [list(g.one_line(n)) for g in perms]
+
+
+@pytest.mark.parametrize("rows, ok", [
+    ([[]], True),
+    ([[[]]], True),
+    ([[[2 ** 65]], [[2 ** 65 + 1]]], True),
+    ([[[2 ** 65], [2 ** 65]]], False),
+    ([[[0]]], False),
+    ([[[-2 ** 65]]], False),
+    ([[[1, 4]]], False),
+    ([[[1, 10 ** 21]]], False),
+    ([[[1, 2], [2, 3]]], False),
+    ([[[1, 2, 1]]], False),
+    ([[[3], [1, 3]]], False),
+], ids=["identity", "empty-cycle", "fixed-above-int64", "repeated-fixed", "zero",
+        "negative-above-int64", "above-level", "far-above-level", "not-disjoint",
+        "repeated-in-cycle", "fixed-point-moved"])
+def test_cycle_words_validity(rows, ok):
+    cycles = [c for row in rows for c in row]
+    words, valid = cycle_words([p for c in cycles for p in c], [len(c) for c in cycles],
+                               [len(row) for row in rows], 3)
+    assert valid.tolist() == [ok] * len(rows)
+    assert words.tolist() == [[1, 2, 3]] * len(rows)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -137,6 +193,30 @@ def test_pullback_tables_equal_elementwise_conjugation(state):
 def test_cut_four_table_at_level_eight_equals_elementwise_evaluation():
     state = CanonicalState(4, (2, 1, 1), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),)))
     assert np.array_equal(as_table(state, 8).vector, elementwise(state, 8))
+
+
+def test_words_too_wide_for_one_base_code_tabulate_like_single_calls():
+    # Base L + 1 codes of L >= 16 columns overflow int64 and are renumbered.
+    rng = random.Random(6)
+    state = CanonicalState(3, (2, 1), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),)))
+    for width in (15, 16, 20):
+        # Most random words straddle the cut; split ones give nonzero values.
+        perms = [random_perm(rng, width) for _ in range(10)]
+        perms += [Permutation.from_one_line(rng.sample(range(1, 4), 3)
+                                            + rng.sample(range(4, width + 1), width - 3))
+                  for _ in range(40)]
+        words = np.array([g.one_line(width) for g in perms])
+        want = np.array([complex(state(g)) for g in perms])
+        assert np.array_equal(state.evaluate_words(words), want)
+        assert len(set(want.tolist())) > 5
+
+
+def test_row_codes_tell_apart_rows_equal_modulo_two_to_the_64():
+    rows = np.zeros((3, 65), dtype=np.int64)
+    rows[0, 0] = 1  # 2**64 in base 2
+    rows[2, -1] = 1
+    codes = _row_codes(rows, 2)
+    assert len(set(codes.tolist())) == 3
 
 
 def test_float_parameters_tabulate_like_single_calls():
