@@ -130,7 +130,7 @@ def _perm_from_cycles(data, where):
 def _partition_from(data, where):
     if not isinstance(data, list):
         raise InputError("partition must be a list", location=where)
-    if not all(map(_is_int, data)):
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in data):
         raise InputError("partition entries must be integers, got %r" % (data,),
                          location=where)
     lam = tuple(data)
@@ -210,12 +210,8 @@ def _table_from(data, where):
     # Rows are read in bulk up to the first that is not a pair of a list of
     # lists of integers and a value; the first bad row is then read alone
     # for its error, checked in the order that one row's checks are made.
-    head = list(itertools.takewhile(_is_pair, rows))
+    head = list(itertools.takewhile(lambda row: _is_pair(row) and _is_cycles(row[0]), rows))
     flat = list(itertools.chain.from_iterable(row[0] for row in head))
-    if not (set(map(type, flat)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(flat))) <= {int}):
-        head = head[:next((i for i, row in enumerate(head) if not _is_cycles(row[0])), len(head))]
-        flat = list(itertools.chain.from_iterable(row[0] for row in head))
     numbers = [_number(row[1]) for row in head]
     words, valid = cycle_words(list(itertools.chain.from_iterable(flat)),
                                list(map(len, flat)), [len(row[0]) for row in head], level)
@@ -231,7 +227,7 @@ def _table_from(data, where):
         raise AssertionError("values[%d] was flagged but reads clean" % first)
     vector = np.zeros(math.factorial(level), dtype=complex)
     vector[ranks] = [complex(v) for v in numbers]
-    return StateFunction.from_vector(level, vector, copy=False)
+    return StateFunction.from_vector(level, vector)
 
 
 def _row_error(row, i, where, level, given_again):

@@ -58,15 +58,11 @@ class StateFunction:
         self.vector = vec
 
     @classmethod
-    def from_vector(cls, level: int, vector, copy: bool = True) -> "StateFunction":
-        """The function whose values in symmetric_group(level) order are vector.
-
-        The values are copied; copy=False adopts a complex array as it is
-        and makes it read-only.
-        """
+    def from_vector(cls, level: int, vector) -> "StateFunction":
+        """The function whose values in symmetric_group(level) order are vector (copied)."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        vec = np.array(vector, dtype=complex, copy=copy or None)
+        vec = np.array(vector, dtype=complex)
         if vec.shape != (math.factorial(level),):
             raise ValueError(f"level {level} takes {math.factorial(level)} values, got {vec.shape}")
         vec.flags.writeable = False

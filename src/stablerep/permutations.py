@@ -332,6 +332,10 @@ def cycle_words(points, lengths, counts, n: int) -> tuple[np.ndarray, np.ndarray
     a fixed point and may name any positive integer.  Returns the (N, n)
     words, with the identity on invalid rows, and the (N,) mask of valid rows.
 
+    This validity rule must match Permutation.from_cycles plus the level
+    check of a table row: the table reader reports a row flagged here
+    through those checks.  tests/test_table_files.py holds the two in step.
+
     >>> words, valid = cycle_words([1, 2, 3, 9, 1, 1], [3, 1, 2], [2, 1], 3)
     >>> words.tolist(), valid.tolist()
     ([[2, 3, 1], [1, 2, 3]], [True, False])
