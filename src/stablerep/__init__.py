@@ -4,7 +4,6 @@ from .permutations import (
     IDENTITY,
     Permutation,
     adjacent_word,
-    conjugate,
     cycle,
     split_product,
     symmetric_group,
@@ -78,7 +77,6 @@ from .gns import (
     gns_standard_pipeline,
     standard_form,
     subspace_distance,
-    support_projection,
 )
 from .induction import character_inner, decompose_induced, induced_character
 

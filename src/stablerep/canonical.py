@@ -9,9 +9,9 @@ second, and 0 whenever s admits no such factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .permutations import (
     transposition,
 )
 from .fourier import Evaluator, as_table, fourier
-from .thoma import FactorType, RecoveryResult, ThomaParams, recover_params, thoma_character, type_classify
+from .thoma import FactorType, ThomaParams, recover_params, thoma_character, type_classify
 
 
 class ClassificationError(RuntimeError):
@@ -72,11 +72,12 @@ class CanonicalState:
         if parts is None:
             return 0
         s1, s2 = parts
-        finite = Fraction(
-            mn_character(self.partition, s1.cycle_type()),
-            hook_dimension(self.partition),
-        )
-        return finite * thoma_character(self.params, s2.cycle_type())
+        return self._value(s1.cycle_type(), s2.cycle_type())
+
+    def _value(self, low: tuple[int, ...], high: tuple[int, ...]):
+        """The value at s1 s2 from the cycle types of s1 in S_n and s2 fixing 1..n."""
+        finite = Fraction(mn_character(self.partition, low), hook_dimension(self.partition))
+        return finite * thoma_character(self.params, high)
 
     def evaluate_words(self, words: np.ndarray) -> np.ndarray:
         """complex(self(s)) for the permutation s of each row of an (N, L) word array.
@@ -99,12 +100,8 @@ class CanonicalState:
         pairs = np.hstack([np.sort(lengths[:, :cut], axis=1), np.sort(lengths[:, cut:], axis=1)])
         _, first, which = np.unique(_row_codes(pairs, words.shape[1] + 1),
                                     return_index=True, return_inverse=True)
-        finite = hook_dimension(self.partition)
-        values = []
-        for key in pairs[first].tolist():
-            low, high = _cycle_type(key[:cut]), _cycle_type(key[cut:])
-            value = Fraction(mn_character(self.partition, low), finite)
-            values.append(complex(value * thoma_character(self.params, high)))
+        values = [complex(self._value(_cycle_type(key[:cut]), _cycle_type(key[cut:])))
+                  for key in pairs[first].tolist()]
         out = np.zeros(len(words), dtype=complex)
         out[split] = np.array(values, dtype=complex)[which.reshape(-1)]
         return out
@@ -116,14 +113,6 @@ class CanonicalState:
             "alpha": [float(a) for a in self.alpha],
             "beta": [float(b) for b in self.beta],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CanonicalState":
-        return cls(
-            int(data["n"]),
-            tuple(data["lambda"]),
-            ThomaParams.from_json(data),
-        )
 
 
 def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:

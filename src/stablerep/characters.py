@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .partitions import check_partition, hook_dimension, partitions_of
 from .permutations import Permutation

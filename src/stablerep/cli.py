@@ -54,7 +54,7 @@ from .stability import centrality_defect, stability_profile
 from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, type_classify
 
 # A cold dense dual-norm of a spec, interpreter start and import included,
-# takes about 0.6 s and 44 MB at level 8 and 3.6 s and 152 MB at level 9
+# takes about 0.25 s and 43 MB at level 8 and 0.9 s and 140 MB at level 9
 # (2-CPU Xeon VM, one BLAS thread); the cap stays at 8.
 HARD_CAP = 8
 
@@ -235,7 +235,7 @@ def _row_error(row, i, where, level, given_again):
     says whether an earlier row has the same permutation."""
     loc = "%s values[%d]" % (where, i)
     if not isinstance(row, list) or len(row) != 2:
-        raise InputError("values[%d] is not a [cycles, value] pair" % i, location=where)
+        raise InputError("values[%d] is not a [cycles, value] pair" % i, location=loc)
     g = _perm_from_cycles(row[0], loc)
     if given_again:
         raise InputError("the permutation of an earlier row is given again", location=loc)
@@ -522,7 +522,8 @@ def _cmd_gns_verify(args):
     _check_level(k, args.allow_large)
     if k > 4:
         raise InfeasibleError("gns-verify builds a dense standard form of dimension up "
-                              "to k!; at k = 5 that takes 4-12 s, so k > 4 is refused")
+                              "to k!; at k = 5 that takes 5-25 s and up to 0.33 GB, "
+                              "so k > 4 is refused")
     f = _tabulate(_load_state(args.input), k)
 
     try:

@@ -125,10 +125,6 @@ class StateFunction:
         vec = self.vector
         return float(np.max(np.abs(vec[inverse_map(self.level)] - np.conj(vec))))
 
-    def to_vector(self) -> np.ndarray:
-        """Values in symmetric_group(level) order, as a fresh array."""
-        return self.vector.copy()
-
     def __repr__(self) -> str:
         return f"StateFunction(level={self.level}, support={np.count_nonzero(self.vector)})"
 

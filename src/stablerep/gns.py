@@ -1,4 +1,4 @@
-"""GNS construction, commutants, support projections and the standard form.
+"""GNS construction, commutants and the standard form.
 
 Everything here is finite dimensional linear algebra: states are given
 by value tables on a truncated group, algebras by matrix bases that are
@@ -28,16 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fourier import StateFunction, gram_matrix
-from .characters import class_representative, class_size, mn_character
+from .characters import class_representative
+from .induction import character_inner
 from .partitions import partitions_of
 from .permutations import Permutation, product_table, symmetric_group, transposition
-
-import math
 
 
 # ---------------------------------------------------------------------------
@@ -162,36 +161,6 @@ def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float
 
 
 # ---------------------------------------------------------------------------
-# Support projections.
-
-
-# Eigenvalue cut of support_projection: below -SUPPORT_TOL the density is
-# not positive, and the support keeps eigenvalues above SUPPORT_TOL relative
-# to the largest (and above it absolutely).
-SUPPORT_TOL = 1e-9
-
-
-def support_projection(density: np.ndarray, algebra_basis: Sequence[np.ndarray]) -> np.ndarray:
-    """Smallest projection E in the algebra with tr(density (1 - E)) = 0.
-
-    density must be positive semidefinite; the functional x -> tr(density x)
-    is represented inside the algebra by compressing the density onto the
-    span, and E is the spectral projection onto its positive part.
-    """
-    density = np.asarray(density, dtype=complex)
-    herm = (density + density.conj().T) / 2
-    low = float(np.linalg.eigvalsh(herm)[0])
-    if low < -SUPPORT_TOL:
-        raise ValueError(f"density is not positive (eigenvalue {low:.3e})")
-    compressed, _ = project_to_span(algebra_basis, herm)
-    compressed = (compressed + compressed.conj().T) / 2
-    w, V = np.linalg.eigh(compressed)
-    cut = max(SUPPORT_TOL * max(float(w[-1]), 0.0), SUPPORT_TOL)
-    keep = w > cut
-    return V[:, keep] @ V[:, keep].conj().T
-
-
-# ---------------------------------------------------------------------------
 # Standard form.
 
 
@@ -242,9 +211,6 @@ class StandardForm:
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
         """J X J^-1 = U conj(X) U^H, a complex linear map again."""
         return self.j @ np.conj(X) @ self.j.conj().T
-
-    def apply_j(self, v: np.ndarray) -> np.ndarray:
-        return self.j @ np.conj(v)
 
     @cached_property
     def commutant_basis(self) -> list[np.ndarray]:
@@ -368,20 +334,17 @@ MULTIPLICITY_TOL = 1e-6
 def central_support(rep: Mapping[Permutation, np.ndarray], k: int) -> frozenset[tuple[int, ...]]:
     """Set of shapes with nonzero multiplicity in a representation of S_k.
 
-    Multiplicities come from exact character inner products; they must
-    land within MULTIPLICITY_TOL of nonnegative integers or the input was
-    not a representation.
+    Multiplicities are induction.character_inner of the traces on the
+    class representatives, exact over those float traces; they must land
+    within MULTIPLICITY_TOL of nonnegative integers or the input was not a
+    representation.
     """
-    fact = math.factorial(k)
+    traces = {mu: np.trace(rep[class_representative(mu)]).real for mu in partitions_of(k)}
     out = set()
     for lam in partitions_of(k):
-        acc = 0.0
-        for mu in partitions_of(k):
-            g = class_representative(mu)
-            acc += class_size(mu) * np.trace(rep[g]).real * mn_character(lam, mu)
-        mult = acc / fact
+        mult = character_inner(traces, lam, k)
         if abs(mult - round(mult)) > MULTIPLICITY_TOL or round(mult) < 0:
-            raise ValueError(f"multiplicity of {lam} is {mult}, not a nonnegative integer")
+            raise ValueError(f"multiplicity of {lam} is {float(mult)}, not a nonnegative integer")
         if round(mult) > 0:
             out.add(lam)
     return frozenset(out)

@@ -191,15 +191,6 @@ def cycle(*points: int) -> Permutation:
     return Permutation.from_cycles([points]) if len(points) > 1 else IDENTITY
 
 
-def conjugate(t: Permutation, s: Permutation) -> Permutation:
-    """Return t * s * t^-1.
-
-    >>> conjugate(transposition(1, 3), transposition(1, 2))
-    Permutation[(2 3)]
-    """
-    return s.conjugate_by(t)
-
-
 def split_product(s: Permutation, n: int) -> Optional[tuple[Permutation, Permutation]]:
     """Factor s = s1 * s2 with s1 in S_n and s2 fixing 1..n, if possible.
 

@@ -65,17 +65,6 @@ class ThomaParams:
     def to_json(self) -> dict:
         return {"alpha": [float(a) for a in self.alpha], "beta": [float(b) for b in self.beta]}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ThomaParams":
-        return cls(tuple(_parse_number(x) for x in data.get("alpha", ())),
-                   tuple(_parse_number(x) for x in data.get("beta", ())))
-
-
-def _parse_number(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return x
-
 
 class FactorType(enum.Enum):
     II1 = "II_1"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stablerep import cli
 from stablerep.canonical import (
     CanonicalState,
     ClassificationError,
@@ -64,12 +65,11 @@ def test_spec_validation():
 
 
 def test_json_round_trip():
+    # Specs are read by the CLI's validating reader, reports' specs included.
     state = CanonicalState(3, (2, 1), MIXED)
-    again = CanonicalState.from_json(state.to_json())
+    again = cli._spec_from(state.to_json(), "spec")
     assert again.n == state.n and again.partition == state.partition
-    exact = CanonicalState.from_json(
-        {"n": 3, "lambda": [2, 1], "alpha": ["1/2"], "beta": ["1/4"]}
-    )
+    exact = cli._spec_from({"n": 3, "lambda": [2, 1], "alpha": ["1/2"], "beta": ["1/4"]}, "spec")
     assert exact.params == MIXED
 
 
@@ -194,6 +194,6 @@ def test_classified_invariant_round_trips_through_json():
     assert isinstance(inv, CanonicalState)
     data = inv.to_json()
     assert data["n"] == 2 and data["lambda"] == [1, 1]
-    back = CanonicalState.from_json(data)
+    back = cli._spec_from(data, "report")
     assert back == inv
     assert quasi_equivalent(back, CanonicalState(2, (1, 1), MIXED))

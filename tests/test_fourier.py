@@ -73,7 +73,7 @@ def test_restrict_and_subtract():
     assert r.level == 2
     assert r(transposition(1, 2)) == -1
     z = f - f
-    assert np.all(z.to_vector() == 0)
+    assert np.all(z.vector == 0)
     with pytest.raises(ValueError):
         f - r
 

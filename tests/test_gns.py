@@ -23,7 +23,6 @@ from stablerep.gns import (
     project_to_span,
     standard_form,
     subspace_distance,
-    support_projection,
 )
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import IDENTITY, Permutation, element_index, symmetric_group, transposition
@@ -99,15 +98,6 @@ def test_commutant_rejects_empty_input():
         commutant([])
 
 
-def test_support_projection_picks_out_block():
-    # diagonal algebra, density living on the first two coordinates
-    basis = [np.diag(v) for v in np.eye(4)]
-    proj = support_projection(np.diag([0.5, 0.5, 0.0, 0.0]), basis)
-    assert np.allclose(proj, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
-    with pytest.raises(ValueError):
-        support_projection(np.diag([1.0, -0.5, 0.0, 0.0]), basis)
-
-
 def test_subspace_distance():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
@@ -154,7 +144,7 @@ def test_standard_form_j_properties():
     # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
     assert math.sqrt(2) * np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)) < 1e-10
     # J xi = xi on the cyclic vector of the standard form
-    assert np.max(np.abs(sf.apply_j(sf.xi) - sf.xi)) < 1e-10
+    assert np.max(np.abs(sf.j @ np.conj(sf.xi) - sf.xi)) < 1e-10
     # J M J^-1 lands in the commutant
     comm = sf.commutant_basis
     flat = np.array([b.ravel() for b in comm])

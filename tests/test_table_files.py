@@ -24,7 +24,7 @@ def read_rows_one_by_one(data, where):
     for i, row in enumerate(rows):
         loc = "%s values[%d]" % (where, i)
         if not isinstance(row, list) or len(row) != 2:
-            raise InputError("values[%d] is not a [cycles, value] pair" % i, location=where)
+            raise InputError("values[%d] is not a [cycles, value] pair" % i, location=loc)
         g = cli._perm_from_cycles(row[0], loc)
         if g in values:
             raise InputError("the permutation of an earlier row is given again", location=loc)
@@ -74,18 +74,33 @@ def table_data(draw):
     for _ in range(draw(st.integers(0, 7))):
         cycles = draw(_cycles_of(tuple(draw(st.sampled_from(pool))), level))
         number = draw(_good_numbers)
+        # Each error of ERRORS has a kind that makes it on purpose.  Only a
+        # file's first bad row is read, so those kinds outweigh good rows:
+        # test_the_strategy_reaches_every_outcome must meet each of them in
+        # 300 files on every run.
         kind = draw(st.sampled_from(
-            ["good"] * 5 + ["free", "point", "overlap", "above", "number", "junk"]))
+            ["good"] * 2 + ["free", "point", "junk"]
+            + ["non-integer", "non-list", "non-positive", "repeat", "overlap", "above", "number",
+               "not-a-pair"] * 2))
         if kind == "free":
             point = st.integers(1, level + 1) | st.integers(-1, level + 2) | _odd_points
             cycles = draw(st.lists(st.lists(point, max_size=4), max_size=3))
         elif kind == "point" and cycles:
             c = draw(st.integers(0, len(cycles) - 1))
             cycles[c] = cycles[c] + [draw(_odd_points | _junk_points | st.integers(1, level + 1))]
-        elif kind == "overlap" and any(cycles):
+        elif kind == "non-integer":
+            cycles.append([draw(_junk_points), 1])
+        elif kind == "non-list":
+            # Not a cycle at all: the row's permutation is no list of cycles.
+            cycles.insert(draw(st.integers(0, len(cycles))),
+                          draw(_junk_points.filter(lambda x: not isinstance(x, list))))
+        elif kind == "non-positive":
+            # No other cycle of the row holds a point below 1.
+            cycles.append([draw(st.sampled_from([0, -1, -2 ** 65])), -2])
+        elif kind in ("repeat", "overlap") and any(cycles):
             c = draw(st.sampled_from([c for c in cycles if c]))
             p = draw(st.sampled_from(c))
-            if draw(st.booleans()):
+            if kind == "overlap":
                 cycles.append([p])
             else:
                 cycles[cycles.index(c)] = c + [p]
@@ -95,6 +110,8 @@ def table_data(draw):
         elif kind == "number":
             number = draw(_bad_numbers)
         row = [cycles, number]
+        if kind == "not-a-pair":
+            row = draw(st.sampled_from([[cycles], [cycles, number, 1]]))
         if kind == "junk":
             row = draw(_json | st.just([cycles]) | st.just([cycles, number, 1])
                        | st.just([draw(_json), number]) | st.just([[draw(_json)], number]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep import thoma
+from stablerep import cli, thoma
 from stablerep.fourier import StateFunction, is_positive_definite
 from stablerep.permutations import symmetric_group
 from stablerep.thoma import (
@@ -41,7 +41,7 @@ def test_params_sorted_and_validated():
 
 def test_json_round_trip_keeps_rationals():
     p = ThomaParams(alpha=(F(1, 3),), beta=(F(1, 6), F(1, 7)))
-    q = ThomaParams.from_json({"alpha": ["1/3"], "beta": ["1/6", "1/7"]})
+    q = cli._params_from({"alpha": ["1/3"], "beta": ["1/6", "1/7"]}, "params")
     assert q == p
     assert q.total == F(1, 3) + F(1, 6) + F(1, 7)
 
