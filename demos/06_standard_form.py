@@ -5,22 +5,15 @@ unitary representation with a cyclic vector reproducing the state.
 Putting the generated von Neumann algebra in standard form yields the
 modular conjugation J v = U conj(v), U the unitary polar factor of the
 matrix of the adjoint map S, and pi(g) J pi(h) J^-1 then implements
-commuting left and right actions on the same space. Both factors are
-homomorphisms once they multiply along every link g -> g t_i of the
-adjacent transpositions t_i = (i i+1), and they commute once their
-generators do.
+commuting left and right actions on the same space. gns_certificate
+checks that: both factors are homomorphisms once they multiply along
+every link g -> g t_i of the adjacent transpositions t_i = (i i+1), and
+they commute once their generators do.
 """
 
-import numpy as np
-
 from stablerep.fourier import StateFunction
-from stablerep.gns import (
-    biregular,
-    central_support,
-    gns,
-    gns_standard_pipeline,
-)
-from stablerep.permutations import symmetric_group, transposition
+from stablerep.gns import gns, gns_certificate
+from stablerep.permutations import symmetric_group
 from stablerep.stability import as_table
 from stablerep.canonical import CanonicalState
 from stablerep.thoma import ThomaParams
@@ -35,32 +28,17 @@ def main():
           f"(= {k}! = {len(symmetric_group(k))})")
 
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 2))))
-    triple, algebra, sf = gns_standard_pipeline(k, as_table(state, k))
+    cert = gns_certificate(k, as_table(state, k))
     print("\ncanonical state at level 3:")
-    print("  carrier dimension:", triple.dimension)
-    print("  generated algebra dimension:", len(algebra))
-    # J^2 v = U conj(U conj(v)) = U conj(U) v
-    print("  || J^2 - I || =", np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
-
-    bireg = biregular(sf, triple.rep)
-    gens = [transposition(i, i + 1) for i in range(1, k)]
-    print("  both factors multiply along every link g -> g t_i:",
-          all(np.allclose(rho[g * t], rho[g] @ rho[t], atol=1e-10)
-              for rho in (bireg.pi, bireg.right)
-              for g in symmetric_group(k) for t in gens))
-    print("  left/right generators commute:",
-          all(np.allclose(bireg.pi[s] @ bireg.right[t], bireg.right[t] @ bireg.pi[s], atol=1e-10)
-              for s in gens for t in gens))
-    s, t = gens
-    print("  diagonal pair implements conjugation:",
-          np.allclose(
-              bireg.ad(s) @ bireg.pi[t] @ np.linalg.inv(bireg.ad(s)),
-              bireg.pi[s * t * s],
-              atol=1e-10,
-          ))
-
-    support = central_support(triple.rep, k)
-    print("  irreducibles carrying the representation:", sorted(support))
+    print("  carrier dimension:", cert["gns_dim"])
+    print("  generated algebra dimension:", cert["algebra_dim"])
+    # J^2 v = U conj(U conj(v)) = U conj(U) v, measured on doubled real coordinates
+    print("  || J^2 - I || =", cert["j_squared_residual"])
+    print("  J M J^-1 lies in the commutant M' to", cert["j_commutant_residual"])
+    print("  both factors multiply along every link g -> g t_i, and their generators"
+          " commute, to", cert["homomorphism_residual"])
+    print("  diagonal pairs implement conjugation to", cert["ad_residual"])
+    print("  irreducibles carrying the representation:", cert["central_support"])
 
 
 if __name__ == "__main__":

@@ -66,14 +66,13 @@ from .stability import (
     stability_profile,
 )
 from .gns import (
-    BiregularRep,
     GnsTriple,
     StandardForm,
-    biregular,
     central_support,
     commutant,
     double_commutant,
     gns,
+    gns_certificate,
     gns_standard_pipeline,
     standard_form,
     subspace_distance,

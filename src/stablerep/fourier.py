@@ -21,6 +21,7 @@ from .permutations import (
     IDENTITY,
     Permutation,
     coset_order,
+    element_row,
     group_words,
     inverse_map,
     product_table,
@@ -101,8 +102,7 @@ class StateFunction:
     def __call__(self, g: Permutation) -> complex:
         if g.level > self.level:
             raise ValueError(f"{g} exceeds level {self.level}")
-        row = word_ranks(np.array([g.one_line(self.level)]).reshape(1, self.level))[0]
-        return complex(self.vector[row])
+        return complex(self.vector[element_row(g, self.level)])
 
     def restrict(self, n: int) -> "StateFunction":
         """Literal restriction to the subgroup S_n."""
@@ -258,8 +258,15 @@ def dual_norm(f: StateFunction) -> float:
 
 # Relative float noise within which two values tie for a witness.
 WITNESS_SLACK = 1e-12
-# Largest |f(g^-1) - conj f(g)| that is_positive_definite accepts as hermitian.
+# Largest |f(g^-1) - conj f(g)| that is accepted as hermitian.
 HERMITIAN_TOL = 1e-8
+
+
+def check_hermitian(f: StateFunction) -> None:
+    """Refuse, with ValueError, an f whose hermitian_defect exceeds HERMITIAN_TOL."""
+    defect = f.hermitian_defect()
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"input is not hermitian (defect {defect:.3e})")
 
 
 def is_positive_definite(f: StateFunction, tol: float = 1e-9) -> PsdCertificate:
@@ -272,9 +279,7 @@ def is_positive_definite(f: StateFunction, tol: float = 1e-9) -> PsdCertificate:
     that sum bounds every block's norm, so shapes that tie in exact
     arithmetic do not pick the witness by their rounding.
     """
-    defect = f.hermitian_defect()
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"input is not hermitian (defect {defect:.3e})")
+    check_hermitian(f)
     lows = {}
     for lam, block in fourier(f).items():
         herm = (block + block.conj().T) / 2

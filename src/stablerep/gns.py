@@ -15,28 +15,29 @@ multiplication (Haagerup 1975; Takesaki II, ch. IX). commutant and
 double_commutant solve for the same spaces numerically and serve as
 oracles.
 
-gns-verify certifies the result with four residuals (Frobenius norms):
-J^2 = 1 (j_squared, on the doubled real scale sqrt(2) ||U conj(U) - 1||);
-J M J^-1 inside M' (j_commutant); pi and R = J pi(.) J^-1 multiplicative
-along every link g -> g t_i of the Coxeter generators t_i = (i i+1), with
-pi(t_i) and R(t_j) commuting (homomorphism: together these make
-(g, h) -> pi(g) R(h) a representation of S_k x S_k); and ad(t_i) = pi(t_i)
-R(t_i) conjugating pi(t_j) to pi(t_i t_j t_i) (ad).
+gns_certificate computes here the certificate that gns-verify reports:
+four residuals (Frobenius norms), J^2 = 1 (j_squared, on the doubled real
+scale sqrt(2) ||U conj(U) - 1||); J M J^-1 inside M' (j_commutant); pi and
+R = J pi(.) J^-1 multiplicative along every link g -> g t_i of the Coxeter
+generators t_i = (i i+1), with pi(t_i) and R(t_j) commuting (homomorphism:
+together these make (g, h) -> pi(g) R(h) a representation of S_k x S_k);
+and ad(t_i) = pi(t_i) R(t_i) conjugating pi(t_j) to pi(t_i t_j t_i) (ad).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fourier import StateFunction, gram_matrix
+from .fourier import StateFunction, check_hermitian, gram_matrix
 from .characters import class_representative
 from .induction import character_inner
 from .partitions import partitions_of
-from .permutations import Permutation, product_table, symmetric_group, transposition
+from .permutations import Permutation, element_row, product_table, transposition
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +48,27 @@ from .permutations import Permutation, product_table, symmetric_group, transposi
 class GnsTriple:
     """Cyclic representation of S_level built from a positive definite state.
 
-    rep maps each group element to a unitary on the carrier; xi is the
-    cyclic vector, and <xi, rep[g] xi> returns the state value.
+    rep is the (level!, d, d) stack of unitaries on the carrier in Lehmer
+    order (permutations.group_words); xi is the cyclic vector, and
+    <xi, image(g) xi> returns the state value.
     """
 
     level: int
-    rep: dict[Permutation, np.ndarray]
+    rep: np.ndarray
     xi: np.ndarray
 
     @property
     def dimension(self) -> int:
         return len(self.xi)
 
+    def image(self, g: Permutation) -> np.ndarray:
+        return self.rep[element_row(g, self.level)]
+
     def coefficient(self, g: Permutation) -> complex:
-        return complex(np.vdot(self.xi, self.rep[g] @ self.xi))
+        return complex(np.vdot(self.xi, self.image(g) @ self.xi))
 
     def generators(self) -> list[np.ndarray]:
-        return [self.rep[transposition(i, i + 1)] for i in range(1, self.level)]
+        return [self.image(transposition(i, i + 1)) for i in range(1, self.level)]
 
 
 # A Gram eigenvalue below -GRAM_NEGATIVE_TOL rejects the state as not
@@ -77,11 +82,12 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
     """Carrier, representation and cyclic vector for the state f on S_k.
 
     The carrier is the column space of the Gram matrix [f(g^-1 h)]; the
-    representation permutes Gram columns. Non positive input is
-    rejected with the violating eigenvalue.
+    representation permutes Gram columns. Input not hermitian on S_k is
+    rejected, and non positive input with the violating eigenvalue.
     """
     if f.level < k:
         raise ValueError(f"state of level {f.level} cannot induce S_{k}")
+    check_hermitian(f.restrict(k))
     G = gram_matrix(f, k)
     G = (G + G.conj().T) / 2
     w, V = np.linalg.eigh(G)
@@ -93,7 +99,7 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
     pinv = np.linalg.pinv(B)
     # Row r of the product table lists the columns g_r h for h in S_k; row 0 is e.
-    rep = {g: B[:, cols] @ pinv for g, cols in zip(symmetric_group(k), product_table(k))}
+    rep = np.array([B[:, cols] @ pinv for cols in product_table(k)])
     return GnsTriple(k, rep, B[:, 0].copy())
 
 
@@ -137,10 +143,9 @@ def _span_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     unitary group representation the span is the generated algebra: it
     holds 1 and is closed under products and adjoints.
     """
-    shape = np.shape(mats[0])
-    stack = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    return [v.reshape(shape) for v in vh[s > RANK_TOL * max(s[0], 1.0)]]
+    mats = np.asarray(mats, dtype=complex)
+    _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    return [v.reshape(mats.shape[1:]) for v in vh[s > RANK_TOL * max(s[0], 1.0)]]
 
 
 def project_to_span(basis: Sequence[np.ndarray], X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -286,7 +291,7 @@ def gns_standard_pipeline(
     phi = (1 - TRACE_WEIGHT) <xi, . xi> + TRACE_WEIGHT tr(.)/dim.
     """
     triple = gns(k, f)
-    M = _span_basis(list(triple.rep.values()))
+    M = _span_basis(triple.rep)
     d = triple.dimension
     density = (1 - TRACE_WEIGHT) * np.outer(triple.xi, triple.xi.conj()) + TRACE_WEIGHT * np.eye(d) / d
     sf = standard_form(M, density)
@@ -294,32 +299,56 @@ def gns_standard_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# The two-sided representation on the standard form carrier.
+# The standard form certificate of gns-verify.
 
 
-@dataclass
-class BiregularRep:
-    """(g, h) -> pi(g) J pi(h) J^-1 on the standard form carrier."""
-
-    sf: StandardForm
-    pi: dict[Permutation, np.ndarray]
-    # right[h] = J pi(h) J^-1
-    right: dict[Permutation, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.right = {h: self.sf.conjugate_by_j(m) for h, m in self.pi.items()}
-
-    def __call__(self, g: Permutation, h: Permutation) -> np.ndarray:
-        return self.pi[g] @ self.right[h]
-
-    def ad(self, g: Permutation) -> np.ndarray:
-        """The inner implementation of conjugation by g: Pi((g, g))."""
-        return self(g, g)
+def _two_sided(sf: StandardForm, rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks pi (rep embedded in the standard form) and R = J pi J^-1, row for row."""
+    pi = np.array([sf.embed(m) for m in rep])
+    return pi, sf.conjugate_by_j(pi)
 
 
-def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> BiregularRep:
-    """Lift a representation on the original carrier to the two-sided one."""
-    return BiregularRep(sf, {g: sf.embed(m) for g, m in rep.items()})
+def gns_certificate(k: int, f: StateFunction) -> dict:
+    """The numbers of a gns-verify report on the standard form of f on S_k.
+
+    They are the carrier and algebra dimensions of gns_standard_pipeline,
+    the central support, and the four residuals of the module doc. Raises
+    ValueError where gns_standard_pipeline does.
+    """
+    triple, _, sf = gns_standard_pipeline(k, f)
+    pi, right = _two_sided(sf, triple.rep)
+    eye = np.eye(sf.dimension)
+    jmj = max(project_to_span(sf.commutant_basis, sf.conjugate_by_j(x))[1] for x in sf.algebra)
+
+    # rho in {pi, right} is a homomorphism exactly when rho(e) = 1 and
+    # rho(g t) = rho(g) rho(t) for every g and adjacent transposition t
+    # (induction on word length); the two factors then commute exactly
+    # when their generators do. Row 0 is e, and row prod[g, t] is g t.
+    prod = product_table(k)
+    gens = [element_row(transposition(i, i + 1), k) for i in range(1, k)]
+    hom = 0.0
+    for rho in (pi, right):
+        hom = max(hom, float(np.linalg.norm(rho[0] - eye)))
+        for t in gens:
+            hom = max(hom, *(float(np.linalg.norm(x)) for x in rho[prod[:, t]] - rho @ rho[t]))
+    ad = 0.0
+    for s in gens:
+        a = pi[s] @ right[s]
+        a_inv = np.linalg.inv(a)
+        for t in gens:
+            hom = max(hom, float(np.linalg.norm(pi[s] @ right[t] - right[t] @ pi[s])))
+            ad = max(ad, float(np.linalg.norm(a @ pi[t] @ a_inv - pi[prod[prod[s, t], s]])))
+
+    return {
+        "gns_dim": triple.dimension,
+        "algebra_dim": len(sf.basis),
+        "central_support": sorted(central_support(triple.rep, k)),
+        # The norm of J^2 - 1 on doubled real coordinates.
+        "j_squared_residual": math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - eye)),
+        "j_commutant_residual": jmj,
+        "homomorphism_residual": hom,
+        "ad_residual": ad,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +360,17 @@ def biregular(sf: StandardForm, rep: Mapping[Permutation, np.ndarray]) -> Biregu
 MULTIPLICITY_TOL = 1e-6
 
 
-def central_support(rep: Mapping[Permutation, np.ndarray], k: int) -> frozenset[tuple[int, ...]]:
+def central_support(rep: np.ndarray, k: int) -> frozenset[tuple[int, ...]]:
     """Set of shapes with nonzero multiplicity in a representation of S_k.
 
+    rep is the stack of its k! matrices in Lehmer order.
     Multiplicities are induction.character_inner of the traces on the
     class representatives, exact over those float traces; they must land
     within MULTIPLICITY_TOL of nonnegative integers or the input was not a
     representation.
     """
-    traces = {mu: np.trace(rep[class_representative(mu)]).real for mu in partitions_of(k)}
+    traces = {mu: np.trace(rep[element_row(class_representative(mu), k)]).real
+              for mu in partitions_of(k)}
     out = set()
     for lam in partitions_of(k):
         mult = character_inner(traces, lam, k)

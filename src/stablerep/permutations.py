@@ -313,6 +313,15 @@ def word_ranks(words: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def element_row(g: Permutation, n: int) -> int:
+    """Row of g in symmetric_group(n): the Lehmer rank of its one-line word.
+
+    >>> element_row(cycle(1, 2, 3), 3)
+    3
+    """
+    return int(word_ranks(np.array([g.one_line(n)]).reshape(1, n))[0])
+
+
 def cycle_words(points, lengths, counts, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One-line words in S_n of permutations given as lists of disjoint cycles.
 

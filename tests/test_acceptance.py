@@ -31,7 +31,6 @@ from stablerep.fourier import (
     is_positive_definite,
 )
 from stablerep.gns import (
-    biregular,
     double_commutant,
     gns,
     gns_standard_pipeline,
@@ -317,9 +316,15 @@ def test_criterion_08_stability_profiles():
     )
 
 
+def two_sided(sf, triple):
+    """pi and R = J pi(.) J^-1 on the standard form carrier, keyed by permutation."""
+    pi = {g: sf.embed(triple.image(g)) for g in symmetric_group(triple.level)}
+    return pi, {h: sf.conjugate_by_j(m) for h, m in pi.items()}
+
+
 def _standard_form_residuals(state, k, pairs_mode):
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    bireg = biregular(sf, triple.rep)
+    pi, right = two_sided(sf, triple)
     group = symmetric_group(k)
     # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
     res_j = math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
@@ -334,29 +339,29 @@ def _standard_form_residuals(state, k, pairs_mode):
     # rho(g t) = rho(g) rho(t) for every g and adjacent transposition t.
     eye = np.eye(sf.dimension)
     res_hom = 0.0
-    for rho in (bireg.pi, bireg.right):
+    for rho in (pi, right):
         res_hom = max(res_hom, float(np.linalg.norm(rho[group[0]] - eye)))
         for g in group:
             for t in (transposition(i, i + 1) for i in range(1, k)):
                 res_hom = max(res_hom, float(np.linalg.norm(rho[g * t] - rho[g] @ rho[t])))
     for g1, h1 in pairs:
         for g2, h2 in pairs:
-            lhs = bireg(g1 * g2, h1 * h2)
-            rhs = bireg(g1, h1) @ bireg(g2, h2)
+            lhs = pi[g1 * g2] @ right[h1 * h2]
+            rhs = (pi[g1] @ right[h1]) @ (pi[g2] @ right[h2])
             res_hom = max(res_hom, float(np.linalg.norm(lhs - rhs)))
     res_comm = 0.0
     for g in group:
-        left = bireg.pi[g]
+        left = pi[g]
         for h in group:
-            right = sf.conjugate_by_j(bireg.pi[h])
-            res_comm = max(res_comm, float(np.linalg.norm(left @ right - right @ left)))
+            r = sf.conjugate_by_j(pi[h])
+            res_comm = max(res_comm, float(np.linalg.norm(left @ r - r @ left)))
     res_ad = 0.0
     for g in group:
-        a = bireg.ad(g)
+        a = pi[g] @ right[g]
         a_inv = np.linalg.inv(a)
         for x in group:
-            got = a @ bireg.pi[x] @ a_inv
-            res_ad = max(res_ad, float(np.linalg.norm(got - bireg.pi[g * x * g.inverse()])))
+            got = a @ pi[x] @ a_inv
+            res_ad = max(res_ad, float(np.linalg.norm(got - pi[g * x * g.inverse()])))
     return max(res_j, res_jmj, res_hom, res_comm, res_ad)
 
 
@@ -369,16 +374,16 @@ def test_criterion_09_standard_form_suite():
     triple = gns(k, StateFunction.delta(k))
     algebra = double_commutant(triple.generators())
     sf = standard_form(algebra, np.eye(triple.dimension) / triple.dimension)
-    bireg = biregular(sf, triple.rep)
+    pi, right = two_sided(sf, triple)
     group = symmetric_group(k)
     coords = {}
     for x in group:
-        coeff = np.array([np.vdot(b, triple.rep[x]) for b in sf.basis])
+        coeff = np.array([np.vdot(b, triple.image(x)) for b in sf.basis])
         coords[x] = sf._whalf @ coeff
     res_trace = 0.0
     for g in group:
         for h in group:
-            op = bireg(g, h)
+            op = pi[g] @ right[h]
             for x in group:
                 res_trace = max(
                     res_trace,
@@ -399,13 +404,13 @@ def test_criterion_09_standard_form_suite():
 
 def test_criterion_09_rejects_a_right_factor_off_by_1e_6(monkeypatch):
     # The 3-element sample at k = 4 passes this factor; the generator links do not.
-    def scaled(sf, rep, build=biregular):
-        bireg = build(sf, rep)
+    def scaled(sf, triple, build=two_sided):
+        pi, right = build(sf, triple)
         t = Permutation.from_cycles([[1, 3]])
-        bireg.right[t] = bireg.right[t] * (1 + 1e-6)
-        return bireg
+        right[t] = right[t] * (1 + 1e-6)
+        return pi, right
 
-    monkeypatch.setattr(sys.modules[__name__], "biregular", scaled)
+    monkeypatch.setattr(sys.modules[__name__], "two_sided", scaled)
     assert _standard_form_residuals(BATTERY[0], 4, "generators") > 1e-8
 
 

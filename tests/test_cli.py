@@ -388,10 +388,14 @@ def test_table_below_requested_level_exits_3(capsys, delta_table):
 
 
 def test_non_hermitian_table_exits_2(capsys, tmp_path):
-    table = write(tmp_path / "t.json", {"level": 3, "values": [[[[1, 2, 3]], 1]]})
-    code, out, err = run(capsys, "psd-check", table, "--level", "3")
-    assert code == 2 and out == ""
-    assert "not hermitian" in err and table in err
+    # gns-verify used to certify the hermitian part (f + f*)/2 of the second table.
+    tables = [write(tmp_path / "t.json", {"level": 3, "values": [[[[1, 2, 3]], 1]]}),
+              write(tmp_path / "u.json", {"level": 3, "values": [[[], 1.0], [[[1, 2, 3]], 0.5]]})]
+    for table in tables:
+        for command in ("psd-check", "gns-verify"):
+            code, out, err = run(capsys, command, table, "--level", "3")
+            assert code == 2 and out == ""
+            assert "not hermitian" in err and table in err
 
 
 def test_overflowing_table_exits_3(capsys, tmp_path):
@@ -420,6 +424,18 @@ def test_hard_cap_exits_3(capsys, spec_a):
     assert json.loads(out)["character"] == 1
 
 
+# One BLAS thread: a pool per core would reserve address space that measures
+# the machine, not the job, and BLAS rounding changes with the thread count.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _child_env(**extra):
+    """The environment of a child python that imports this source tree."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
 def _limit_address_space():
     # Runs in the child only, between fork and exec.
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -433,15 +449,11 @@ def test_dense_level_eight_runs_in_two_gib(tmp_path, argv):
     params = {"alpha": ["1/2", "1/5"], "beta": ["1/4"]}
     specs = {"cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **params}),
              "cut1": write(tmp_path / "cut1.json", {"n": 1, "lambda": [1], **params})}
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               # One BLAS thread: a pool per core would reserve address space
-               # that measures the machine, not the job.
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     command, state, *rest = argv
     proc = subprocess.run(
         [sys.executable, "-m", "stablerep.cli", command, specs[state], "--level", "8", *rest],
-        env=env, capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env=_child_env(**ONE_BLAS_THREAD), capture_output=True, text=True,
+        preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -468,10 +480,8 @@ for name, argv in jobs.items():
 loaded["jobs"] = scipy_modules()
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script, spec, values],
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == {"recover-params": 0, "classify": 0, "gns-verify": 0}
@@ -580,12 +590,48 @@ def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
     # defects and the GNS certificates.  Probes inside S_6 gather the
     # level-6 table; from (5 6 7) at cut 4 on, the probes of --max-shift 5
     # leave S_6 and pull the spec back.  The level-4 GNS residuals carry
-    # BLAS rounding: they change in their last digits with the thread count.
+    # BLAS rounding: they change in their last digits with the thread count,
+    # so those jobs run in a child with one BLAS thread, as the benchmark's do.
     argv = [str(GOLDEN / (a + ".json")) if a in ("spec_cut2", "table_cut1_l6") else a
             for a in argv]
-    code, out, _ = run(capsys, *argv)
+    if name.startswith("gns-verify-level-4"):
+        code, out, _ = _run_one_blas_thread(*argv)
+    else:
+        code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+def _run_one_blas_thread(*argv, script=None):
+    """A cold CLI job with one BLAS thread, or script run on argv in its place."""
+    head = ["-m", "stablerep.cli"] if script is None else ["-c", script]
+    proc = subprocess.run([sys.executable, *head, *argv], env=_child_env(**ONE_BLAS_THREAD),
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_NO_PERMUTATION_PRODUCTS = """
+import sys
+from stablerep import cli, permutations
+
+def refuse(*args):
+    raise AssertionError("a Permutation product or symmetric_group on the gns-verify path")
+
+permutations.Permutation.__mul__ = refuse
+for name, module in list(sys.modules.items()):
+    if name.startswith("stablerep") and getattr(module, "symmetric_group", None) is not None:
+        module.symmetric_group = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_gns_verify_runs_on_the_index_layer():
+    # No Permutation product and no walk over symmetric_group: the links of
+    # the certificate are rows of permutations.product_table.
+    code, out, err = _run_one_blas_thread("gns-verify", str(GOLDEN / "spec_cut2.json"),
+                                          "--level", "4", script=_NO_PERMUTATION_PRODUCTS)
+    assert code == 0, err
+    assert out == (GOLDEN / "gns-verify-level-4_spec_cut2.json").read_text()
 
 
 def test_cache_dir_flag_is_gone(capsys, spec_a):

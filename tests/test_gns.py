@@ -14,7 +14,6 @@ from stablerep.canonical import CanonicalState
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction, fourier
 from stablerep.gns import (
-    biregular,
     central_support,
     commutant,
     double_commutant,
@@ -33,6 +32,8 @@ from stablerep.yor import irrep_matrix
 from test_acceptance import BATTERY
 
 F = Fraction
+# The package rebinds the name gns to the function, so fetch the module.
+gns_module = importlib.import_module("stablerep.gns")
 
 
 def normalized_character_state(n, lam):
@@ -49,7 +50,7 @@ def test_gns_of_delta_is_regular_representation():
         for g in symmetric_group(k):
             for h in symmetric_group(k):
                 assert np.allclose(
-                    triple.rep[g] @ triple.rep[h], triple.rep[g * h], atol=1e-10
+                    triple.image(g) @ triple.image(h), triple.image(g * h), atol=1e-10
                 )
 
 
@@ -71,6 +72,12 @@ def test_gns_reproduces_the_state():
 def test_gns_rejects_non_positive_input():
     f = StateFunction.from_callable(3, lambda g: -g.sign)
     with pytest.raises(ValueError):
+        gns(3, f)
+    # Not hermitian on S_3, though hermitian on S_2: the Gram matrix of f is
+    # not, and gns would build the triple of (f + f*)/2.
+    f = StateFunction(4, {IDENTITY: 1.0, Permutation.from_cycles([[1, 2, 3]]): 0.5})
+    gns(2, f)
+    with pytest.raises(ValueError, match="not hermitian"):
         gns(3, f)
 
 
@@ -119,18 +126,19 @@ def test_standard_form_tracial_case_is_biregular():
     algebra = double_commutant(triple.generators())
     dim = triple.dimension
     sf = standard_form(algebra, np.eye(dim) / dim)
-    bireg = biregular(sf, triple.rep)
+    pi, right = gns_module._two_sided(sf, triple.rep)
     group = symmetric_group(k)
+    index = element_index(k)
 
     # coordinates of delta_x inside the standard carrier
     whalf = sf._whalf
     coords = {}
     for x in group:
-        coeff = np.array([np.vdot(b, triple.rep[x]) for b in sf.basis])
+        coeff = np.array([np.vdot(b, triple.image(x)) for b in sf.basis])
         coords[x] = whalf @ coeff
     for g in group:
         for h in group:
-            op = bireg(g, h)
+            op = pi[index[g]] @ right[index[h]]
             for x in group:
                 want = coords[g * x * h.inverse()]
                 got = op @ coords[x]
@@ -159,48 +167,53 @@ def test_pipeline_residuals_small():
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
     triple, algebra, sf = gns_standard_pipeline(k, as_table(state, k))
-    bireg = biregular(sf, triple.rep)
+    pi, right = gns_module._two_sided(sf, triple.rep)
     group = symmetric_group(k)
+    index = element_index(k)
+
+    def ad(g):
+        return pi[index[g]] @ right[index[g]]
+
     worst = 0.0
     for g1 in group:
         for g2 in group:
-            lhs = bireg(g1 * g2, g1 * g2)
-            rhs = bireg(g1, g1) @ bireg(g2, g2)
+            lhs = ad(g1 * g2)
+            rhs = ad(g1) @ ad(g2)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     assert worst < 1e-8
     for g in group:
-        a = bireg.ad(g)
+        a = ad(g)
         a_inv = np.linalg.inv(a)
         for x in group:
-            lhs = a @ bireg.pi[x] @ a_inv
-            assert np.linalg.norm(lhs - bireg.pi[g * x * g.inverse()]) < 1e-8
+            lhs = a @ pi[index[x]] @ a_inv
+            assert np.linalg.norm(lhs - pi[index[g * x * g.inverse()]]) < 1e-8
 
 
 def test_left_and_right_factors_commute():
     k = 3
     state = CanonicalState(1, (1,), ThomaParams(alpha=(F(1, 2),), beta=(F(1, 4),)))
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    bireg = biregular(sf, triple.rep)
-    for g in symmetric_group(k):
-        left = bireg.pi[g]
-        for h in symmetric_group(k):
-            right = sf.conjugate_by_j(bireg.pi[h])
+    pi = [sf.embed(m) for m in triple.rep]
+    for left in pi:
+        for m in pi:
+            right = sf.conjugate_by_j(m)
             assert np.linalg.norm(left @ right - right @ left) < 1e-9
 
 
 def test_central_support_of_explicit_sum():
-    group = symmetric_group(3)
-    rep = {}
-    for g in group:
-        rep[g] = np.block(
+    rep = np.array([
+        np.block(
             [
                 [irrep_matrix((3,), g), np.zeros((1, 2))],
                 [np.zeros((2, 1)), irrep_matrix((2, 1), g)],
             ]
         )
+        for g in symmetric_group(3)
+    ])
     assert central_support(rep, 3) == frozenset({(3,), (2, 1)})
     with pytest.raises(ValueError):
-        bad = {g: m * (1.5 if g == IDENTITY else 1.0) for g, m in rep.items()}
+        bad = rep.copy()
+        bad[element_index(3)[IDENTITY]] *= 1.5
         central_support(bad, 3)
 
 
@@ -208,9 +221,27 @@ def test_central_support_matches_between_sides():
     k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    bireg = biregular(sf, triple.rep)
-    left = {g: bireg.pi[g] for g in symmetric_group(k)}
+    left, _ = gns_module._two_sided(sf, triple.rep)
     assert central_support(left, k) == central_support(triple.rep, k)
+
+
+def _central_support_oracle(rep, k):
+    # The multiplicity of lam is (1/k!) sum_g chi_lam(g) tr rho(g), summed
+    # over a Permutation-keyed dict of the representation.
+    out = set()
+    for lam in partitions_of(k):
+        mult = sum(mn_character(lam, g.cycle_type()) * np.trace(m).real for g, m in rep.items())
+        if round(mult / math.factorial(k)) > 0:
+            out.add(lam)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_central_support_of_the_stack_matches_a_permutation_dict_oracle(k):
+    for state in BATTERY:
+        triple = gns(k, as_table(state, k))
+        by_element = dict(zip(symmetric_group(k), triple.rep))
+        assert central_support(triple.rep, k) == _central_support_oracle(by_element, k), state
 
 
 # The specs criterion 9 runs at each level: the whole battery at k = 3, the
@@ -254,7 +285,7 @@ def test_gns_rep_equals_the_permutation_loop():
             triple = gns(k, f)
             for g in elements:
                 want = B[:, [index[g * h] for h in elements]] @ pinv
-                assert np.array_equal(triple.rep[g], want)
+                assert np.array_equal(triple.rep[index[g]], want)
             assert np.array_equal(triple.xi, B[:, index[IDENTITY]])
 
 
@@ -262,8 +293,6 @@ def test_gns_verify_solves_no_kronecker_system(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("Kronecker solve on the gns-verify path")
 
-    # The package rebinds the name gns to the function, so fetch the module.
-    gns_module = importlib.import_module("stablerep.gns")
     monkeypatch.setattr(gns_module, "commutant", refuse)
     monkeypatch.setattr(gns_module, "double_commutant", refuse)
     spec = tmp_path / "cut2.json"
@@ -273,20 +302,19 @@ def test_gns_verify_solves_no_kronecker_system(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["ok"] is True
 
 
-def test_biregular_conjugates_each_right_factor_once(monkeypatch):
+def test_right_factors_are_one_conjugation_of_the_stack(monkeypatch):
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
     triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
     calls = []
     conjugate = sf.conjugate_by_j
     monkeypatch.setattr(sf, "conjugate_by_j", lambda X: calls.append(1) or conjugate(X))
-    bireg = biregular(sf, triple.rep)
-    group = symmetric_group(k)
-    for _ in range(2):
-        for g in group:
-            for h in group:
-                assert np.array_equal(bireg(g, h), bireg.pi[g] @ conjugate(bireg.pi[h]))
-    assert len(calls) == len(group)
+    pi, right = gns_module._two_sided(sf, triple.rep)
+    assert len(calls) == 1
+    assert pi.shape == right.shape == (math.factorial(k), sf.dimension, sf.dimension)
+    for r, m in enumerate(triple.rep):
+        assert np.array_equal(pi[r], sf.embed(m))
+        assert np.array_equal(right[r], conjugate(pi[r]))
 
 
 def _real_of_antilinear(C):
@@ -342,14 +370,15 @@ BROKEN = [
 
 @pytest.mark.parametrize("side,cycles,k", BROKEN, ids=["%s-%s-k%d" % (s, "_".join("".join(map(str, c)) for c in cs), k) for s, cs, k in BROKEN])
 def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, side, cycles, k):
-    g = Permutation.from_cycles([tuple(c) for c in cycles])
+    row = element_index(k)[Permutation.from_cycles([tuple(c) for c in cycles])]
+    two_sided = gns_module._two_sided
 
     def broken(sf, rep):
-        bireg = biregular(sf, rep)
-        getattr(bireg, side)[g] = getattr(bireg, side)[g] * (1 + 1e-6)
-        return bireg
+        stacks = dict(zip(("pi", "right"), two_sided(sf, rep)))
+        stacks[side][row] *= 1 + 1e-6
+        return stacks["pi"], stacks["right"]
 
-    monkeypatch.setattr(cli, "biregular", broken)
+    monkeypatch.setattr(gns_module, "_two_sided", broken)
     spec = tmp_path / "cut2.json"
     spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
     out = tmp_path / "report.json"
