@@ -47,8 +47,9 @@ from .stability import centrality_defect, stability_profile
 from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, type_classify
 
 # A cold dense dual-norm of a spec, interpreter start and import included,
-# takes about 0.25 s and 43 MB at level 8 and 0.9 s and 140 MB at level 9
-# (2-CPU Xeon VM, one BLAS thread); the cap stays at 8.
+# takes 0.24-0.34 s and 42 MB at level 8 and 0.75-1.1 s and 140 MB at
+# level 9 (2-CPU Xeon VM, one BLAS thread; the host's speed drifts by a
+# third between runs); the cap stays at 8.
 HARD_CAP = 8
 
 # A table holds level! complex values: 20! of them overflow numpy's array
@@ -203,10 +204,18 @@ def _table_from(data, where):
     # Rows are read in bulk up to the first that is not a pair of a list of
     # lists of integers and a value; the first bad row is then read alone
     # for its error, checked in the order that one row's checks are made.
-    head = list(itertools.takewhile(lambda row: _is_pair(row) and _is_cycles(row[0]), rows))
-    flat = list(itertools.chain.from_iterable(row[0] for row in head))
+    # Three type scans in C cover a file whose rows are all well formed: JSON
+    # yields no subclass of int or list, so `type(x) is int` is _is_int here.
+    chain = itertools.chain.from_iterable
+    head = rows
+    flat = list(chain(row[0] for row in rows)) if all(map(_is_pair, rows)) else None
+    if flat is None or not (set(map(type, flat)) <= {list}
+                            and set(map(type, chain(flat))) <= {int}):
+        head = list(itertools.takewhile(lambda row: _is_pair(row) and _is_cycles(row[0]),
+                                        rows))
+        flat = list(chain(row[0] for row in head))
     numbers = [_number(row[1]) for row in head]
-    words, valid = cycle_words(list(itertools.chain.from_iterable(flat)),
+    words, valid = cycle_words(list(chain(flat)),
                                list(map(len, flat)), [len(row[0]) for row in head], level)
     ranks = word_ranks(words[valid])
     # The valid rows whose rank an earlier row already has give it again.
@@ -235,6 +244,11 @@ def _row_error(row, i, where, level, given_again):
     if g.level > level:
         raise InputError("moves a point above level %d" % level, location=loc)
     _number_from(row[1], loc)
+
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError("--tol must be a finite number >= 0, got %r" % tol, location="--tol")
 
 
 def _load_state(path):
@@ -670,6 +684,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in args:
+            _check_tol(args.tol)
         return args.func(args)
     except InputError as exc:
         loc = " [%s]" % exc.location if exc.location else ""

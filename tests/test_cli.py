@@ -1,5 +1,6 @@
 """Subcommand behavior: reports, exit codes, determinism, refusals."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -171,6 +172,46 @@ def test_gns_verify(capsys, spec_a):
     assert report["central_support"] == [[1, 1, 1], [2, 1]]
     for key in ("j_squared_residual", "homomorphism_residual", "ad_residual"):
         assert report[key] < 1e-8
+
+
+def _tol_argv(command, tmp_path, spec_a, spec_b):
+    values = write(tmp_path / "v.json", {str(k): 2.0 ** (1 - k) for k in range(2, 9)})
+    return {
+        "psd-check": [spec_a, "--level", "3"],
+        "asymptotic-char": [spec_a, "--perm", "[[1,2,3]]"],
+        "recover-params": [values, "--support-bounds", "2,0"],
+        "quasi-equivalent": [spec_a, spec_b],
+        "gns-verify": [spec_a, "--level", "3"],
+    }[command]
+
+
+TOL_COMMANDS = ["psd-check", "asymptotic-char", "recover-params", "quasi-equivalent",
+                "gns-verify"]
+
+
+def test_tol_commands_are_every_subcommand_with_tol():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(TOL_COMMANDS) == sorted(
+        name for name, p in sub.choices.items()
+        if any("--tol" in a.option_strings for a in p._actions))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_tol_that_is_not_finite_or_is_negative_exits_2(capsys, tmp_path, spec_a, spec_b,
+                                                         command, tol):
+    argv = _tol_argv(command, tmp_path, spec_a, spec_b)
+    code, out, err = run(capsys, command, *argv, "--tol=" + tol)
+    assert code == 2 and out == ""
+    assert "--tol must be a finite number >= 0" in err and "[--tol]" in err
+
+
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_tol_zero_is_accepted(capsys, tmp_path, spec_a, spec_b, command):
+    argv = _tol_argv(command, tmp_path, spec_a, spec_b)
+    code, out, err = run(capsys, command, *argv, "--tol=0")
+    assert code in (0, 1) and json.loads(out) and err == ""
 
 
 def test_gns_verify_above_level_4_is_infeasible(capsys, spec_a):

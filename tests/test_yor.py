@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from stablerep import yor
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction, fourier
 from stablerep.partitions import hook_dimension, partitions_of, standard_tableaux
@@ -77,6 +78,74 @@ def test_generators_and_branching_rows_match_the_tableau_loops():
                 assert list(rows) == list(want), lam
                 for mu in want:
                     assert np.array_equal(rows[mu], want[mu]), (lam, mu)
+
+
+def _row_word(tab):
+    n = sum(map(len, tab))
+    word = [0] * n
+    for r, row in enumerate(tab):
+        for v in row:
+            word[v - 1] = r
+    return word
+
+
+def test_levels_stack_the_row_words_of_standard_tableaux():
+    for k in range(9):
+        level = yor._level(k)
+        assert level.words.dtype == np.uint8
+        assert len(level.offsets) == len(partitions_of(k)) + 1
+        assert len(level.steps) == max(k - 1, 0)
+        for s, lam in enumerate(partitions_of(k)):
+            rows = slice(level.offsets[s], level.offsets[s + 1])
+            tabs = standard_tableaux(lam)
+            assert level.words[rows].tolist() == [_row_word(t) for t in tabs], lam
+            contents = [[0] * k for _ in tabs]
+            for i, tab in enumerate(tabs):
+                for r, row in enumerate(tab):
+                    for c, v in enumerate(row):
+                        contents[i][v - 1] = c - r
+            assert level.contents[rows].tolist() == contents, lam
+
+
+def test_sort_keys_order_shape_indices_past_one_byte():
+    # p(17) = 297: a shape index of 256 or more must keep its high byte.
+    shape = np.array([256, 255, 1, 0, 257, 256, 1, 511, 512, 256])
+    words = np.array([[0, 1], [0, 0], [0, 1], [1, 0], [0, 0],
+                      [0, 0], [0, 0], [2, 0], [0, 0], [1, 0]], dtype=np.uint8)
+    keys = yor._sort_keys(shape, words)
+    want = sorted(range(len(shape)), key=lambda i: (shape[i], words[i].tolist()))
+    assert np.argsort(keys, kind="stable").tolist() == want
+    assert len(set(keys.tolist())) == len(shape)
+
+
+def test_cosets_equal_the_dense_product_chain():
+    # The two-nonzeros rule reproduces gen @ m bit for bit: each entry is
+    # one sum of two products either way.
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            mats = [np.eye(hook_dimension(lam))]
+            for gen in reversed(yor_generators(lam)):
+                mats.append(gen @ mats[-1])
+            assert np.array_equal(branching(lam)[0], np.hstack(mats[::-1])), lam
+    # Free the level-9 matrices (about 50 MB), which no other test reads.
+    yor_generators.cache_clear()
+    branching.cache_clear()
+
+
+def test_fourier_builds_no_dense_generators(monkeypatch):
+    rng = np.random.default_rng(7)
+    f = StateFunction.from_vector(7, rng.standard_normal(math.factorial(7)))
+    want = fourier(f)
+
+    def refuse(lam):
+        raise AssertionError("dense Young generators on the Fourier path")
+
+    monkeypatch.setattr(yor, "yor_generators", refuse)
+    yor.branching.cache_clear()
+    yor._level.cache_clear()
+    got = fourier(f)
+    for lam in partitions_of(7):
+        assert np.array_equal(got[lam], want[lam]), lam
 
 
 def test_coxeter_relations():
