@@ -9,6 +9,7 @@ second, and 0 whenever s admits no such factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,7 +30,8 @@ from .permutations import (
     transposition,
 )
 from .fourier import Evaluator, as_table, fourier
-from .thoma import FactorType, ThomaParams, recover_params, thoma_character, type_classify
+from .thoma import (RESIDUAL_TOL, FactorType, ThomaParams, recover_params, thoma_character,
+                    type_classify)
 
 
 class ClassificationError(RuntimeError):
@@ -314,6 +316,12 @@ class ClassificationResult:
         return out
 
 
+# Largest gap, in any value on S_K, between a classified state and the
+# canonical state of its invariant.  RESIDUAL_TOL bounds a sum of squared
+# value misfits, so its square root is the matching bound on one value.
+REPRODUCTION_TOL = math.sqrt(RESIDUAL_TOL)
+
+
 def classify(
     state: Evaluator,
     K: int,
@@ -324,10 +332,14 @@ def classify(
     Runs central_depth at truncation K, projects onto finite characters,
     reads asymptotic values on k-cycles for k = 2..max(K, r + s + 1), and
     fits Thoma parameters within the support bounds (r, s).  The caller
-    judges the returned residual.
+    judges the returned residual.  A fit within RESIDUAL_TOL must also
+    reproduce the state on S_K to REPRODUCTION_TOL: when K is at most the
+    depth, the state on S_K is a class function, central_depth reads n = 0
+    there, and such an invariant is refused, not returned.
     """
     r, s = support_bounds
-    n = central_depth(state, K)
+    table = as_table(state, K)
+    n = central_depth(table, K)
     if n is None:
         raise ClassificationError(f"no central depth found up to truncation {K}")
     lam = recover_lambda(state, n)
@@ -343,9 +355,15 @@ def classify(
         values[k] = float(complex(res.value).real)
         stabilized[k] = res.stabilized_at
     rec = recover_params(values, support_bounds)
+    invariant = CanonicalState(n, lam, rec.params)
+    if rec.residual <= RESIDUAL_TOL:
+        gap = float(np.max(np.abs(as_table(invariant, K).vector - table.vector)))
+        if gap > REPRODUCTION_TOL:
+            raise ClassificationError(
+                f"the recovered invariant misses the state on S_{K} by {gap!r}"
+            )
     return ClassificationResult(
-        CanonicalState(n, lam, rec.params), type_classify(rec.params), rec.residual,
-        values, stabilized,
+        invariant, type_classify(rec.params), rec.residual, values, stabilized,
     )
 
 

@@ -382,7 +382,6 @@ def _tabulate(state, level):
 
 
 def _cmd_dual_norm(args):
-    _check_level(args.level, args.allow_large)
     table = _tabulate(_load_state(args.input), args.level)
     value = dual_norm(table)
     report = {"dual_norm": value, "level": args.level}
@@ -391,7 +390,6 @@ def _cmd_dual_norm(args):
 
 
 def _cmd_psd_check(args):
-    _check_level(args.level, args.allow_large)
     table = _tabulate(_load_state(args.input), args.level)
     try:
         cert = is_positive_definite(table, tol=args.tol)
@@ -400,7 +398,7 @@ def _cmd_psd_check(args):
     report = {
         "positive_definite": cert.positive,
         "min_eigenvalue": cert.min_eigenvalue,
-        "witness": list(cert.witness) if cert.witness is not None else None,
+        "witness": list(cert.witness),
         "level": args.level,
         "tol": args.tol,
     }
@@ -436,10 +434,14 @@ def _cmd_recover_params(args):
                          location=args.input)
     values = {}
     for key, val in data.items():
+        # One spelling per length: "02", "+2", " 2" and "1_0" would each
+        # pass int(), and "02" would overwrite the value of "2".
         try:
             k = int(key)
         except ValueError:
-            raise InputError("cycle length key %r is not an integer" % key,
+            k = None
+        if str(k) != key:
+            raise InputError("cycle length key %r is not a decimal integer" % key,
                              location=args.input)
         values[k] = _number_from(val, "%s key %r" % (args.input, key))
     bounds = _support_bounds(args.support_bounds)
@@ -458,7 +460,6 @@ def _cmd_recover_params(args):
 
 
 def _cmd_classify(args):
-    _check_level(args.level, args.allow_large)
     state = _load_state(args.input)
     bounds = _support_bounds(args.support_bounds)
     try:
@@ -495,7 +496,6 @@ def _cmd_quasi_equivalent(args):
 
 
 def _cmd_stability_profile(args):
-    _check_level(args.level, args.allow_large)
     state = _load_state(args.input)
     # Probes above cut m reach level m + 3; a bounded table caps the sweep.
     M = args.max_shift if args.max_shift is not None else max(args.level - 3, 0)
@@ -513,7 +513,6 @@ def _cmd_stability_profile(args):
 
 
 def _cmd_centrality_defect(args):
-    _check_level(args.level, args.allow_large)
     state = _load_state(args.input)
     try:
         defect = centrality_defect(state, args.cut, args.level)
@@ -526,7 +525,6 @@ def _cmd_centrality_defect(args):
 
 def _cmd_gns_verify(args):
     k = args.level
-    _check_level(k, args.allow_large)
     if k > 4:
         raise InfeasibleError("gns-verify builds a dense standard form of dimension up "
                               "to k!; at k = 5 that takes 5-25 s and up to 0.33 GB, "
@@ -552,7 +550,6 @@ def _cmd_induce_char(args):
                           "--partition")
     mu = _partition_from(_parse_json_flag(args.mu, "--mu"), "--mu")
     m = args.level
-    _check_level(m, args.allow_large)
     if sum(lam) + sum(mu) != m:
         raise InfeasibleError("|lambda| + |mu| must equal --level (got %d + %d != %d)"
                               % (sum(lam), sum(mu), m))
@@ -574,7 +571,9 @@ def _cmd_induce_char(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument("--allow-large", action="store_true",
+    # Only the subcommands whose size is capped take --allow-large.
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--allow-large", action="store_true",
                         help="override the hard level cap %d" % HARD_CAP)
 
     parser = argparse.ArgumentParser(
@@ -589,7 +588,7 @@ def _build_parser():
     p.add_argument("--perm", required=True, help="cycles JSON, e.g. '[[1,2]]'")
     p.set_defaults(func=_cmd_eval_state)
 
-    p = sub.add_parser("char-finite", parents=[common],
+    p = sub.add_parser("char-finite", parents=[capped],
                        help="irreducible character value by partition")
     p.add_argument("--partition", required=True, help="partition JSON, e.g. '[2,1]'")
     p.add_argument("--perm", required=True, help="cycles JSON")
@@ -601,13 +600,13 @@ def _build_parser():
     p.add_argument("--perm", required=True, help="cycles JSON")
     p.set_defaults(func=_cmd_char_thoma)
 
-    p = sub.add_parser("dual-norm", parents=[common],
+    p = sub.add_parser("dual-norm", parents=[capped],
                        help="dual norm of a state at a truncation level")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=_cmd_dual_norm)
 
-    p = sub.add_parser("psd-check", parents=[common],
+    p = sub.add_parser("psd-check", parents=[capped],
                        help="positive definiteness certificate")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, required=True)
@@ -630,7 +629,7 @@ def _build_parser():
                    help="residual threshold for exit 0")
     p.set_defaults(func=_cmd_recover_params)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[capped],
                        help="full invariant from a state: (n, lambda, alpha, beta)")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, default=6)
@@ -644,7 +643,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_quasi_equivalent)
 
-    p = sub.add_parser("stability-profile", parents=[common],
+    p = sub.add_parser("stability-profile", parents=[capped],
                        help="conjugation defect against shifted probes")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, required=True)
@@ -655,21 +654,21 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_stability_profile)
 
-    p = sub.add_parser("centrality-defect", parents=[common],
+    p = sub.add_parser("centrality-defect", parents=[capped],
                        help="deviation from centrality across a cut")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--cut", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=_cmd_centrality_defect)
 
-    p = sub.add_parser("gns-verify", parents=[common],
+    p = sub.add_parser("gns-verify", parents=[capped],
                        help="standard form residuals at a truncation level")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_gns_verify)
 
-    p = sub.add_parser("induce-char", parents=[common],
+    p = sub.add_parser("induce-char", parents=[capped],
                        help="decompose the induced product character")
     p.add_argument("--partition", required=True, help="partition JSON for the "
                    "finite factor")
@@ -686,6 +685,8 @@ def main(argv=None):
     try:
         if "tol" in args:
             _check_tol(args.tol)
+        if "level" in args and "allow_large" in args:
+            _check_level(args.level, args.allow_large)
         return args.func(args)
     except InputError as exc:
         loc = " [%s]" % exc.location if exc.location else ""

@@ -95,9 +95,7 @@ class StateFunction:
     def from_class_function(
         cls, level: int, fn: Callable[[tuple[int, ...]], complex]
     ) -> "StateFunction":
-        return cls.from_vector(
-            level, [complex(fn(g.cycle_type())) for g in symmetric_group(level)]
-        )
+        return cls.from_callable(level, lambda g: fn(g.cycle_type()))
 
     def __call__(self, g: Permutation) -> complex:
         if g.level > self.level:

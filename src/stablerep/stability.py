@@ -105,6 +105,13 @@ class StabilityProfile:
         }
 
 
+def _conjugation_defects(f: Evaluator, table: StateFunction, probes, K: int) -> list[float]:
+    """rho_distance on S_K from f's level-K table to its conjugate by each
+    probe: one inside S_K gathers the table, one that leaves it pulls f back."""
+    return [rho_distance(ad_orbit_state(table if t.level <= K else f, t), table, K)
+            for t in probes]
+
+
 def probe_generators(m: int) -> tuple[Permutation, ...]:
     """The probes above cut m: one transposition, one 3-cycle."""
     return (transposition(m + 1, m + 2), cycle(m + 1, m + 2, m + 3))
@@ -138,9 +145,7 @@ def stability_profile(f: Evaluator, K: int, M: int, exhaustive: bool = False) ->
             probes = tuple(g.shift(m) for g in symmetric_group(K - m) if not g.is_identity())
         else:
             probes = probe_generators(m)
-        # A probe inside S_K gathers the table; one that leaves it pulls f back.
-        dists = [rho_distance(ad_orbit_state(table if t.level <= K else f, t), table, K)
-                 for t in probes]
+        dists = _conjugation_defects(f, table, probes, K)
         worst = max(dists)
         witness = next(t for t, d in zip(probes, dists) if d >= worst * (1 - WITNESS_SLACK))
         points.append(ProfilePoint(m, worst, witness))
@@ -158,8 +163,4 @@ def centrality_defect(f: Evaluator, n: int, K: int) -> float:
         raise ValueError("need n <= K - 2 so the tail group is visible")
     if n < 0:
         raise ValueError(f"cut must be >= 0, got {n}")
-    table = as_table(f, K)
-    worst = 0.0
-    for t in cut_generators(n, K):
-        worst = max(worst, rho_distance(ad_orbit_state(table, t), table, K))
-    return worst
+    return max(_conjugation_defects(f, as_table(f, K), cut_generators(n, K), K))

@@ -167,6 +167,15 @@ def test_classify_needs_room_on_bounded_tables():
         classify(table, 4, (2, 2))
 
 
+def test_classify_refuses_an_invariant_that_misses_the_state():
+    # On S_K with K <= n the state is a class function, so the depth reads 0
+    # there; the fit is exact, but the depth-0 invariant misses the state.
+    state = CanonicalState(2, (1, 1), MIXED)
+    with pytest.raises(ClassificationError, match="misses the state on S_2"):
+        classify(state, 2, (1, 1))
+    assert quasi_equivalent(classify(state, 4, (1, 1)).invariant, state)
+
+
 def test_quasi_equivalence_partitions_battery():
     states = [
         CanonicalState(2, (1, 1), HALF_HALF),

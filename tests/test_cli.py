@@ -465,6 +465,69 @@ def test_hard_cap_exits_3(capsys, spec_a):
     assert json.loads(out)["character"] == 1
 
 
+# One cheap job over the cap for each subcommand that takes --allow-large,
+# and what it meets once the flag lifts the cap: a level-2 table fed at
+# level 9 stops at level 2, gns-verify refuses k > 4, and the exact
+# subcommands answer.
+CAPPED_JOBS = {
+    "char-finite": (["--partition", "[9]", "--perm", "[[1,2]]"], None),
+    "induce-char": (["--partition", "[5]", "--mu", "[4]", "--level", "9"], None),
+    "dual-norm": (["TABLE", "--level", "9"], "stops at level 2"),
+    "psd-check": (["TABLE", "--level", "9"], "stops at level 2"),
+    "classify": (["TABLE", "--level", "9", "--support-bounds", "1,0"], "stops at level 2"),
+    "stability-profile": (["TABLE", "--level", "9"], "stops at level 2"),
+    "centrality-defect": (["TABLE", "--cut", "1", "--level", "9"], "stops at level 2"),
+    "gns-verify": (["TABLE", "--level", "9"], "k > 4 is refused"),
+}
+UNCAPPED_JOBS = {
+    "eval-state": ["SPEC", "--perm", "[]"],
+    "char-thoma": ["SPEC", "--perm", "[]"],
+    "asymptotic-char": ["SPEC", "--perm", "[[1,2]]"],
+    "recover-params": ["VALUES", "--support-bounds", "1,0"],
+    "quasi-equivalent": ["SPEC", "SPEC"],
+}
+
+
+def _files(argv, tmp_path, spec_a):
+    files = {"TABLE": write(tmp_path / "t.json", {"level": 2, "values": [[[], 1]]}),
+             "SPEC": spec_a, "VALUES": write(tmp_path / "v.json", {"2": 0.5, "3": 0.25})}
+    return [files.get(a, a) for a in argv]
+
+
+def test_allow_large_is_on_exactly_the_capped_subcommands():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(CAPPED_JOBS) == sorted(
+        name for name, p in sub.choices.items()
+        if any("--allow-large" in a.option_strings for a in p._actions))
+    assert sorted(UNCAPPED_JOBS) == sorted(set(sub.choices) - set(CAPPED_JOBS))
+
+
+@pytest.mark.parametrize("command", CAPPED_JOBS)
+def test_every_allow_large_lifts_the_cap(capsys, tmp_path, spec_a, command):
+    argv, after = CAPPED_JOBS[command]
+    argv = _files(argv, tmp_path, spec_a)
+    code, out, err = run(capsys, command, *argv)
+    assert code == 3 and out == ""
+    assert "hard cap" in err
+    code, out, err = run(capsys, command, *argv, "--allow-large")
+    assert "hard cap" not in err
+    if after is None:
+        assert code == 0 and json.loads(out)
+    else:
+        assert code == 3 and after in err
+
+
+@pytest.mark.parametrize("command", UNCAPPED_JOBS)
+def test_allow_large_is_refused_where_no_cap_applies(capsys, tmp_path, spec_a, command):
+    argv = _files(UNCAPPED_JOBS[command], tmp_path, spec_a)
+    assert run(capsys, command, *argv)[0] in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--allow-large"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+
+
 # One BLAS thread: a pool per core would reserve address space that measures
 # the machine, not the job, and BLAS rounding changes with the thread count.
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -564,6 +627,32 @@ def test_classify_refuses_a_fit_over_the_residual_threshold(capsys, tmp_path):
     assert report["alpha"] == [pytest.approx(0.5)] and report["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("n, lam, level", [(2, [1, 1], "2"), (3, [2, 1], "3")])
+def test_classify_refuses_an_invariant_that_misses_the_state(capsys, tmp_path, n, lam,
+                                                               level):
+    # At a level no higher than the depth the state on S_K is a normalised
+    # character restricted to S_K, a class function, so the depth reads 0
+    # there.  The fit is exact, but the invariant (0, (), alpha, beta) does
+    # not give back the state on S_K, and is refused.
+    spec = write(tmp_path / "s.json",
+                 {"n": n, "lambda": lam, "alpha": ["1/2", "1/5"], "beta": ["1/4"]})
+    code, out, _ = run(capsys, "classify", spec, "--level", level, "--support-bounds", "2,1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["failure"].startswith(
+        "classification failed: the recovered invariant misses the state on S_%s by " % level)
+    assert (report["level"], report["support_bounds"]) == (int(level), [2, 1])
+
+
+@pytest.mark.parametrize("key", ["02", "1_0", " 2", "+3"])
+def test_recover_params_key_is_a_decimal_integer(capsys, tmp_path, key):
+    # int() reads each of these keys; "02" would overwrite the value of "2".
+    path = write(tmp_path / "values.json", {"2": 0.3, key: 0.1, "3": 0.05})
+    code, out, err = run(capsys, "recover-params", path, "--support-bounds", "1,0")
+    assert code == 2 and out == ""
+    assert err == "error: cycle length key %r is not a decimal integer [%s]\n" % (key, path)
+
+
 def test_fit_threshold_has_one_home():
     # classify's gate and recover-params' default read thoma's threshold,
     # the default of RecoveryResult.ok.
@@ -641,6 +730,25 @@ def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
         code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+@pytest.mark.parametrize("name, code, argv", [
+    ("eval-state_spec_cut2", 0, ["eval-state", "spec_cut2", "--perm", "[[1,2],[3,4,5]]"]),
+    ("char-finite", 0, ["char-finite", "--partition", "[4,2,1]", "--perm", "[[1,2],[3,4,5]]"]),
+    ("char-thoma_spec_cut2", 0, ["char-thoma", "spec_cut2", "--perm", "[[1,2,3],[4,5]]"]),
+    ("asymptotic-char_spec_cut2", 0, ["asymptotic-char", "spec_cut2", "--perm", "[[1,2,3]]"]),
+    ("recover-params_values_cut2", 0,
+     ["recover-params", "values_cut2", "--support-bounds", "2,1"]),
+    ("quasi-equivalent_spec_cut2_spec_cut3", 1, ["quasi-equivalent", "spec_cut2", "spec_cut3"]),
+    ("induce-char", 0, ["induce-char", "--partition", "[2,1]", "--mu", "[2]", "--level", "5"]),
+])
+def test_exact_and_fit_reports_match_golden_files(capsys, name, code, argv):
+    # Pinned byte for byte: the reports of the subcommands that build no
+    # Fourier transform.  values_cut2 holds the cycle values of spec_cut2's
+    # parameters, and its fit reads the same under one and two BLAS threads.
+    inputs = ("spec_cut2", "spec_cut3", "values_cut2")
+    argv = [str(GOLDEN / (a + ".json")) if a in inputs else a for a in argv]
+    assert run(capsys, *argv)[:2] == (code, (GOLDEN / (name + ".json")).read_text())
 
 
 def _run_one_blas_thread(*argv, script=None):
