@@ -219,11 +219,15 @@ class AsymptoticResult:
     value: Optional[complex]
 
 
+# The default largest step between values that asymptotic_character reads as stable.
+STABILIZATION_TOL = 1e-12
+
+
 def asymptotic_character(
     state: Evaluator,
     g: Permutation,
     M: int,
-    tol: float = 1e-12,
+    tol: float = STABILIZATION_TOL,
 ) -> AsymptoticResult:
     """Evaluate state along a shift sequence of g and report stabilization.
 
@@ -374,7 +378,11 @@ def _padded_close(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
     return all(abs(float(x) - float(y)) <= tol for x, y in zip(pa, pb))
 
 
-def quasi_equivalent(a: CanonicalState, b: CanonicalState, tol: float = 1e-9) -> bool:
+# The default largest parameter gap that quasi_equivalent ignores.
+EQUIVALENCE_TOL = 1e-9
+
+
+def quasi_equivalent(a: CanonicalState, b: CanonicalState, tol: float = EQUIVALENCE_TOL) -> bool:
     """Equality of invariants: same depth, same partition, same parameters.
 
     Parameter lists are compared entrywise after zero padding, so an

@@ -30,6 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .canonical import (
+    EQUIVALENCE_TOL,
+    STABILIZATION_TOL,
     CanonicalState,
     ClassificationError,
     asymptotic_character,
@@ -38,7 +40,8 @@ from .canonical import (
     shift_sequence,
 )
 from .characters import mn_character
-from .fourier import StateFunction, as_table, check_hermitian, dual_norm, is_positive_definite
+from .fourier import (PSD_TOL, StateFunction, as_table, check_hermitian, dual_norm,
+                      is_positive_definite)
 from .gns import gns_certificate
 from .induction import decompose_induced
 from .partitions import check_partition, hook_dimension
@@ -51,6 +54,15 @@ from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, t
 # level 9 (2-CPU Xeon VM, one BLAS thread; the host's speed drifts by a
 # third between runs); the cap stays at 8.
 HARD_CAP = 8
+
+# The --level cap of every subcommand that has one, checked in main before
+# any input is read, with its refusal: HARD_CAP gives way to --allow-large,
+# and gns-verify has no such flag.  char-finite caps its partition's weight.
+LEVEL_CAPS = dict.fromkeys(("dual-norm", "psd-check", "classify", "stability-profile",
+                            "centrality-defect", "induce-char"), (HARD_CAP, None))
+LEVEL_CAPS["gns-verify"] = (4, "gns-verify builds a dense standard form of dimension up "
+                               "to k!; at k = 5 that takes 5-25 s and up to 0.33 GB, "
+                               "so k > 4 is refused")
 
 # A table holds level! complex values: 20! of them overflow numpy's array
 # sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.
@@ -124,7 +136,7 @@ def _perm_from_cycles(data, where):
 def _partition_from(data, where):
     if not isinstance(data, list):
         raise InputError("partition must be a list", location=where)
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in data):
+    if not all(map(_is_int, data)):
         raise InputError("partition entries must be integers, got %r" % (data,),
                          location=where)
     lam = tuple(data)
@@ -181,7 +193,7 @@ def _spec_from(data, where):
         raise InputError("state spec needs keys n, lambda, alpha, beta",
                          location=where)
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InputError("n must be an integer, got %r" % (n,), location=where)
     params = _params_from(data, where)
     try:
@@ -192,7 +204,7 @@ def _spec_from(data, where):
 
 def _table_from(data, where):
     level = data.get("level")
-    if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+    if not _is_int(level) or level < 0:
         raise InputError("state file needs an integer 'level'", location=where)
     rows = data.get("values")
     if not isinstance(rows, list):
@@ -265,11 +277,10 @@ def _load_state(path):
     return _spec_from(data, path)
 
 
-def _check_level(level, allow_large):
-    if level > HARD_CAP and not allow_large:
-        raise InfeasibleError(
-            "level %d exceeds the hard cap %d (pass --allow-large to override)"
-            % (level, HARD_CAP))
+def _check_level(level, allow_large, cap=HARD_CAP, refusal=None):
+    if level > cap and not allow_large:
+        raise InfeasibleError(refusal or "level %d exceeds the hard cap %d (pass "
+                                         "--allow-large to override)" % (level, cap))
     if level < 0:
         raise InfeasibleError("level must be nonnegative")
 
@@ -303,22 +314,23 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload, args):
-    try:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        raise InfeasibleError("the report holds a number that is not finite: "
-                              "the input's values overflow double precision")
-    _write(text + "\n", args)
+def _write(payload, args):
+    """Write a report as sorted JSON, or CSV text as it is, to --output or stdout.
 
-
-def _write(text, args):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    A report that holds a number that is not finite is refused before
+    anything is written.
+    """
+    if not isinstance(payload, str):
+        try:
+            payload = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n"
+        except ValueError:
+            raise OverflowError("the report holds a number that is not finite")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _value_field(v):
@@ -329,6 +341,9 @@ def _value_field(v):
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each handler returns its payload, a report dict (or CSV text), and its
+# verdict; main writes the payload and turns the verdict into exit 0 or 1.
 
 
 def _cmd_eval_state(args):
@@ -336,8 +351,7 @@ def _cmd_eval_state(args):
     g = _perm_from_cycles(_parse_json_flag(args.perm, "--perm"), "--perm")
     report = {"spec": state.to_json(), "perm": g.cycles()}
     report.update(_value_field(state(g)))
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
 def _cmd_char_finite(args):
@@ -351,15 +365,8 @@ def _cmd_char_finite(args):
                          location="--perm")
     chi = mn_character(lam, g.cycle_partition(n))
     dim = hook_dimension(lam)
-    report = {
-        "partition": list(lam),
-        "perm": g.cycles(),
-        "character": chi,
-        "dimension": dim,
-        "normalized": str(Fraction(chi, dim)),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"partition": list(lam), "perm": g.cycles(), "character": chi, "dimension": dim,
+            "normalized": str(Fraction(chi, dim))}, True
 
 
 def _cmd_char_thoma(args):
@@ -369,8 +376,7 @@ def _cmd_char_thoma(args):
               "cycle_type": list(g.cycle_type())}
     report.update(_value_field(thoma_character(params, g.cycle_type())))
     report["factor_type"] = type_classify(params).value
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
 def _tabulate(state, level):
@@ -383,10 +389,7 @@ def _tabulate(state, level):
 
 def _cmd_dual_norm(args):
     table = _tabulate(_load_state(args.input), args.level)
-    value = dual_norm(table)
-    report = {"dual_norm": value, "level": args.level}
-    _emit(report, args)
-    return EXIT_OK
+    return {"dual_norm": dual_norm(table), "level": args.level}, True
 
 
 def _cmd_psd_check(args):
@@ -395,15 +398,8 @@ def _cmd_psd_check(args):
         cert = is_positive_definite(table, tol=args.tol)
     except ValueError as exc:  # a non-hermitian function is not a state
         raise InputError(str(exc), location=args.input)
-    report = {
-        "positive_definite": cert.positive,
-        "min_eigenvalue": cert.min_eigenvalue,
-        "witness": list(cert.witness),
-        "level": args.level,
-        "tol": args.tol,
-    }
-    _emit(report, args)
-    return EXIT_OK if cert.positive else EXIT_CERT
+    return {"positive_definite": cert.positive, "min_eigenvalue": cert.min_eigenvalue,
+            "witness": list(cert.witness), "level": args.level, "tol": args.tol}, cert.positive
 
 
 def _cmd_asymptotic_char(args):
@@ -415,16 +411,12 @@ def _cmd_asymptotic_char(args):
         raise InfeasibleError("--max-shift must exceed max(level(g), n) = %d" % m0)
     seq = shift_sequence(g, M)
     result = asymptotic_character(state, g, M, tol=args.tol)
-    report = {
-        "perm": g.cycles(),
-        "shift_memberships": seq.verify(),
-        "values": [dict(_value_field(v), m=m) for m, v in result.values],
-        "stabilized_at": result.stabilized_at,
-    }
+    report = {"perm": g.cycles(), "shift_memberships": seq.verify(),
+              "values": [dict(_value_field(v), m=m) for m, v in result.values],
+              "stabilized_at": result.stabilized_at}
     report.update(_value_field(result.value) if result.stabilized_at is not None
                   else {"value": None, "rational": None})
-    _emit(report, args)
-    return EXIT_OK if result.stabilized_at is not None else EXIT_CERT
+    return report, result.stabilized_at is not None
 
 
 def _cmd_recover_params(args):
@@ -449,14 +441,9 @@ def _cmd_recover_params(args):
         result = recover_params(values, bounds)
     except ValueError as exc:
         raise InputError(str(exc), location=args.input)
-    report = {
-        "params": result.params.to_json(),
-        "residual": result.residual,
-        "ok": result.ok(args.tol),
-        "tol": args.tol,
-    }
-    _emit(report, args)
-    return EXIT_OK if result.ok(args.tol) else EXIT_CERT
+    ok = result.ok(args.tol)
+    return {"params": result.params.to_json(), "residual": result.residual, "ok": ok,
+            "tol": args.tol}, ok
 
 
 def _cmd_classify(args):
@@ -465,34 +452,24 @@ def _cmd_classify(args):
     try:
         result = classify(state, args.level, bounds)
     except ClassificationError as exc:
-        _emit({"failure": "classification failed: %s" % exc, "level": args.level,
-               "support_bounds": list(bounds)}, args)
-        return EXIT_CERT
+        failure = str(exc)
     except ValueError as exc:
         # A bounded table can run out of room for the shift probes.
         raise InfeasibleError(str(exc))
-    if result.residual > RESIDUAL_TOL:
-        _emit({"failure": "classification failed: Thoma fit residual %r exceeds %r"
-                          % (result.residual, RESIDUAL_TOL),
-               "level": args.level, "support_bounds": list(bounds)}, args)
-        return EXIT_CERT
-    report = result.to_json()
-    _emit(report, args)
-    return EXIT_OK
+    else:
+        if result.residual <= RESIDUAL_TOL:
+            return result.to_json(), True
+        failure = "Thoma fit residual %r exceeds %r" % (result.residual, RESIDUAL_TOL)
+    return {"failure": "classification failed: " + failure, "level": args.level,
+            "support_bounds": list(bounds)}, False
 
 
 def _cmd_quasi_equivalent(args):
     a = _spec_from(_load_json(args.input), args.input)
     b = _spec_from(_load_json(args.other), args.other)
     same = quasi_equivalent(a, b, tol=args.tol)
-    report = {
-        "quasi_equivalent": same,
-        "first": a.to_json(),
-        "second": b.to_json(),
-        "tol": args.tol,
-    }
-    _emit(report, args)
-    return EXIT_OK if same else EXIT_CERT
+    return {"quasi_equivalent": same, "first": a.to_json(), "second": b.to_json(),
+            "tol": args.tol}, same
 
 
 def _cmd_stability_profile(args):
@@ -504,12 +481,7 @@ def _cmd_stability_profile(args):
                                     exhaustive=args.exhaustive_sweep)
     except ValueError as exc:
         raise InfeasibleError(str(exc))
-    if args.format == "csv":
-        _write(profile.to_csv(), args)
-        return EXIT_OK
-    report = profile.to_json()
-    _emit(report, args)
-    return EXIT_OK
+    return profile.to_csv() if args.format == "csv" else profile.to_json(), True
 
 
 def _cmd_centrality_defect(args):
@@ -518,17 +490,11 @@ def _cmd_centrality_defect(args):
         defect = centrality_defect(state, args.cut, args.level)
     except ValueError as exc:
         raise InfeasibleError(str(exc))
-    report = {"defect": defect, "cut": args.cut, "level": args.level}
-    _emit(report, args)
-    return EXIT_OK
+    return {"defect": defect, "cut": args.cut, "level": args.level}, True
 
 
 def _cmd_gns_verify(args):
     k = args.level
-    if k > 4:
-        raise InfeasibleError("gns-verify builds a dense standard form of dimension up "
-                              "to k!; at k = 5 that takes 5-25 s and up to 0.33 GB, "
-                              "so k > 4 is refused")
     f = _tabulate(_load_state(args.input), k)
     try:
         check_hermitian(f)
@@ -537,12 +503,10 @@ def _cmd_gns_verify(args):
     try:
         cert = gns_certificate(k, f)
     except ValueError as exc:
-        _emit({"failure": "standard form failed: %s" % exc, "level": k, "ok": False,
-               "tol": args.tol}, args)
-        return EXIT_CERT
-    worst = max(value for key, value in cert.items() if key.endswith("_residual"))
-    _emit(dict(cert, level=k, tol=args.tol, ok=worst <= args.tol), args)
-    return EXIT_OK if worst <= args.tol else EXIT_CERT
+        return {"failure": "standard form failed: %s" % exc, "level": k, "ok": False,
+                "tol": args.tol}, False
+    ok = max(value for key, value in cert.items() if key.endswith("_residual")) <= args.tol
+    return dict(cert, level=k, tol=args.tol, ok=ok), ok
 
 
 def _cmd_induce_char(args):
@@ -554,14 +518,8 @@ def _cmd_induce_char(args):
         raise InfeasibleError("|lambda| + |mu| must equal --level (got %d + %d != %d)"
                               % (sum(lam), sum(mu), m))
     mults = decompose_induced(sum(lam), lam, mu, m)
-    report = {
-        "partition": list(lam),
-        "mu": list(mu),
-        "level": m,
-        "multiplicities": {json.dumps(list(nu)): c for nu, c in sorted(mults.items())},
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"partition": list(lam), "mu": list(mu), "level": m,
+            "multiplicities": {json.dumps(list(nu)): c for nu, c in sorted(mults.items())}}, True
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +568,7 @@ def _build_parser():
                        help="positive definiteness certificate")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=PSD_TOL)
     p.set_defaults(func=_cmd_psd_check)
 
     p = sub.add_parser("asymptotic-char", parents=[common],
@@ -618,7 +576,7 @@ def _build_parser():
     p.add_argument("input", help="spec JSON: {n, lambda, alpha, beta}")
     p.add_argument("--perm", required=True, help="cycles JSON")
     p.add_argument("--max-shift", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=STABILIZATION_TOL)
     p.set_defaults(func=_cmd_asymptotic_char)
 
     p = sub.add_parser("recover-params", parents=[common],
@@ -640,7 +598,7 @@ def _build_parser():
                        help="compare two spec files up to quasi-equivalence")
     p.add_argument("input", help="first spec JSON")
     p.add_argument("other", help="second spec JSON")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=EQUIVALENCE_TOL)
     p.set_defaults(func=_cmd_quasi_equivalent)
 
     p = sub.add_parser("stability-profile", parents=[capped],
@@ -661,7 +619,7 @@ def _build_parser():
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=_cmd_centrality_defect)
 
-    p = sub.add_parser("gns-verify", parents=[capped],
+    p = sub.add_parser("gns-verify", parents=[common],
                        help="standard form residuals at a truncation level")
     p.add_argument("input", help="state table or spec JSON")
     p.add_argument("--level", type=int, default=3)
@@ -680,20 +638,26 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if "tol" in args:
             _check_tol(args.tol)
-        if "level" in args and "allow_large" in args:
-            _check_level(args.level, args.allow_large)
-        return args.func(args)
+        if args.subcommand in LEVEL_CAPS:
+            _check_level(args.level, getattr(args, "allow_large", False),
+                         *LEVEL_CAPS[args.subcommand])
+        payload, verdict = args.func(args)
+        _write(payload, args)
+        return EXIT_OK if verdict else EXIT_CERT
     except InputError as exc:
         loc = " [%s]" % exc.location if exc.location else ""
         print("error: %s%s" % (exc, loc), file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleError as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except OverflowError as exc:
+        print("infeasible: %s: the input's values overflow double precision" % exc,
+              file=sys.stderr)
         return EXIT_INFEASIBLE
     except MemoryError as exc:
         detail = ": %s" % exc if str(exc) else ""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -113,7 +113,8 @@ class StateFunction:
             return NotImplemented
         if other.level != self.level:
             raise ValueError("levels differ; restrict first")
-        return StateFunction.from_vector(self.level, self.vector - other.vector)
+        with np.errstate(over="ignore"):  # fourier refuses an overflowed difference
+            return StateFunction.from_vector(self.level, self.vector - other.vector)
 
     def __rmul__(self, c: complex) -> "StateFunction":
         return StateFunction.from_vector(self.level, c * self.vector)
@@ -121,7 +122,8 @@ class StateFunction:
     def hermitian_defect(self) -> float:
         """max |f(g^-1) - conj f(g)| over S_level."""
         vec = self.vector
-        return float(np.max(np.abs(vec[inverse_map(self.level)] - np.conj(vec))))
+        with np.errstate(over="ignore"):  # a gap past the float range reads inf
+            return float(np.max(np.abs(vec[inverse_map(self.level)] - np.conj(vec))))
 
     def __repr__(self) -> str:
         return f"StateFunction(level={self.level}, support={np.count_nonzero(self.vector)})"
@@ -175,6 +177,12 @@ def as_table(f: Evaluator, level: Optional[int] = None) -> StateFunction:
     return StateFunction.from_callable(level, f)
 
 
+def check_finite(arrays: Iterable[np.ndarray], what: str) -> None:
+    """Refuse, with OverflowError, arrays that hold an inf or a nan (one scan for all)."""
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise OverflowError(f"{what} holds a number that is not finite")
+
+
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """a @ z for a real a and a C-contiguous complex z, as one real product."""
     return np.matmul(a, z.view(np.float64)).view(complex)
@@ -194,17 +202,22 @@ def fourier(f: StateFunction) -> FourierBlocks:
     n = f.level
     fact = math.factorial(n)
     blocks = {(): f.vector[coset_order(n)].reshape(fact, 1, 1)}
-    for k in range(1, n + 1):
-        prefixes = fact // math.factorial(k)
-        grown = {}
-        for lam in partitions_of(k):
-            cosets, rows = branching(lam)
-            d = cosets.shape[0]
-            z = np.zeros((prefixes, k, d, d), dtype=complex)
-            for mu, r in rows.items():
-                z[:, :, r[:, None], r] = blocks[mu].reshape(prefixes, k, len(r), len(r))
-            grown[lam] = _real_matmul(cosets, z.reshape(prefixes, k * d, d))
-        blocks = grown
+    # A sum that overflows leaves an inf or a nan in a final block, and so
+    # does a value that is not finite (the trivial block sums them all), so
+    # one check after the recursion refuses both and numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            prefixes = fact // math.factorial(k)
+            grown = {}
+            for lam in partitions_of(k):
+                cosets, rows = branching(lam)
+                d = cosets.shape[0]
+                z = np.zeros((prefixes, k, d, d), dtype=complex)
+                for mu, r in rows.items():
+                    z[:, :, r[:, None], r] = blocks[mu].reshape(prefixes, k, len(r), len(r))
+                grown[lam] = _real_matmul(cosets, z.reshape(prefixes, k * d, d))
+            blocks = grown
+    check_finite(blocks.values(), "a Fourier block")
     return FourierBlocks(n, {lam: b[0] for lam, b in blocks.items()})
 
 
@@ -248,9 +261,10 @@ def dual_norm(f: StateFunction) -> float:
     """
     f = as_table(f)
     terms = []
-    for block in fourier(f).blocks.values():
-        # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
-        terms.extend(block.shape[0] * np.linalg.svd(block, compute_uv=False))
+    with np.errstate(over="ignore"):  # an inf term gives an inf norm, and no warning
+        for block in fourier(f).blocks.values():
+            # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
+            terms.extend(block.shape[0] * np.linalg.svd(block, compute_uv=False))
     return math.fsum(terms) / math.factorial(f.level)
 
 
@@ -267,7 +281,11 @@ def check_hermitian(f: StateFunction) -> None:
         raise ValueError(f"input is not hermitian (defect {defect:.3e})")
 
 
-def is_positive_definite(f: StateFunction, tol: float = 1e-9) -> PsdCertificate:
+# The default largest -lambda_min that is_positive_definite certifies.
+PSD_TOL = 1e-9
+
+
+def is_positive_definite(f: StateFunction, tol: float = PSD_TOL) -> PsdCertificate:
     """Certify positive definiteness via the minimal block eigenvalue.
 
     Rejects non-hermitian input.  The certificate is equivalent to the
@@ -278,10 +296,10 @@ def is_positive_definite(f: StateFunction, tol: float = 1e-9) -> PsdCertificate:
     arithmetic do not pick the witness by their rounding.
     """
     check_hermitian(f)
-    lows = {}
-    for lam, block in fourier(f).items():
-        herm = (block + block.conj().T) / 2
-        lows[lam] = float(np.linalg.eigvalsh(herm)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
+        herms = {lam: (block + block.conj().T) / 2 for lam, block in fourier(f).items()}
+    check_finite(herms.values(), "a Fourier block")
+    lows = {lam: float(np.linalg.eigvalsh(herm)[0]) for lam, herm in herms.items()}
     worst = min(lows.values())
     slack = WITNESS_SLACK * float(np.abs(f.vector).sum())
     witness = next(lam for lam, low in lows.items() if low <= worst + slack)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fourier import StateFunction, check_hermitian, gram_matrix
+from .fourier import StateFunction, check_finite, check_hermitian, gram_matrix
 from .characters import class_representative
 from .induction import character_inner
 from .partitions import partitions_of
@@ -89,7 +89,9 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
         raise ValueError(f"state of level {f.level} cannot induce S_{k}")
     check_hermitian(f.restrict(k))
     G = gram_matrix(f, k)
-    G = (G + G.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
+        G = (G + G.conj().T) / 2
+    check_finite([G], "the Gram matrix")
     w, V = np.linalg.eigh(G)
     if w[0] < -GRAM_NEGATIVE_TOL:
         raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")

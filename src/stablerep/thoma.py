@@ -164,7 +164,7 @@ def _tied_refit(
         lambda y: np.add.reduceat(_jac(np.repeat(y, mult), r, ks), starts, axis=1),
         x0,
     )
-    if float(np.sum(mult * y)) > 1 + 1e-9:
+    if float(np.sum(mult * y)) > 1 + MASS_TOL:
         return None
     return np.repeat(y, mult), cost
 
@@ -377,7 +377,7 @@ def _fit_support(
     best_x, best_val = starts[best], costs[best]
 
     x, val = _polish(lambda x: _model(x, r, ks) - target, lambda x: _jac(x, r, ks), best_x)
-    if x.sum() <= 1 + 1e-9 and val <= best_val:
+    if x.sum() <= 1 + MASS_TOL and val <= best_val:
         best_x, best_val = x, val
 
     # Ties flatten the objective to quartic order and stall Gauss-Newton a
@@ -449,7 +449,7 @@ def recover_params(
     alpha = tuple(float(a) for a in sorted(best_x[:r2], reverse=True) if a > DROP_FLOOR)
     beta = tuple(float(b) for b in sorted(best_x[r2:], reverse=True) if b > DROP_FLOOR)
     scale = sum(alpha) + sum(beta)
-    if 1 < scale <= 1 + 1e-9:
+    if 1 < scale <= 1 + MASS_TOL:
         alpha = tuple(a / scale for a in alpha)
         beta = tuple(b / scale for b in beta)
     params = ThomaParams(alpha, beta)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,14 @@ def test_gns_verify_above_level_4_is_infeasible(capsys, spec_a):
     code, out, err = run(capsys, "gns-verify", spec_a, "--level", "5")
     assert code == 3
     assert out == "" and "k > 4 is refused" in err
+
+
+@pytest.mark.parametrize("level", ["5", "8", "9", "20"])
+def test_gns_verify_refuses_every_level_above_4_before_reading_input(capsys, tmp_path, level):
+    # One cap, no flag lifts it, and the input file is never opened.
+    code, out, err = run(capsys, "gns-verify", str(tmp_path / "missing.json"), "--level", level)
+    assert (code, out) == (3, "")
+    assert err.startswith("infeasible: gns-verify builds") and err.endswith("k > 4 is refused\n")
 
 
 def test_induce_char(capsys):
@@ -448,6 +458,51 @@ def test_overflowing_table_exits_3(capsys, tmp_path):
     assert "not finite" in err
 
 
+# Tables whose values are finite but whose sums overflow: each job exits 3
+# with one "infeasible:" line, before LAPACK runs on an inf, and prints no
+# numpy warning.
+OVERFLOW_JOBS = {
+    "psd-check-min-overflow": (["psd-check", "--level", "2"],
+                               [[[], -1e308], [[[1, 2]], -1e308]], 2),
+    "dual-norm-fsum": (["dual-norm", "--level", "2"], [[[], 1.5e308]], 2),
+    # 4e307 times the standard character: a 2 x 2 block of singular values 1.2e308.
+    "dual-norm-weighted-term": (["dual-norm", "--level", "3"],
+                                [[[], 8e307], [[[1, 2, 3]], -4e307], [[[1, 3, 2]], -4e307]], 3),
+    "centrality-defect-level-4": (
+        ["centrality-defect", "--cut", "1", "--level", "4"],
+        [[[], 1e308], [[[1, 2]], -1e308], [[[3, 4]], 1e308], [[[2, 3]], 1e308]], 4),
+    "centrality-defect-level-3": (["centrality-defect", "--cut", "1", "--level", "3"],
+                                  [[[], 1], [[[1, 2]], 1e308], [[[1, 3]], -1e308]], 3),
+    "psd-check-max-overflow": (["psd-check", "--level", "2"],
+                               [[[], 1e308], [[[1, 2]], 1e308]], 2),
+    "gns-verify": (["gns-verify", "--level", "2"], [[[], 1e308], [[[1, 2]], 1e308]], 2),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_JOBS)
+def test_overflow_exits_3_before_any_solver(capfd, tmp_path, name):
+    # capfd sees what LAPACK writes to the file descriptors themselves.
+    argv, rows, level = OVERFLOW_JOBS[name]
+    table = write(tmp_path / "t.json", {"level": level, "values": rows})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capfd, argv[0], table, *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+    assert err.endswith(": the input's values overflow double precision\n")
+
+
+def test_hermitian_gap_past_the_float_range_exits_2_without_a_warning(capsys, tmp_path):
+    # f((1 2 3)) = 1e308 and f((1 3 2)) = -1e308: the gap is inf, over the tolerance.
+    table = write(tmp_path / "t.json",
+                  {"level": 3, "values": [[[[1, 2, 3]], 1e308], [[[1, 3, 2]], -1e308]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "psd-check", table, "--level", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: input is not hermitian (defect inf) [%s]\n" % table
+
+
 def test_hard_cap_exits_3(capsys, spec_a):
     code, _, err = run(capsys, "dual-norm", spec_a, "--level", "9")
     assert code == 3
@@ -467,8 +522,8 @@ def test_hard_cap_exits_3(capsys, spec_a):
 
 # One cheap job over the cap for each subcommand that takes --allow-large,
 # and what it meets once the flag lifts the cap: a level-2 table fed at
-# level 9 stops at level 2, gns-verify refuses k > 4, and the exact
-# subcommands answer.
+# level 9 stops at level 2, and the exact subcommands answer.  gns-verify's
+# cap of 4 gives way to no flag, so it takes none.
 CAPPED_JOBS = {
     "char-finite": (["--partition", "[9]", "--perm", "[[1,2]]"], None),
     "induce-char": (["--partition", "[5]", "--mu", "[4]", "--level", "9"], None),
@@ -477,7 +532,6 @@ CAPPED_JOBS = {
     "classify": (["TABLE", "--level", "9", "--support-bounds", "1,0"], "stops at level 2"),
     "stability-profile": (["TABLE", "--level", "9"], "stops at level 2"),
     "centrality-defect": (["TABLE", "--cut", "1", "--level", "9"], "stops at level 2"),
-    "gns-verify": (["TABLE", "--level", "9"], "k > 4 is refused"),
 }
 UNCAPPED_JOBS = {
     "eval-state": ["SPEC", "--perm", "[]"],
@@ -485,6 +539,7 @@ UNCAPPED_JOBS = {
     "asymptotic-char": ["SPEC", "--perm", "[[1,2]]"],
     "recover-params": ["VALUES", "--support-bounds", "1,0"],
     "quasi-equivalent": ["SPEC", "SPEC"],
+    "gns-verify": ["TABLE", "--level", "2"],
 }
 
 
@@ -655,12 +710,22 @@ def test_recover_params_key_is_a_decimal_integer(capsys, tmp_path, key):
 
 def test_fit_threshold_has_one_home():
     # classify's gate and recover-params' default read thoma's threshold,
-    # the default of RecoveryResult.ok.
+    # the default of RecoveryResult.ok; every other --tol default is the
+    # named default of the library call it is passed to.
     from stablerep import thoma
+    from stablerep.canonical import (EQUIVALENCE_TOL, STABILIZATION_TOL,
+                                     asymptotic_character, quasi_equivalent)
+    from stablerep.fourier import PSD_TOL, is_positive_definite
 
     assert cli.RESIDUAL_TOL is thoma.RESIDUAL_TOL
-    assert cli._build_parser().parse_args(
-        ["recover-params", "v.json", "--support-bounds", "1,0"]).tol is thoma.RESIDUAL_TOL
+    parse = cli._build_parser().parse_args
+    assert parse(["recover-params", "v.json", "--support-bounds", "1,0"]).tol is thoma.RESIDUAL_TOL
+    assert parse(["psd-check", "s.json", "--level", "2"]).tol is PSD_TOL
+    assert parse(["asymptotic-char", "s.json", "--perm", "[]"]).tol is STABILIZATION_TOL
+    assert parse(["quasi-equivalent", "a.json", "b.json"]).tol is EQUIVALENCE_TOL
+    for fn, tol in [(is_positive_definite, PSD_TOL), (asymptotic_character, STABILIZATION_TOL),
+                    (quasi_equivalent, EQUIVALENCE_TOL)]:
+        assert inspect.signature(fn).parameters["tol"].default is tol
 
 
 def test_bad_support_bounds_exit_3(capsys, spec_a):
@@ -707,6 +772,8 @@ def test_reports_match_golden_files(capsys, command, state):
     ("stability-profile_table_cut1_l6", ["stability-profile", "table_cut1_l6", "--level", "6"]),
     ("stability-profile-max-shift-5_spec_cut2",
      ["stability-profile", "spec_cut2", "--level", "6", "--max-shift", "5"]),
+    ("stability-profile-exhaustive-sweep_spec_cut2",
+     ["stability-profile", "spec_cut2", "--level", "5", "--exhaustive-sweep"]),
     ("centrality-defect_spec_cut2", ["centrality-defect", "spec_cut2", "--cut", "1", "--level", "6"]),
     ("centrality-defect_table_cut1_l6",
      ["centrality-defect", "table_cut1_l6", "--cut", "1", "--level", "6"]),
