@@ -6,9 +6,10 @@ Putting the generated von Neumann algebra in standard form yields the
 modular conjugation J v = U conj(v), U the unitary polar factor of the
 matrix of the adjoint map S, and pi(g) J pi(h) J^-1 then implements
 commuting left and right actions on the same space. gns_certificate
-checks that: both factors are homomorphisms once they multiply along
-every link g -> g t_i of the adjacent transpositions t_i = (i i+1), and
-they commute once their generators do.
+checks each property once: both factors are homomorphisms once they
+multiply along every link g -> g t_i of the adjacent transpositions
+t_i = (i i+1), and then J M J^-1 lies in the commutant M' once the
+generators pi(t_i) and J pi(t_j) J^-1 commute.
 """
 
 from stablerep.fourier import StateFunction
@@ -34,9 +35,10 @@ def main():
     print("  generated algebra dimension:", cert["algebra_dim"])
     # J^2 v = U conj(U conj(v)) = U conj(U) v, measured on doubled real coordinates
     print("  || J^2 - I || =", cert["j_squared_residual"])
-    print("  J M J^-1 lies in the commutant M' to", cert["j_commutant_residual"])
-    print("  both factors multiply along every link g -> g t_i, and their generators"
-          " commute, to", cert["homomorphism_residual"])
+    print("  both factors multiply along every link g -> g t_i to",
+          cert["homomorphism_residual"])
+    print("  their generators commute, so J M J^-1 lies in the commutant M', to",
+          cert["j_commutant_residual"])
     print("  diagonal pairs implement conjugation to", cert["ad_residual"])
     print("  irreducibles carrying the representation:", cert["central_support"])
 

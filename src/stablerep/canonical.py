@@ -335,11 +335,14 @@ def classify(
 
     Runs central_depth at truncation K, projects onto finite characters,
     reads asymptotic values on k-cycles for k = 2..max(K, r + s + 1), and
-    fits Thoma parameters within the support bounds (r, s).  The caller
-    judges the returned residual.  A fit within RESIDUAL_TOL must also
-    reproduce the state on S_K to REPRODUCTION_TOL: when K is at most the
-    depth, the state on S_K is a class function, central_depth reads n = 0
-    there, and such an invariant is refused, not returned.
+    fits Thoma parameters within the support bounds (r, s).  The k-cycle
+    is shifted up to level max(k, n) + k + 2, so a bounded table must reach
+    level 2 max(K, r + s + 1) + 2; below that ValueError names the first
+    permutation past it.  The caller judges the returned residual.  A fit
+    within RESIDUAL_TOL must also reproduce the state on S_K to
+    REPRODUCTION_TOL: when K is at most the depth, the state on S_K is a
+    class function, central_depth reads n = 0 there, and such an invariant
+    is refused, not returned.
     """
     r, s = support_bounds
     table = as_table(state, K)

@@ -12,7 +12,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
        states not quasi-equivalent, stabilization not witnessed)
     2  malformed input (message includes file and location)
     3  infeasible job (level above the hard cap without --allow-large,
-       a table that stops below the requested level, bad support bounds,
+       a table that stops below the requested level, negative support bounds,
        a --cut or --max-shift outside the truncation, values whose
        results overflow, gns-verify above k = 4, memory exhausted
        while running)
@@ -61,8 +61,9 @@ HARD_CAP = 8
 LEVEL_CAPS = dict.fromkeys(("dual-norm", "psd-check", "classify", "stability-profile",
                             "centrality-defect", "induce-char"), (HARD_CAP, None))
 LEVEL_CAPS["gns-verify"] = (4, "gns-verify builds a dense standard form of dimension up "
-                               "to k!; at k = 5 that takes 5-25 s and up to 0.33 GB, "
-                               "so k > 4 is refused")
+                               "to k!; at k = 5 that takes 2.7-3.3 s and 0.16 GB for a state "
+                               "of carrier dimension 60 and 10-12 s and 0.25 GB for the "
+                               "regular representation, so k > 4 is refused")
 
 # A table holds level! complex values: 20! of them overflow numpy's array
 # sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.
@@ -286,13 +287,11 @@ def _check_level(level, allow_large, cap=HARD_CAP, refusal=None):
 
 
 def _support_bounds(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InfeasibleError("--support-bounds wants 'r,s'")
     try:
-        r, s = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InfeasibleError("--support-bounds wants integers 'r,s'")
+        r, s = (int(part) for part in text.split(","))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise InputError("--support-bounds wants two integers 'r,s', got %r" % text,
+                         location="--support-bounds")
     if r < 0 or s < 0:
         raise InfeasibleError("support bounds must be nonnegative")
     return r, s

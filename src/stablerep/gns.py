@@ -9,19 +9,21 @@ of the antilinear adjoint map S v = SA conj(v) (Haagerup 1975).
 No Kronecker system is solved on the way from a state to its standard
 form. The algebra M generated by the GNS representation of a finite
 group is the span of the representing unitaries, which is already closed
-under products and adjoints. In the standard form the carrier is M itself,
-M acts by left multiplication and its commutant M' is right
-multiplication (Haagerup 1975; Takesaki II, ch. IX). commutant and
-double_commutant solve for the same spaces numerically and serve as
-oracles.
+under products and adjoints. In the standard form the carrier is M itself
+and M acts by left multiplication (Haagerup 1975; Takesaki II, ch. IX).
+commutant and double_commutant solve for the commutant and the generated
+algebra numerically and serve as oracles.
 
-gns_certificate computes here the certificate that gns-verify reports:
-four residuals (Frobenius norms), J^2 = 1 (j_squared, on the doubled real
-scale sqrt(2) ||U conj(U) - 1||); J M J^-1 inside M' (j_commutant); pi and
-R = J pi(.) J^-1 multiplicative along every link g -> g t_i of the Coxeter
-generators t_i = (i i+1), with pi(t_i) and R(t_j) commuting (homomorphism:
-together these make (g, h) -> pi(g) R(h) a representation of S_k x S_k);
-and ad(t_i) = pi(t_i) R(t_i) conjugating pi(t_j) to pi(t_i t_j t_i) (ad).
+gns_certificate computes here the certificate that gns-verify reports,
+each property once, as four residuals (Frobenius norms): J^2 = 1
+(j_squared, on the doubled real scale sqrt(2) ||U conj(U) - 1||); pi and
+R = J pi(.) J^-1 send e to 1 and multiply along every link g -> g t_i of
+the Coxeter generators t_i = (i i+1) (homomorphism); pi(t_i) and R(t_j)
+commute (j_commutant: M is spanned by the products of the pi(t_i) and
+J M J^-1 by the products of the R(t_j), so given both homomorphisms this
+is J M J^-1 inside M', and (g, h) -> pi(g) R(h) is a representation of
+S_k x S_k); and ad(t_i) = pi(t_i) R(t_i) conjugating pi(t_j) to
+pi(t_i t_j t_i) (ad).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fourier import StateFunction, check_finite, check_hermitian, gram_matrix
+from .fourier import StateFunction, check_finite, check_hermitian, gram_matrix, hermitian_part
 from .characters import class_representative
 from .induction import character_inner
 from .partitions import partitions_of
@@ -71,9 +73,9 @@ class GnsTriple:
         return [self.image(transposition(i, i + 1)) for i in range(1, self.level)]
 
 
-# A Gram eigenvalue below -GRAM_NEGATIVE_TOL rejects the state as not
-# positive; the carrier keeps eigenvalues above CARRIER_CUT relative to
-# the largest (and above it absolutely).
+# A Gram eigenvalue below -GRAM_NEGATIVE_TOL max(f(e), 1) rejects the state
+# as not positive; the carrier keeps eigenvalues above CARRIER_CUT relative
+# to the largest (and above it absolutely).
 GRAM_NEGATIVE_TOL = 1e-9
 CARRIER_CUT = 1e-10
 
@@ -88,15 +90,15 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
     if f.level < k:
         raise ValueError(f"state of level {f.level} cannot induce S_{k}")
     check_hermitian(f.restrict(k))
-    G = gram_matrix(f, k)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
-        G = (G + G.conj().T) / 2
-    check_finite([G], "the Gram matrix")
+    G = hermitian_part(gram_matrix(f, k))
     w, V = np.linalg.eigh(G)
-    if w[0] < -GRAM_NEGATIVE_TOL:
+    check_finite([w], "a Gram eigenvalue")
+    f_e = G[0, 0].real  # row 0 is e
+    if w[0] < -GRAM_NEGATIVE_TOL * max(f_e, 1.0):
         raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")
     keep = w > max(CARRIER_CUT * max(w[-1], 0.0), CARRIER_CUT)
-    if not keep.any():
+    if not keep.any() or f_e <= 0:
+        # A positive definite f with f(e) <= 0 is 0; a carrier left then is rounding.
         raise ValueError(f"state vanishes on S_{k}: its GNS carrier is empty")
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
     pinv = np.linalg.pinv(B)
@@ -150,14 +152,6 @@ def _span_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [v.reshape(mats.shape[1:]) for v in vh[s > RANK_TOL * max(s[0], 1.0)]]
 
 
-def project_to_span(basis: Sequence[np.ndarray], X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of X onto span(basis); returns (projection, residual)."""
-    proj = np.zeros_like(np.asarray(X, dtype=complex))
-    for b in basis:
-        proj += np.vdot(b, X) * b
-    return proj, float(np.linalg.norm(X - proj))
-
-
 def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     """Operator norm distance between the two spanned subspaces' projections."""
     def projector(mats):
@@ -177,10 +171,10 @@ class StandardForm:
 
     The carrier is the algebra itself with the inner product of a
     faithful state; basis holds the original (trace orthonormal) matrix
-    basis, algebra holds the same elements acting by left multiplication
-    on the carrier, and commutant_basis the right multiplications. The
-    modular conjugation is J v = j @ conj(v): j is the unitary polar factor
-    of the complex matrix of S, so J^2 = j conj(j) and J X J^-1 = j conj(X) j^H.
+    basis, and embed writes an element as left multiplication on the
+    carrier. The modular conjugation is J v = j @ conj(v): j is the unitary
+    polar factor of the complex matrix of S, so J^2 = j conj(j) and
+    J X J^-1 = j conj(X) j^H.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -200,33 +194,11 @@ class StandardForm:
     def embed(self, m: np.ndarray) -> np.ndarray:
         """Left multiplication by m (an operator on the original carrier)."""
         m = np.asarray(m, dtype=complex)
-        return self._carrier(_coefficients(self._stack, m @ self._stack))
-
-    @cached_property
-    def _structure(self) -> np.ndarray:
-        """C[i, a, j] = <b_i, b_a b_j>: L_a is C[:, a, :] and R_a is C[:, :, a]."""
-        return np.stack([_coefficients(self._stack, b @ self._stack) for b in self._stack], axis=1)
-
-    def _carrier(self, coeffs: np.ndarray) -> np.ndarray:
-        """Operators given in basis coefficients, written in the carrier's coordinates."""
-        return self._whalf @ coeffs @ self._winvhalf
-
-    @cached_property
-    def algebra(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._carrier(self._structure.transpose(1, 0, 2)))
+        return self._whalf @ _coefficients(self._stack, m @ self._stack) @ self._winvhalf
 
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
         """J X J^-1 = U conj(X) U^H, a complex linear map again."""
         return self.j @ np.conj(X) @ self.j.conj().T
-
-    @cached_property
-    def commutant_basis(self) -> list[np.ndarray]:
-        """Trace orthonormal basis of M', the right multiplications.
-
-        A T commuting with every left multiplication has T(a) = a T(1), so
-        M' = {R_y : y in M}; y -> R_y is injective because R_y(1) = y.
-        """
-        return _span_basis(self._carrier(self._structure.transpose(2, 0, 1)))
 
 
 def _coefficients(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -235,7 +207,7 @@ def _coefficients(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_root(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh((W + W.conj().T) / 2)
+    w, V = np.linalg.eigh(hermitian_part(W))
     root = V @ np.diag(np.sqrt(w)) @ V.conj().T
     inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
     return root, inv_root
@@ -256,8 +228,7 @@ def standard_form(algebra_basis: Sequence[np.ndarray], density: np.ndarray) -> S
     density = np.asarray(density, dtype=complex)
     stack = np.array(basis)
     # tr(density b_i* b_j) = <b_i, b_j density>
-    W = _coefficients(stack, stack @ density)
-    W = (W + W.conj().T) / 2
+    W = hermitian_part(_coefficients(stack, stack @ density))
     wmin = float(np.linalg.eigvalsh(W)[0])
     if wmin < FAITHFUL_FLOOR:
         raise ValueError(f"state is not faithful on the algebra (Gram eigenvalue {wmin:.3e})")
@@ -289,13 +260,14 @@ def gns_standard_pipeline(
 
     The generated algebra is the span of the representing unitaries.
     The standard form needs a faithful state; the GNS state itself may
-    fail that, so it is mixed with the normalized carrier trace:
-    phi = (1 - TRACE_WEIGHT) <xi, . xi> + TRACE_WEIGHT tr(.)/dim.
+    fail that, so it is normalized and mixed with the normalized carrier
+    trace: phi = (1 - TRACE_WEIGHT) <xi, . xi> / f(e) + TRACE_WEIGHT tr(.)/dim.
     """
     triple = gns(k, f)
     M = _span_basis(triple.rep)
     d = triple.dimension
-    density = (1 - TRACE_WEIGHT) * np.outer(triple.xi, triple.xi.conj()) + TRACE_WEIGHT * np.eye(d) / d
+    xi_state = np.outer(triple.xi, triple.xi.conj()) / f.vector[0].real  # row 0 is e
+    density = (1 - TRACE_WEIGHT) * xi_state + TRACE_WEIGHT * np.eye(d) / d
     sf = standard_form(M, density)
     return triple, M, sf
 
@@ -320,12 +292,10 @@ def gns_certificate(k: int, f: StateFunction) -> dict:
     triple, _, sf = gns_standard_pipeline(k, f)
     pi, right = _two_sided(sf, triple.rep)
     eye = np.eye(sf.dimension)
-    jmj = max(project_to_span(sf.commutant_basis, sf.conjugate_by_j(x))[1] for x in sf.algebra)
 
     # rho in {pi, right} is a homomorphism exactly when rho(e) = 1 and
     # rho(g t) = rho(g) rho(t) for every g and adjacent transposition t
-    # (induction on word length); the two factors then commute exactly
-    # when their generators do. Row 0 is e, and row prod[g, t] is g t.
+    # (induction on word length). Row 0 is e, and row prod[g, t] is g t.
     prod = product_table(k)
     gens = [element_row(transposition(i, i + 1), k) for i in range(1, k)]
     hom = 0.0
@@ -333,12 +303,14 @@ def gns_certificate(k: int, f: StateFunction) -> dict:
         hom = max(hom, float(np.linalg.norm(rho[0] - eye)))
         for t in gens:
             hom = max(hom, *(float(np.linalg.norm(x)) for x in rho[prod[:, t]] - rho @ rho[t]))
-    ad = 0.0
+    # Then M and J M J^-1 are spanned by the products of the pi(t_i) and of
+    # the R(t_j), so J M J^-1 lies in M' exactly when the generators commute.
+    jmj = ad = 0.0
     for s in gens:
         a = pi[s] @ right[s]
         a_inv = np.linalg.inv(a)
         for t in gens:
-            hom = max(hom, float(np.linalg.norm(pi[s] @ right[t] - right[t] @ pi[s])))
+            jmj = max(jmj, float(np.linalg.norm(pi[s] @ right[t] - right[t] @ pi[s])))
             ad = max(ad, float(np.linalg.norm(a @ pi[t] @ a_inv - pi[prod[prod[s, t], s]])))
 
     return {

@@ -31,6 +31,7 @@ from stablerep.fourier import (
     is_positive_definite,
 )
 from stablerep.gns import (
+    commutant,
     double_commutant,
     gns,
     gns_standard_pipeline,
@@ -328,8 +329,10 @@ def _standard_form_residuals(state, k, pairs_mode):
     group = symmetric_group(k)
     # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
     res_j = math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
-    conj = [sf.conjugate_by_j(x) for x in sf.algebra]
-    res_jmj = subspace_distance(conj, sf.commutant_basis)
+    # J M J^-1 = M', with M' solved for by the Kronecker oracle.
+    algebra = [sf.embed(b) for b in sf.basis]
+    conj = [sf.conjugate_by_j(x) for x in algebra]
+    res_jmj = subspace_distance(conj, commutant(algebra))
     if pairs_mode == "full":
         pairs = [(g, h) for g in group for h in group]
     else:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from stablerep import cli
 from stablerep.cli import main
+from stablerep.fourier import as_table
 from stablerep.partitions import partitions_of
 from stablerep.permutations import Permutation, symmetric_group
 
@@ -492,6 +493,33 @@ def test_overflow_exits_3_before_any_solver(capfd, tmp_path, name):
     assert err.endswith(": the input's values overflow double precision\n")
 
 
+@pytest.mark.parametrize("command", ["psd-check", "gns-verify"])
+def test_hermitian_part_of_a_block_near_the_float_range_is_finite(capfd, tmp_path, command):
+    # 4e307 times the standard character is positive.  Its blocks are finite
+    # (at most 1.2e308), and so are their Hermitian parts, halved before the sum.
+    table = write(tmp_path / "t.json",
+                  {"level": 3, "values": [[[], 8e307], [[[1, 2, 3]], -4e307],
+                                          [[[1, 3, 2]], -4e307]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capfd, command, table, "--level", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["positive_definite" if command == "psd-check" else "ok"] is True
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8, 1e10])
+def test_gns_verify_verdict_does_not_depend_on_the_scale_of_the_state(capsys, tmp_path, scale):
+    # The cut-2 spec's table on S_5, times scale, is positive at every scale.
+    # The Gram eigenvalue cut and the faithful state of the standard form
+    # used to be absolute: x1e4 missed --tol, x1e8 and x1e10 read as not positive.
+    f = as_table(cli._load_state(str(GOLDEN / "spec_cut2.json")), 5)
+    rows = [[g.cycles(), scale * v.real] for g, v in zip(symmetric_group(5), f.vector)]
+    table = write(tmp_path / "t.json", {"level": 5, "values": rows})
+    code, out, err = run(capsys, "gns-verify", table, "--level", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
 def test_hermitian_gap_past_the_float_range_exits_2_without_a_warning(capsys, tmp_path):
     # f((1 2 3)) = 1e308 and f((1 3 2)) = -1e308: the gap is inf, over the tolerance.
     table = write(tmp_path / "t.json",
@@ -658,6 +686,17 @@ def test_gns_verify_of_zero_state_fails_with_report(capsys, tmp_path):
     assert "carrier is empty" in report["failure"]
 
 
+def test_gns_verify_of_a_table_with_f_e_zero_fails_with_report(capsys, tmp_path):
+    # The Gram eigenvalues are +-5e-10, within the tolerances, but a positive
+    # definite f with f(e) = 0 is 0, and the standard form's state divides by f(e).
+    table = write(tmp_path / "t.json", {"level": 2, "values": [[[], 0], [[[1, 2]], 5e-10]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "gns-verify", table, "--level", "2")
+    assert code == 1
+    assert "carrier is empty" in json.loads(out)["failure"]
+
+
 def test_classify_failure_writes_a_report(capsys, tmp_path):
     # Exit 1 comes with a report, as for every other certificate failure.
     table = write(tmp_path / "c.json", {"level": 3, "values": [[[], 1], [[[1, 2]], 0.3]]})
@@ -728,11 +767,16 @@ def test_fit_threshold_has_one_home():
         assert inspect.signature(fn).parameters["tol"].default is tol
 
 
-def test_bad_support_bounds_exit_3(capsys, spec_a):
-    code, _, err = run(
-        capsys, "classify", spec_a, "--level", "5", "--support-bounds", "2"
-    )
-    assert code == 3
+@pytest.mark.parametrize("bounds", ["2", "abc", "1,x", "1,2,3"])
+def test_malformed_support_bounds_exit_2(capsys, tmp_path, spec_a, bounds):
+    values = write(tmp_path / "v.json", {"2": 0.5, "3": 0.25})
+    for argv in (["classify", spec_a, "--level", "5"], ["recover-params", values]):
+        code, out, err = run(capsys, *argv, "--support-bounds=" + bounds)
+        assert (code, out) == (2, "")
+        assert err.endswith(" [--support-bounds]\n")
+
+
+def test_negative_support_bounds_exit_3(capsys, spec_a):
     code, _, err = run(
         capsys, "classify", spec_a, "--level", "5", "--support-bounds=-1,0"
     )

@@ -19,7 +19,6 @@ from stablerep.gns import (
     double_commutant,
     gns,
     gns_standard_pipeline,
-    project_to_span,
     standard_form,
     subspace_distance,
 )
@@ -34,6 +33,11 @@ from test_acceptance import BATTERY
 F = Fraction
 # The package rebinds the name gns to the function, so fetch the module.
 gns_module = importlib.import_module("stablerep.gns")
+
+
+def left_multiplications(sf):
+    """The algebra acting on the standard form carrier: its basis, embedded."""
+    return [sf.embed(b) for b in sf.basis]
 
 
 def normalized_character_state(n, lam):
@@ -153,11 +157,11 @@ def test_standard_form_j_properties():
     assert math.sqrt(2) * np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)) < 1e-10
     # J xi = xi on the cyclic vector of the standard form
     assert np.max(np.abs(sf.j @ np.conj(sf.xi) - sf.xi)) < 1e-10
-    # J M J^-1 lands in the commutant
-    comm = sf.commutant_basis
-    flat = np.array([b.ravel() for b in comm])
+    # J M J^-1 lands in the commutant, solved for by the Kronecker oracle
+    algebra = left_multiplications(sf)
+    flat = np.array([b.ravel() for b in commutant(algebra)])
     q, _ = np.linalg.qr(flat.conj().T)
-    for x in sf.algebra:
+    for x in algebra:
         jx = sf.conjugate_by_j(x)
         resid = jx.ravel() - q @ (q.conj().T @ jx.ravel())
         assert np.linalg.norm(resid) < 1e-8
@@ -252,21 +256,21 @@ ORACLE_CASES = [(3, i) for i in range(len(BATTERY))] + [(4, 0), (4, 1)]
 
 @pytest.mark.parametrize("k,i", ORACLE_CASES, ids=["k%d-%d" % c for c in ORACLE_CASES])
 def test_span_algebra_and_right_multiplications_match_kronecker_oracles(k, i):
-    triple, algebra, sf = gns_standard_pipeline(k, as_table(BATTERY[i], k))
+    # M' is checked against the Kronecker oracle by acceptance criterion 9.
+    triple, algebra, _ = gns_standard_pipeline(k, as_table(BATTERY[i], k))
     assert subspace_distance(algebra, double_commutant(triple.generators())) < 1e-9
-    assert subspace_distance(sf.commutant_basis, commutant(list(sf.algebra))) < 1e-9
 
 
 def test_right_embedding_is_right_multiplication():
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     _, algebra, sf = gns_standard_pipeline(3, as_table(state, 3))
-    assert len(sf.commutant_basis) == len(algebra)
+    left = left_multiplications(sf)
+    assert len(commutant(left)) == len(algebra)
     # R_m sends the carrier vector x (coordinates whalf c) to x m
     for m in algebra:
         coeff = np.array([[np.vdot(bi, bj @ m) for bj in sf.basis] for bi in sf.basis])
         right = sf._whalf @ coeff @ sf._winvhalf
-        assert project_to_span(sf.commutant_basis, right)[1] < 1e-10
-        for a in sf.algebra:
+        for a in left:
             assert np.linalg.norm(a @ right - right @ a) < 1e-10
 
 
@@ -328,8 +332,9 @@ def test_j_matches_the_doubled_real_polar_oracle(k):
         _, _, sf = gns_standard_pipeline(k, as_table(state, k))
         # S(x xi) = x* xi over the left multiplications x; on the carrier
         # coordinates x* is the conjugate transpose.
-        V = np.array([x @ sf.xi for x in sf.algebra]).T
-        W = np.array([x.conj().T @ sf.xi for x in sf.algebra]).T
+        algebra = left_multiplications(sf)
+        V = np.array([x @ sf.xi for x in algebra]).T
+        W = np.array([x.conj().T @ sf.xi for x in algebra]).T
         SA = W @ np.linalg.inv(V.conj())
         j_real, _ = linalg.polar(_real_of_antilinear(SA))
         assert np.max(np.abs(j_real - _real_of_antilinear(sf.j))) < 1e-10, state
@@ -384,3 +389,20 @@ def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, si
     out = tmp_path / "report.json"
     assert cli.main(["gns-verify", str(spec), "--level", str(k), "--output", str(out)]) == 1
     assert json.loads(out.read_text())["ok"] is False
+
+
+def test_gns_verify_fails_on_a_right_factor_outside_the_commutant(monkeypatch, tmp_path):
+    # pi is a homomorphism, so R = pi passes every link, but pi(t_1) and
+    # pi(t_2) do not commute: only j_commutant_residual sees it.
+    def left_twice(sf, rep):
+        pi = np.array([sf.embed(m) for m in rep])
+        return pi, pi
+
+    monkeypatch.setattr(gns_module, "_two_sided", left_twice)
+    spec = tmp_path / "cut2.json"
+    spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
+    out = tmp_path / "report.json"
+    assert cli.main(["gns-verify", str(spec), "--level", "3", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["ok"] is False
+    assert report["homomorphism_residual"] <= report["tol"] < report["j_commutant_residual"]
