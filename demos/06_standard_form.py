@@ -2,14 +2,16 @@
 
 From a positive definite function on S_k the GNS construction gives a
 unitary representation with a cyclic vector reproducing the state.
-Putting the generated von Neumann algebra in standard form yields the
-modular conjugation J v = U conj(v), U the unitary polar factor of the
-matrix of the adjoint map S, and pi(g) J pi(h) J^-1 then implements
-commuting left and right actions on the same space. gns_certificate
-checks each property once: both factors are homomorphisms once they
-multiply along every link g -> g t_i of the adjacent transpositions
-t_i = (i i+1), and then J M J^-1 lies in the commutant M' once the
-generators pi(t_i) and J pi(t_j) J^-1 commute.
+The standard form of the generated von Neumann algebra M is the GNS
+triple of a faithful state of M composed with the representation, so
+its carrier has the dimension of M. It carries the modular conjugation
+J v = U conj(v), U the unitary polar factor of the matrix of the adjoint
+map S, and pi(g) J pi(h) J^-1 then implements commuting left and right
+actions on the same space. gns_certificate checks each property once:
+both factors are homomorphisms once they multiply along every link
+g -> g t_i of the adjacent transpositions t_i = (i i+1), and then
+J M J^-1 lies in the commutant M' once the generators pi(t_i) and
+J pi(t_j) J^-1 commute.
 """
 
 from stablerep.fourier import StateFunction
@@ -32,7 +34,8 @@ def main():
     cert = gns_certificate(k, as_table(state, k))
     print("\ncanonical state at level 3:")
     print("  carrier dimension:", cert["gns_dim"])
-    print("  generated algebra dimension:", cert["algebra_dim"])
+    print("  generated algebra dimension (the standard form's carrier):",
+          cert["algebra_dim"])
     # J^2 v = U conj(U conj(v)) = U conj(U) v, measured on doubled real coordinates
     print("  || J^2 - I || =", cert["j_squared_residual"])
     print("  both factors multiply along every link g -> g t_i to",

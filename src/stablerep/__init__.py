@@ -74,7 +74,6 @@ from .gns import (
     gns,
     gns_certificate,
     gns_standard_pipeline,
-    standard_form,
     subspace_distance,
 )
 from .induction import character_inner, decompose_induced, induced_character

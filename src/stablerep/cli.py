@@ -14,7 +14,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
     3  infeasible job (level above the hard cap without --allow-large,
        a table that stops below the requested level, negative support bounds,
        a --cut or --max-shift outside the truncation, values whose
-       results overflow, gns-verify above k = 4, memory exhausted
+       results overflow, gns-verify above k = 5, memory exhausted
        while running)
 """
 
@@ -60,10 +60,11 @@ HARD_CAP = 8
 # and gns-verify has no such flag.  char-finite caps its partition's weight.
 LEVEL_CAPS = dict.fromkeys(("dual-norm", "psd-check", "classify", "stability-profile",
                             "centrality-defect", "induce-char"), (HARD_CAP, None))
-LEVEL_CAPS["gns-verify"] = (4, "gns-verify builds a dense standard form of dimension up "
-                               "to k!; at k = 5 that takes 2.7-3.3 s and 0.16 GB for a state "
-                               "of carrier dimension 60 and 10-12 s and 0.25 GB for the "
-                               "regular representation, so k > 4 is refused")
+LEVEL_CAPS["gns-verify"] = (5, "gns-verify holds pi and R as stacks of k! dense N x N "
+                               "matrices on a carrier of dimension N up to k!; at k = 6 "
+                               "each holds 720 N^2 complex numbers, about 6 GB for the cut-2 "
+                               "spec (N = 719) and for the regular representation (N = 720), "
+                               "so k > 5 is refused")
 
 # A table holds level! complex values: 20! of them overflow numpy's array
 # sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.

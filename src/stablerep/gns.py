@@ -1,18 +1,18 @@
 """GNS construction, commutants and the standard form.
 
 Everything here is finite dimensional linear algebra: states are given
-by value tables on a truncated group, algebras by matrix bases that are
-orthonormal for the trace inner product, and the modular conjugation is
-J = U conj, where U is the unitary polar factor of the complex matrix SA
-of the antilinear adjoint map S v = SA conj(v) (Haagerup 1975).
+by value tables on a truncated group, and representations by stacks of
+k! unitaries in Lehmer order.
 
 No Kronecker system is solved on the way from a state to its standard
-form. The algebra M generated by the GNS representation of a finite
-group is the span of the representing unitaries, which is already closed
-under products and adjoints. In the standard form the carrier is M itself
-and M acts by left multiplication (Haagerup 1975; Takesaki II, ch. IX).
-commutant and double_commutant solve for the commutant and the generated
-algebra numerically and serve as oracles.
+form. The algebra M generated by the GNS representation pi of a finite
+group is the span of the pi(g). Its standard form with respect to a
+faithful state phi is L^2(M, phi) (Haagerup 1975; Takesaki II, ch. IX),
+which is the GNS space of the state phi o pi of the group: one more call
+of gns builds it. The modular conjugation is J = U conj, where U is the
+unitary polar factor of the complex matrix SA of the antilinear adjoint
+map S v = SA conj(v). commutant and double_commutant solve for the
+commutant and the generated algebra numerically and serve as oracles.
 
 gns_certificate computes here the certificate that gns-verify reports,
 each property once, as four residuals (Frobenius norms): J^2 = 1
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from .fourier import StateFunction, check_finite, check_hermitian, gram_matrix, 
 from .characters import class_representative
 from .induction import character_inner
 from .partitions import partitions_of
-from .permutations import Permutation, element_row, product_table, transposition
+from .permutations import Permutation, element_row, inverse_map, product_table, transposition
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +72,9 @@ class GnsTriple:
         return [self.image(transposition(i, i + 1)) for i in range(1, self.level)]
 
 
-# A Gram eigenvalue below -GRAM_NEGATIVE_TOL max(f(e), 1) rejects the state
-# as not positive; the carrier keeps eigenvalues above CARRIER_CUT relative
-# to the largest (and above it absolutely).
+# A Gram eigenvalue below -GRAM_NEGATIVE_TOL f(e) rejects the state as not
+# positive; the carrier keeps eigenvalues above CARRIER_CUT relative to the
+# largest. Both cuts scale with the state.
 GRAM_NEGATIVE_TOL = 1e-9
 CARRIER_CUT = 1e-10
 
@@ -94,12 +93,13 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
     w, V = np.linalg.eigh(G)
     check_finite([w], "a Gram eigenvalue")
     f_e = G[0, 0].real  # row 0 is e
-    if w[0] < -GRAM_NEGATIVE_TOL * max(f_e, 1.0):
-        raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")
-    keep = w > max(CARRIER_CUT * max(w[-1], 0.0), CARRIER_CUT)
-    if not keep.any() or f_e <= 0:
-        # A positive definite f with f(e) <= 0 is 0; a carrier left then is rounding.
+    if f_e == 0:
+        # A positive definite f with f(e) = 0 is 0; a carrier left then is rounding.
         raise ValueError(f"state vanishes on S_{k}: its GNS carrier is empty")
+    # With f(e) < 0 the cut is positive and w[0] <= f(e) lies below it.
+    if w[0] < -GRAM_NEGATIVE_TOL * f_e:
+        raise ValueError(f"state is not positive definite (eigenvalue {w[0]:.3e})")
+    keep = w > CARRIER_CUT * w[-1]
     B = (V[:, keep] * np.sqrt(w[keep])).conj().T
     pinv = np.linalg.pinv(B)
     # Row r of the product table lists the columns g_r h for h in S_k; row 0 is e.
@@ -140,22 +140,15 @@ def double_commutant(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     return commutant(commutant(mats))
 
 
-def _span_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of span(mats) in the trace inner product.
-
-    The rank is cut at RANK_TOL, as in commutant. For the images of a
-    unitary group representation the span is the generated algebra: it
-    holds 1 and is closed under products and adjoints.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    return [v.reshape(mats.shape[1:]) for v in vh[s > RANK_TOL * max(s[0], 1.0)]]
-
-
 def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    """Operator norm distance between the two spanned subspaces' projections."""
+    """Operator norm distance between the orthogonal projections onto span(a) and span(b).
+
+    Each span's rank is cut at RANK_TOL, as in commutant.
+    """
     def projector(mats):
-        q = np.array([v.reshape(-1) for v in _span_basis(mats)])
+        mats = np.array([np.ravel(m) for m in mats], dtype=complex)
+        _, s, vh = np.linalg.svd(mats, full_matrices=False)
+        q = vh[s > RANK_TOL * max(s[0], 1.0)]
         return q.T @ q.conj()
 
     return float(np.linalg.norm(projector(a) - projector(b), 2))
@@ -166,120 +159,52 @@ def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float
 
 
 @dataclass
-class StandardForm:
-    """A von Neumann algebra in standard position with its modular conjugation.
+class StandardForm(GnsTriple):
+    """M = span pi(S_k) on L^2(M, phi), phi faithful: the GNS triple of phi o pi.
 
-    The carrier is the algebra itself with the inner product of a
-    faithful state; basis holds the original (trace orthonormal) matrix
-    basis, and embed writes an element as left multiplication on the
-    carrier. The modular conjugation is J v = j @ conj(v): j is the unitary
-    polar factor of the complex matrix of S, so J^2 = j conj(j) and
+    The modular conjugation is J v = j @ conj(v), so J^2 = j conj(j) and
     J X J^-1 = j conj(X) j^H.
     """
 
-    basis: tuple[np.ndarray, ...]
-    xi: np.ndarray
     j: np.ndarray
-    _whalf: np.ndarray
-    _winvhalf: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.xi)
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        return np.array(self.basis)
-
-    def embed(self, m: np.ndarray) -> np.ndarray:
-        """Left multiplication by m (an operator on the original carrier)."""
-        m = np.asarray(m, dtype=complex)
-        return self._whalf @ _coefficients(self._stack, m @ self._stack) @ self._winvhalf
 
     def conjugate_by_j(self, X: np.ndarray) -> np.ndarray:
-        """J X J^-1 = U conj(X) U^H, a complex linear map again."""
+        """J X J^-1 = j conj(X) j^H, a complex linear map again (X may be a stack)."""
         return self.j @ np.conj(X) @ self.j.conj().T
 
 
-def _coefficients(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """[<b_i, mats[j]>] for stacked basis and matrices: column j holds mats[j]'s coefficients."""
-    return basis.reshape(len(basis), -1).conj() @ mats.reshape(len(mats), -1).T
-
-
-def _hermitian_root(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh(hermitian_part(W))
-    root = V @ np.diag(np.sqrt(w)) @ V.conj().T
-    inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
-    return root, inv_root
-
-
-# Smallest Gram eigenvalue at which standard_form takes a state as faithful.
-FAITHFUL_FLOOR = 1e-12
-
-
-def standard_form(algebra_basis: Sequence[np.ndarray], density: np.ndarray) -> StandardForm:
-    """Standard form of the algebra with respect to the state tr(density x).
-
-    The state must be faithful on the algebra: the Gram matrix of the
-    basis in the state inner product has to be at least FAITHFUL_FLOOR,
-    and its smallest eigenvalue is reported when rejecting.
-    """
-    basis = tuple(np.asarray(b, dtype=complex) for b in algebra_basis)
-    density = np.asarray(density, dtype=complex)
-    stack = np.array(basis)
-    # tr(density b_i* b_j) = <b_i, b_j density>
-    W = hermitian_part(_coefficients(stack, stack @ density))
-    wmin = float(np.linalg.eigvalsh(W)[0])
-    if wmin < FAITHFUL_FLOOR:
-        raise ValueError(f"state is not faithful on the algebra (Gram eigenvalue {wmin:.3e})")
-    whalf, winvhalf = _hermitian_root(W)
-
-    # <b_i, 1> = conj(tr b_i)
-    xi = whalf @ np.trace(stack, axis1=1, axis2=2).conj()
-
-    # The adjoint map x -> x* in basis coefficients: S v = SA conj(v) on the
-    # carrier. With SA = U P (polar), S = (U conj)(conj P) and J = U conj;
-    # from the SVD SA = W diag(s) Vh, U = W Vh.
-    A = _coefficients(stack, stack.transpose(0, 2, 1).conj())
-    SA = whalf @ A @ np.conj(winvhalf)
-    w, _, vh = np.linalg.svd(SA)
-    j = w @ vh
-
-    return StandardForm(basis=basis, xi=xi, j=j, _whalf=whalf, _winvhalf=winvhalf)
-
-
-# Weight of the normalized carrier trace in the faithful state of
-# gns_standard_pipeline.
+# Weight of the normalized carrier trace in the faithful state phi.
 TRACE_WEIGHT = 1e-3
 
 
-def gns_standard_pipeline(
-    k: int, f: StateFunction
-) -> tuple[GnsTriple, list[np.ndarray], StandardForm]:
-    """GNS representation, generated algebra, and its standard form.
+def gns_standard_pipeline(k: int, f: StateFunction) -> tuple[GnsTriple, StandardForm]:
+    """The GNS triple of f on S_k and the standard form of the algebra M it generates.
 
-    The generated algebra is the span of the representing unitaries.
-    The standard form needs a faithful state; the GNS state itself may
-    fail that, so it is normalized and mixed with the normalized carrier
-    trace: phi = (1 - TRACE_WEIGHT) <xi, . xi> / f(e) + TRACE_WEIGHT tr(.)/dim.
+    The GNS state may not be faithful on M, so the standard form takes
+    phi = (1 - TRACE_WEIGHT) <xi, . xi> / |xi|^2 + TRACE_WEIGHT tr(.)/dim,
+    faithful through its trace part. psi = phi o pi is f/f(e) (as the
+    triple represents it) mixed with the normalized character of pi, and
+    the carrier of its GNS triple has dimension dim M. S sends the vector
+    of g to that of g^-1, so with V holding the carrier vectors of the
+    group as columns, S v = SA conj(v) for SA = V[:, inverse] conj(V)^+;
+    j is the unitary polar factor of SA, taken from its SVD.
     """
     triple = gns(k, f)
-    M = _span_basis(triple.rep)
-    d = triple.dimension
-    xi_state = np.outer(triple.xi, triple.xi.conj()) / f.vector[0].real  # row 0 is e
-    density = (1 - TRACE_WEIGHT) * xi_state + TRACE_WEIGHT * np.eye(d) / d
-    sf = standard_form(M, density)
-    return triple, M, sf
+    state = triple.rep @ triple.xi @ triple.xi.conj() / np.vdot(triple.xi, triple.xi).real
+    trace = np.trace(triple.rep, axis1=1, axis2=2) / triple.dimension
+    psi = gns(k, StateFunction.from_vector(k, (1 - TRACE_WEIGHT) * state + TRACE_WEIGHT * trace))
+    V = (psi.rep @ psi.xi).T
+    u, _, vh = np.linalg.svd(V[:, inverse_map(k)] @ np.linalg.pinv(V.conj()))
+    return triple, StandardForm(k, psi.rep, psi.xi, u @ vh)
 
 
 # ---------------------------------------------------------------------------
 # The standard form certificate of gns-verify.
 
 
-def _two_sided(sf: StandardForm, rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks pi (rep embedded in the standard form) and R = J pi J^-1, row for row."""
-    pi = np.array([sf.embed(m) for m in rep])
-    return pi, sf.conjugate_by_j(pi)
+def _two_sided(sf: StandardForm) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks pi and R = J pi J^-1 on the standard form carrier, row for row."""
+    return sf.rep, sf.conjugate_by_j(sf.rep)
 
 
 def gns_certificate(k: int, f: StateFunction) -> dict:
@@ -289,8 +214,8 @@ def gns_certificate(k: int, f: StateFunction) -> dict:
     the central support, and the four residuals of the module doc. Raises
     ValueError where gns_standard_pipeline does.
     """
-    triple, _, sf = gns_standard_pipeline(k, f)
-    pi, right = _two_sided(sf, triple.rep)
+    triple, sf = gns_standard_pipeline(k, f)
+    pi, right = _two_sided(sf)
     eye = np.eye(sf.dimension)
 
     # rho in {pi, right} is a homomorphism exactly when rho(e) = 1 and
@@ -315,7 +240,7 @@ def gns_certificate(k: int, f: StateFunction) -> dict:
 
     return {
         "gns_dim": triple.dimension,
-        "algebra_dim": len(sf.basis),
+        "algebra_dim": sf.dimension,
         "central_support": sorted(central_support(triple.rep, k)),
         # The norm of J^2 - 1 on doubled real coordinates.
         "j_squared_residual": math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - eye)),

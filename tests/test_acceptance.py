@@ -32,10 +32,7 @@ from stablerep.fourier import (
 )
 from stablerep.gns import (
     commutant,
-    double_commutant,
-    gns,
     gns_standard_pipeline,
-    standard_form,
     subspace_distance,
 )
 from stablerep.induction import decompose_induced
@@ -317,20 +314,21 @@ def test_criterion_08_stability_profiles():
     )
 
 
-def two_sided(sf, triple):
+def two_sided(sf):
     """pi and R = J pi(.) J^-1 on the standard form carrier, keyed by permutation."""
-    pi = {g: sf.embed(triple.image(g)) for g in symmetric_group(triple.level)}
+    pi = {g: sf.image(g) for g in symmetric_group(sf.level)}
     return pi, {h: sf.conjugate_by_j(m) for h, m in pi.items()}
 
 
 def _standard_form_residuals(state, k, pairs_mode):
-    triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    pi, right = two_sided(sf, triple)
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
+    pi, right = two_sided(sf)
     group = symmetric_group(k)
     # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
     res_j = math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
-    # J M J^-1 = M', with M' solved for by the Kronecker oracle.
-    algebra = [sf.embed(b) for b in sf.basis]
+    # J M J^-1 = M', with M' solved for by the Kronecker oracle; M is
+    # spanned by the pi(g).
+    algebra = list(sf.rep)
     conj = [sf.conjugate_by_j(x) for x in algebra]
     res_jmj = subspace_distance(conj, commutant(algebra))
     if pairs_mode == "full":
@@ -372,17 +370,13 @@ def test_criterion_09_standard_form_suite():
     t0 = time.monotonic()
     worst3 = max(_standard_form_residuals(s, 3, "full") for s in BATTERY)
 
-    # tracial case: the two-sided action must move delta_x to delta_{gxh^-1}
+    # tracial case: for the point mass psi = delta_e, and the two-sided
+    # action must move delta_x to delta_{gxh^-1}
     k = 3
-    triple = gns(k, StateFunction.delta(k))
-    algebra = double_commutant(triple.generators())
-    sf = standard_form(algebra, np.eye(triple.dimension) / triple.dimension)
-    pi, right = two_sided(sf, triple)
+    _, sf = gns_standard_pipeline(k, StateFunction.delta(k))
+    pi, right = two_sided(sf)
     group = symmetric_group(k)
-    coords = {}
-    for x in group:
-        coeff = np.array([np.vdot(b, triple.image(x)) for b in sf.basis])
-        coords[x] = sf._whalf @ coeff
+    coords = {x: sf.image(x) @ sf.xi for x in group}
     res_trace = 0.0
     for g in group:
         for h in group:
@@ -407,8 +401,8 @@ def test_criterion_09_standard_form_suite():
 
 def test_criterion_09_rejects_a_right_factor_off_by_1e_6(monkeypatch):
     # The 3-element sample at k = 4 passes this factor; the generator links do not.
-    def scaled(sf, triple, build=two_sided):
-        pi, right = build(sf, triple)
+    def scaled(sf, build=two_sided):
+        pi, right = build(sf)
         t = Permutation.from_cycles([[1, 3]])
         right[t] = right[t] * (1 + 1e-6)
         return pi, right

@@ -217,18 +217,32 @@ def test_tol_zero_is_accepted(capsys, tmp_path, spec_a, spec_b, command):
     assert code in (0, 1) and json.loads(out) and err == ""
 
 
-def test_gns_verify_above_level_4_is_infeasible(capsys, spec_a):
-    code, out, err = run(capsys, "gns-verify", spec_a, "--level", "5")
+def test_gns_verify_above_level_5_is_infeasible(capsys, spec_a):
+    code, out, err = run(capsys, "gns-verify", spec_a, "--level", "6")
     assert code == 3
-    assert out == "" and "k > 4 is refused" in err
+    assert out == "" and "k > 5 is refused" in err
 
 
-@pytest.mark.parametrize("level", ["5", "8", "9", "20"])
-def test_gns_verify_refuses_every_level_above_4_before_reading_input(capsys, tmp_path, level):
+@pytest.mark.parametrize("level", ["6", "8", "9", "20"])
+def test_gns_verify_refuses_every_level_above_5_before_reading_input(capsys, tmp_path, level):
     # One cap, no flag lifts it, and the input file is never opened.
     code, out, err = run(capsys, "gns-verify", str(tmp_path / "missing.json"), "--level", level)
     assert (code, out) == (3, "")
-    assert err.startswith("infeasible: gns-verify builds") and err.endswith("k > 4 is refused\n")
+    assert err.startswith("infeasible: gns-verify holds") and err.endswith("k > 5 is refused\n")
+
+
+def test_gns_verify_at_level_5_runs_under_1_gib(tmp_path):
+    # The point mass at k = 5: the regular representation, the largest
+    # carrier (120) that level 5 can have.
+    table = write(tmp_path / "t.json", {"level": 5, "values": [[[], 1]]})
+    proc = subprocess.run([sys.executable, "-m", "stablerep.cli", "gns-verify", table,
+                           "--level", "5"], env=_child_env(**ONE_BLAS_THREAD),
+                          capture_output=True, text=True,  # 1 GiB, in the child only
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (1 << 30, 1 << 30)))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"] is True and report["gns_dim"] == report["algebra_dim"] == 120
 
 
 def test_induce_char(capsys):
@@ -507,17 +521,28 @@ def test_hermitian_part_of_a_block_near_the_float_range_is_finite(capfd, tmp_pat
     assert json.loads(out)["positive_definite" if command == "psd-check" else "ok"] is True
 
 
-@pytest.mark.parametrize("scale", [1e4, 1e8, 1e10])
+@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1e4, 1e8, 1e10])
 def test_gns_verify_verdict_does_not_depend_on_the_scale_of_the_state(capsys, tmp_path, scale):
     # The cut-2 spec's table on S_5, times scale, is positive at every scale.
     # The Gram eigenvalue cut and the faithful state of the standard form
-    # used to be absolute: x1e4 missed --tol, x1e8 and x1e10 read as not positive.
+    # used to be absolute: x1e4 missed --tol, x1e8 and x1e10 read as not
+    # positive, and x1e-12 read as a state with an empty carrier.
     f = as_table(cli._load_state(str(GOLDEN / "spec_cut2.json")), 5)
     rows = [[g.cycles(), scale * v.real] for g, v in zip(symmetric_group(5), f.vector)]
     table = write(tmp_path / "t.json", {"level": 5, "values": rows})
     code, out, err = run(capsys, "gns-verify", table, "--level", "4")
     assert (code, err) == (0, "")
     assert json.loads(out)["ok"] is True
+
+
+def test_gns_verify_rejects_a_small_state_that_is_not_positive(capsys, tmp_path):
+    # Gram eigenvalues 1e-300 +- 5e-10: negative far beyond the scale f(e)
+    # of the state, although within an absolute 1e-9.
+    table = write(tmp_path / "t.json", {"level": 2, "values": [[[], 1e-300], [[[1, 2]], 5e-10]]})
+    code, out, _ = run(capsys, "gns-verify", table, "--level", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False and "not positive definite" in report["failure"]
 
 
 def test_hermitian_gap_past_the_float_range_exits_2_without_a_warning(capsys, tmp_path):
@@ -551,7 +576,7 @@ def test_hard_cap_exits_3(capsys, spec_a):
 # One cheap job over the cap for each subcommand that takes --allow-large,
 # and what it meets once the flag lifts the cap: a level-2 table fed at
 # level 9 stops at level 2, and the exact subcommands answer.  gns-verify's
-# cap of 4 gives way to no flag, so it takes none.
+# cap of 5 gives way to no flag, so it takes none.
 CAPPED_JOBS = {
     "char-finite": (["--partition", "[9]", "--perm", "[[1,2]]"], None),
     "induce-char": (["--partition", "[5]", "--mu", "[4]", "--level", "9"], None),
@@ -1099,8 +1124,8 @@ def _small_job(draw):
             argv += ["--level=%d" % draw(st.integers(-2, 4)),
                      "--support-bounds=" + draw(st.just(bounds) | st.text(max_size=4))]
         if command == "gns-verify":
-            # k = 5 is refused before the state is read
-            argv.append("--level=%d" % draw(st.integers(-2, 5)))
+            # k = 6 is refused before the state is read
+            argv.append("--level=%d" % draw(st.integers(-2, 6)))
     return files, argv
 
 

@@ -19,7 +19,6 @@ from stablerep.gns import (
     double_commutant,
     gns,
     gns_standard_pipeline,
-    standard_form,
     subspace_distance,
 )
 from stablerep.partitions import hook_dimension, partitions_of
@@ -33,11 +32,6 @@ from test_acceptance import BATTERY
 F = Fraction
 # The package rebinds the name gns to the function, so fetch the module.
 gns_module = importlib.import_module("stablerep.gns")
-
-
-def left_multiplications(sf):
-    """The algebra acting on the standard form carrier: its basis, embedded."""
-    return [sf.embed(b) for b in sf.basis]
 
 
 def normalized_character_state(n, lam):
@@ -116,30 +110,29 @@ def test_subspace_distance():
     assert subspace_distance([e1], [e2]) == pytest.approx(1.0)
 
 
-def test_standard_form_rejects_unfaithful_state():
-    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    with pytest.raises(ValueError):
-        standard_form(basis, np.diag([1.0, 0.0]))
+def test_standard_form_of_an_unfaithful_gns_state_is_the_algebra():
+    # A matrix coefficient of the standard irreducible of S_3 is a pure
+    # state: its GNS carrier is C^2, and its vector state is not faithful
+    # on M = M_2. The trace weight makes the standard form's state
+    # faithful, so its carrier is M itself, of dimension 4.
+    k = 3
+    f = StateFunction.from_callable(k, lambda g: irrep_matrix((2, 1), g)[0, 0])
+    triple, sf = gns_standard_pipeline(k, f)
+    assert (triple.dimension, sf.dimension) == (2, 4)
+    assert len(double_commutant(triple.generators())) == sf.dimension
 
 
 def test_standard_form_tracial_case_is_biregular():
-    # With the trace, J pi(h) J^-1 acts as right translation, so the
-    # two-sided representation moves delta_x to delta_{g x h^-1}.
+    # For the point mass the faithful state is delta_e, a trace, so
+    # J pi(h) J^-1 acts as right translation and the two-sided
+    # representation moves delta_x to delta_{g x h^-1}.
     k = 3
-    triple = gns(k, StateFunction.delta(k))
-    algebra = double_commutant(triple.generators())
-    dim = triple.dimension
-    sf = standard_form(algebra, np.eye(dim) / dim)
-    pi, right = gns_module._two_sided(sf, triple.rep)
+    _, sf = gns_standard_pipeline(k, StateFunction.delta(k))
+    pi, right = gns_module._two_sided(sf)
     group = symmetric_group(k)
     index = element_index(k)
-
-    # coordinates of delta_x inside the standard carrier
-    whalf = sf._whalf
-    coords = {}
-    for x in group:
-        coeff = np.array([np.vdot(b, triple.image(x)) for b in sf.basis])
-        coords[x] = whalf @ coeff
+    # delta_x inside the standard carrier
+    coords = {x: sf.image(x) @ sf.xi for x in group}
     for g in group:
         for h in group:
             op = pi[index[g]] @ right[index[h]]
@@ -152,13 +145,13 @@ def test_standard_form_tracial_case_is_biregular():
 def test_standard_form_j_properties():
     k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
-    _, algebra, sf = gns_standard_pipeline(k, as_table(state, k))
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
     # ||J^2 - I|| on doubled real coordinates is sqrt(2) ||j conj(j) - I||
     assert math.sqrt(2) * np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)) < 1e-10
     # J xi = xi on the cyclic vector of the standard form
     assert np.max(np.abs(sf.j @ np.conj(sf.xi) - sf.xi)) < 1e-10
     # J M J^-1 lands in the commutant, solved for by the Kronecker oracle
-    algebra = left_multiplications(sf)
+    algebra = list(sf.rep)
     flat = np.array([b.ravel() for b in commutant(algebra)])
     q, _ = np.linalg.qr(flat.conj().T)
     for x in algebra:
@@ -170,8 +163,8 @@ def test_standard_form_j_properties():
 def test_pipeline_residuals_small():
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
-    triple, algebra, sf = gns_standard_pipeline(k, as_table(state, k))
-    pi, right = gns_module._two_sided(sf, triple.rep)
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
+    pi, right = gns_module._two_sided(sf)
     group = symmetric_group(k)
     index = element_index(k)
 
@@ -196,10 +189,9 @@ def test_pipeline_residuals_small():
 def test_left_and_right_factors_commute():
     k = 3
     state = CanonicalState(1, (1,), ThomaParams(alpha=(F(1, 2),), beta=(F(1, 4),)))
-    triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    pi = [sf.embed(m) for m in triple.rep]
-    for left in pi:
-        for m in pi:
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
+    for left in sf.rep:
+        for m in sf.rep:
             right = sf.conjugate_by_j(m)
             assert np.linalg.norm(left @ right - right @ left) < 1e-9
 
@@ -224,8 +216,8 @@ def test_central_support_of_explicit_sum():
 def test_central_support_matches_between_sides():
     k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
-    triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
-    left, _ = gns_module._two_sided(sf, triple.rep)
+    triple, sf = gns_standard_pipeline(k, as_table(state, k))
+    left, _ = gns_module._two_sided(sf)
     assert central_support(left, k) == central_support(triple.rep, k)
 
 
@@ -255,23 +247,35 @@ ORACLE_CASES = [(3, i) for i in range(len(BATTERY))] + [(4, 0), (4, 1)]
 
 
 @pytest.mark.parametrize("k,i", ORACLE_CASES, ids=["k%d-%d" % c for c in ORACLE_CASES])
-def test_span_algebra_and_right_multiplications_match_kronecker_oracles(k, i):
-    # M' is checked against the Kronecker oracle by acceptance criterion 9.
-    triple, algebra, _ = gns_standard_pipeline(k, as_table(BATTERY[i], k))
-    assert subspace_distance(algebra, double_commutant(triple.generators())) < 1e-9
+def test_algebra_on_the_standard_carrier_equals_the_double_commutant_oracle(k, i):
+    # pi(S_k) spans the algebra that the oracle generates, on a carrier of
+    # the algebra's own dimension.
+    _, sf = gns_standard_pipeline(k, as_table(BATTERY[i], k))
+    algebra = double_commutant(sf.generators())
+    assert len(algebra) == sf.dimension
+    assert subspace_distance(sf.rep, algebra) < 1e-9
 
 
 def test_right_embedding_is_right_multiplication():
+    # Right translation v_x -> v_{x h} of the carrier vectors v_x = pi(x) xi
+    # is well defined on the standard carrier and commutes with pi, and the
+    # Kronecker oracle finds no more of M' than these right translations.
+    k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
-    _, algebra, sf = gns_standard_pipeline(3, as_table(state, 3))
-    left = left_multiplications(sf)
-    assert len(commutant(left)) == len(algebra)
-    # R_m sends the carrier vector x (coordinates whalf c) to x m
-    for m in algebra:
-        coeff = np.array([[np.vdot(bi, bj @ m) for bj in sf.basis] for bi in sf.basis])
-        right = sf._whalf @ coeff @ sf._winvhalf
-        for a in left:
-            assert np.linalg.norm(a @ right - right @ a) < 1e-10
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
+    group = symmetric_group(k)
+    index = element_index(k)
+    V = np.array([sf.image(x) @ sf.xi for x in group]).T
+    right = []
+    for h in group:
+        shifted = V[:, [index[x * h] for x in group]]
+        r = shifted @ np.linalg.pinv(V)
+        assert np.max(np.abs(r @ V - shifted)) < 1e-10
+        right.append(r)
+    for a in sf.rep:
+        for r in right:
+            assert np.linalg.norm(a @ r - r @ a) < 1e-10
+    assert subspace_distance(right, commutant(sf.generators())) < 1e-9
 
 
 def test_gns_rep_equals_the_permutation_loop():
@@ -309,15 +313,15 @@ def test_gns_verify_solves_no_kronecker_system(monkeypatch, tmp_path):
 def test_right_factors_are_one_conjugation_of_the_stack(monkeypatch):
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
-    triple, _, sf = gns_standard_pipeline(k, as_table(state, k))
+    _, sf = gns_standard_pipeline(k, as_table(state, k))
     calls = []
     conjugate = sf.conjugate_by_j
     monkeypatch.setattr(sf, "conjugate_by_j", lambda X: calls.append(1) or conjugate(X))
-    pi, right = gns_module._two_sided(sf, triple.rep)
+    pi, right = gns_module._two_sided(sf)
     assert len(calls) == 1
-    assert pi.shape == right.shape == (math.factorial(k), sf.dimension, sf.dimension)
-    for r, m in enumerate(triple.rep):
-        assert np.array_equal(pi[r], sf.embed(m))
+    assert pi is sf.rep
+    assert right.shape == (math.factorial(k), sf.dimension, sf.dimension)
+    for r in range(len(pi)):
         assert np.array_equal(right[r], conjugate(pi[r]))
 
 
@@ -329,13 +333,12 @@ def _real_of_antilinear(C):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_j_matches_the_doubled_real_polar_oracle(k):
     for state in BATTERY:
-        _, _, sf = gns_standard_pipeline(k, as_table(state, k))
-        # S(x xi) = x* xi over the left multiplications x; on the carrier
-        # coordinates x* is the conjugate transpose.
-        algebra = left_multiplications(sf)
-        V = np.array([x @ sf.xi for x in algebra]).T
-        W = np.array([x.conj().T @ sf.xi for x in algebra]).T
-        SA = W @ np.linalg.inv(V.conj())
+        _, sf = gns_standard_pipeline(k, as_table(state, k))
+        # S(x xi) = x* xi over the left multiplications x = pi(g), which
+        # span M; on the carrier coordinates x* is the conjugate transpose.
+        V = np.array([x @ sf.xi for x in sf.rep]).T
+        W = np.array([x.conj().T @ sf.xi for x in sf.rep]).T
+        SA = np.linalg.lstsq(V.conj().T, W.T, rcond=None)[0].T
         j_real, _ = linalg.polar(_real_of_antilinear(SA))
         assert np.max(np.abs(j_real - _real_of_antilinear(sf.j))) < 1e-10, state
 
@@ -346,12 +349,17 @@ def _fourier_ranks(f):
     return {lam: int(np.sum(w > 1e-9 * top)) for lam, w in eig.items()}
 
 
-@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("k", range(6))
 def test_gns_verify_structure_matches_fourier_ranks(k, tmp_path):
     """gns_dim, algebra_dim and central_support from the ranks r of the blocks."""
-    for i, state in enumerate(BATTERY):
-        spec = tmp_path / ("spec%d.json" % i)
-        spec.write_text(json.dumps(state.to_json()))
+    # At k = 5, the point mass (the regular representation) and two specs.
+    states = BATTERY if k < 5 else [StateFunction.delta(k), BATTERY[0], BATTERY[5]]
+    for i, state in enumerate(states):
+        spec = tmp_path / ("state%d.json" % i)
+        if isinstance(state, StateFunction):
+            spec.write_text(json.dumps({"level": k, "values": [[[], 1]]}))
+        else:
+            spec.write_text(json.dumps(state.to_json()))
         out = tmp_path / ("report%d.json" % i)
         assert cli.main(["gns-verify", str(spec), "--level", str(k), "--output", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -378,8 +386,8 @@ def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, si
     row = element_index(k)[Permutation.from_cycles([tuple(c) for c in cycles])]
     two_sided = gns_module._two_sided
 
-    def broken(sf, rep):
-        stacks = dict(zip(("pi", "right"), two_sided(sf, rep)))
+    def broken(sf):
+        stacks = dict(zip(("pi", "right"), two_sided(sf)))
         stacks[side][row] *= 1 + 1e-6
         return stacks["pi"], stacks["right"]
 
@@ -394,9 +402,8 @@ def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, si
 def test_gns_verify_fails_on_a_right_factor_outside_the_commutant(monkeypatch, tmp_path):
     # pi is a homomorphism, so R = pi passes every link, but pi(t_1) and
     # pi(t_2) do not commute: only j_commutant_residual sees it.
-    def left_twice(sf, rep):
-        pi = np.array([sf.embed(m) for m in rep])
-        return pi, pi
+    def left_twice(sf):
+        return sf.rep, sf.rep
 
     monkeypatch.setattr(gns_module, "_two_sided", left_twice)
     spec = tmp_path / "cut2.json"
