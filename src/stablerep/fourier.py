@@ -178,8 +178,8 @@ def as_table(f: Evaluator, level: Optional[int] = None) -> StateFunction:
 
 
 def check_finite(arrays: Iterable[np.ndarray], what: str) -> None:
-    """Refuse, with OverflowError, arrays that hold an inf or a nan (one scan for all)."""
-    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+    """Refuse, with OverflowError, arrays that hold an inf or a nan (scanned one by one)."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise OverflowError(f"{what} holds a number that is not finite")
 
 
@@ -195,8 +195,9 @@ def fourier(f: StateFunction) -> FourierBlocks:
     permutations.coset_order, S_k is the union of the cosets c_j S_{k-1},
     so the block of a coset prefix is sum_j rho_lam(c_j) (+)_mu B_j(mu),
     where B_j(mu) is the S_{k-1} block of the prefix extended by c_j and
-    (+)_mu places it on the rows of yor.branching.  Each shape and level
-    is one batched matrix product over all prefixes.
+    (+)_mu places it on mu's rows of yor.branching, so its columns there
+    are mu's column block times the B_j(mu) stacked over j: one batched
+    matrix product per corner, shape and level over all prefixes.
     """
     f = as_table(f)
     n = f.level
@@ -210,12 +211,12 @@ def fourier(f: StateFunction) -> FourierBlocks:
             prefixes = fact // math.factorial(k)
             grown = {}
             for lam in partitions_of(k):
-                cosets, rows = branching(lam)
-                d = cosets.shape[0]
-                z = np.zeros((prefixes, k, d, d), dtype=complex)
-                for mu, r in rows.items():
-                    z[:, :, r[:, None], r] = blocks[mu].reshape(prefixes, k, len(r), len(r))
-                grown[lam] = _real_matmul(cosets, z.reshape(prefixes, k * d, d))
+                corners, order = branching(lam)
+                parts = [_real_matmul(columns, blocks[mu].reshape(prefixes, -1, len(r)))
+                         for mu, (r, columns) in corners.items()]
+                # One corner holds every column, in basis order already.
+                grown[lam] = (parts[0] if len(parts) == 1
+                              else np.take(np.concatenate(parts, axis=2), order, axis=2))
             blocks = grown
     check_finite(blocks.values(), "a Fourier block")
     return FourierBlocks(n, {lam: b[0] for lam, b in blocks.items()})
@@ -228,25 +229,22 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     with A_lam = d_lam blocks[lam] / n! and <X, Y> = sum_ab X_ab Y_ab, so
     this is fourier's recursion transposed, run on the A_lam from S_n
     down.  A shape mu of S_{k-1} sums what every lam containing it hands
-    down.
+    down: mu's column block, transposed, times A_lam's columns on mu's rows.
     """
     n = blocks.level
     fact = math.factorial(n)
     adj = {lam: hook_dimension(lam) / fact * np.asarray(b, dtype=complex)[None]
            for lam, b in blocks.items()}
     for k in range(n, 0, -1):
-        prefixes = fact // math.factorial(k)
         down = {}
-        for mu in partitions_of(k - 1):
-            d = hook_dimension(mu)
-            down[mu] = np.zeros((prefixes, k, d, d), dtype=complex)
         for lam in partitions_of(k):
-            cosets, rows = branching(lam)
-            d = cosets.shape[0]
-            up = _real_matmul(cosets.T, adj[lam]).reshape(prefixes, k, d, d)
-            for mu, r in rows.items():
-                down[mu] += up[:, :, r[:, None], r]
-        adj = {mu: a.reshape(prefixes * k, a.shape[2], a.shape[3]) for mu, a in down.items()}
+            for mu, (r, columns) in branching(lam)[0].items():
+                up = _real_matmul(columns.T, np.take(adj[lam], r, axis=2))
+                if mu in down:
+                    down[mu] += up
+                else:
+                    down[mu] = up
+        adj = {mu: a.reshape(-1, a.shape[2], a.shape[2]) for mu, a in down.items()}
     vec = np.empty(fact, dtype=complex)
     vec[coset_order(n)] = adj[()].ravel()
     return StateFunction.from_vector(n, vec)

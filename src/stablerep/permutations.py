@@ -221,11 +221,6 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     )
 
 
-@lru_cache(maxsize=8)
-def element_index(n: int) -> dict[Permutation, int]:
-    return {g: i for i, g in enumerate(symmetric_group(n))}
-
-
 def adjacent_word(p: Permutation, n: Optional[int] = None) -> tuple[int, ...]:
     """Write p as a product of adjacent transpositions.
 
@@ -436,7 +431,6 @@ def conjugate_words(words: np.ndarray, t: Permutation) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
 def conjugation_map(n: int, t: Permutation) -> np.ndarray:
     """(n!,) index map: entry r is the row of t g_r t^-1; needs level(t) <= n.
 

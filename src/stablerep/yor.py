@@ -148,15 +148,17 @@ def irrep_matrix(lam: Iterable[int], p: Permutation) -> np.ndarray:
 @lru_cache(maxsize=None)
 def branching(
     lam: tuple[int, ...]
-) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
-    """The step S_{k-1} < S_k in shape lam of weight k >= 1.
+) -> tuple[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The step S_{k-1} < S_k in shape lam of weight k >= 1, corner by corner.
 
-    Returns the (d, k*d) array [rho(c_1) ... rho(c_k)] of the coset
-    representatives c_j = (j j+1 ... k) = t_j t_{j+1} ... t_{k-1} (see
-    permutations.coset_order), and for each shape mu of lam less a corner
-    the rows of lam's basis that hold mu: the tableaux with k in that
-    corner, listed in mu's basis order.  On S_{k-1}, rho_lam is rho_mu on
-    those rows and 0 between the rows of different mu.
+    For each shape mu of lam less a corner, returns the rows r of lam's
+    basis that hold mu, the tableaux with k in that corner listed in mu's
+    basis order, and the (d, k*d_mu) column block [rho(c_1)[:, r] ...
+    rho(c_k)[:, r]] of the coset representatives c_j = (j j+1 ... k) =
+    t_j t_{j+1} ... t_{k-1} (see permutations.coset_order).  On S_{k-1},
+    rho_lam is rho_mu on those rows and 0 between the rows of different mu,
+    so only these columns of rho(c_j) meet a block of S_{k-1}.  Also
+    returns the order that puts the corners' columns back in basis order.
 
     rho(c_j) = rho(t_j) rho(c_{j+1}) is built from _level(k)'s generator
     entries without a dense product: row t of it is diag[t] times row t of
@@ -165,19 +167,20 @@ def branching(
     lam = check_partition(lam)
     level, rows = _shape_rows(lam)
     k, d = sum(lam), rows.stop - rows.start
-    cosets = np.zeros((d, k * d))
-    blocks = [cosets[:, j * d:(j + 1) * d] for j in range(k)]
+    cosets = np.zeros((d, k, d))
     t = np.arange(d)
-    blocks[-1][t, t] = 1.0
+    cosets[t, -1, t] = 1.0
     for j in range(k - 2, -1, -1):
         diag, off, col = level.steps[j]
-        np.multiply(diag[rows, None], blocks[j + 1], out=blocks[j])
-        blocks[j] += off[rows, None] * blocks[j + 1][col[rows] - rows.start]
-    cosets.flags.writeable = False
+        np.multiply(diag[rows, None], cosets[:, j + 1], out=cosets[:, j])
+        cosets[:, j] += off[rows, None] * cosets[:, j + 1][col[rows] - rows.start]
     last = level.words[rows, -1]
-    held = {}
+    corners = {}
     for r in sorted(set(last.tolist())):
         mu = tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)
-        held[mu] = np.flatnonzero(last == r)
-        held[mu].flags.writeable = False
-    return cosets, held
+        held = np.flatnonzero(last == r)
+        corners[mu] = (held, np.take(cosets, held, axis=2).reshape(d, -1))
+    order = np.argsort(np.concatenate([held for held, _ in corners.values()]))
+    for a in (order, *(a for corner in corners.values() for a in corner)):
+        a.flags.writeable = False
+    return corners, order

@@ -22,12 +22,13 @@ from stablerep.gns import (
     subspace_distance,
 )
 from stablerep.partitions import hook_dimension, partitions_of
-from stablerep.permutations import IDENTITY, Permutation, element_index, symmetric_group, transposition
+from stablerep.permutations import IDENTITY, Permutation, symmetric_group, transposition
 from stablerep.stability import as_table
 from stablerep.thoma import ThomaParams
 from stablerep.yor import irrep_matrix
 
 from test_acceptance import BATTERY
+from test_index_layer import enumeration_rows
 
 F = Fraction
 # The package rebinds the name gns to the function, so fetch the module.
@@ -130,7 +131,7 @@ def test_standard_form_tracial_case_is_biregular():
     _, sf = gns_standard_pipeline(k, StateFunction.delta(k))
     pi, right = gns_module._two_sided(sf)
     group = symmetric_group(k)
-    index = element_index(k)
+    index = enumeration_rows(k)
     # delta_x inside the standard carrier
     coords = {x: sf.image(x) @ sf.xi for x in group}
     for g in group:
@@ -166,7 +167,7 @@ def test_pipeline_residuals_small():
     _, sf = gns_standard_pipeline(k, as_table(state, k))
     pi, right = gns_module._two_sided(sf)
     group = symmetric_group(k)
-    index = element_index(k)
+    index = enumeration_rows(k)
 
     def ad(g):
         return pi[index[g]] @ right[index[g]]
@@ -209,7 +210,7 @@ def test_central_support_of_explicit_sum():
     assert central_support(rep, 3) == frozenset({(3,), (2, 1)})
     with pytest.raises(ValueError):
         bad = rep.copy()
-        bad[element_index(3)[IDENTITY]] *= 1.5
+        bad[enumeration_rows(3)[IDENTITY]] *= 1.5
         central_support(bad, 3)
 
 
@@ -264,7 +265,7 @@ def test_right_embedding_is_right_multiplication():
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     _, sf = gns_standard_pipeline(k, as_table(state, k))
     group = symmetric_group(k)
-    index = element_index(k)
+    index = enumeration_rows(k)
     V = np.array([sf.image(x) @ sf.xi for x in group]).T
     right = []
     for h in group:
@@ -283,7 +284,7 @@ def test_gns_rep_equals_the_permutation_loop():
         for state in (BATTERY[1], BATTERY[5]):
             f = as_table(state, k)
             elements = symmetric_group(k)
-            index = element_index(k)
+            index = enumeration_rows(k)
             G = np.array([[f(g.inverse() * h) for h in elements] for g in elements])
             G = (G + G.conj().T) / 2
             w, V = np.linalg.eigh(G)
@@ -383,7 +384,7 @@ BROKEN = [
 
 @pytest.mark.parametrize("side,cycles,k", BROKEN, ids=["%s-%s-k%d" % (s, "_".join("".join(map(str, c)) for c in cs), k) for s, cs, k in BROKEN])
 def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, side, cycles, k):
-    row = element_index(k)[Permutation.from_cycles([tuple(c) for c in cycles])]
+    row = enumeration_rows(k)[Permutation.from_cycles([tuple(c) for c in cycles])]
     two_sided = gns_module._two_sided
 
     def broken(sf):

@@ -23,7 +23,6 @@ from stablerep.permutations import (
     cycle,
     cycle_lengths,
     cycle_words,
-    element_index,
     group_words,
     inverse_map,
     product_table,
@@ -41,6 +40,11 @@ from test_acceptance import BATTERY
 F = Fraction
 
 
+def enumeration_rows(n):
+    """Row of each element in symmetric_group(n), read off the enumeration."""
+    return {g: i for i, g in enumerate(symmetric_group(n))}
+
+
 def elementwise(fn, level):
     return np.array([complex(fn(g)) for g in symmetric_group(level)])
 
@@ -51,7 +55,7 @@ def random_perm(rng, n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_inverse_map_is_inversion(n):
-    index = element_index(n)
+    index = enumeration_rows(n)
     want = [index[g.inverse()] for g in symmetric_group(n)]
     assert inverse_map(n).tolist() == want
 
@@ -112,7 +116,7 @@ def test_cycle_words_validity(rows, ok):
 
 @pytest.mark.parametrize("n", range(6))
 def test_product_table_is_multiplication(n):
-    index = element_index(n)
+    index = enumeration_rows(n)
     group = symmetric_group(n)
     want = [[index[g * h] for h in group] for g in group]
     assert product_table(n).tolist() == want
@@ -131,7 +135,7 @@ def test_gram_matrix_equals_the_permutation_loop():
 
 @pytest.mark.parametrize("n", range(7))
 def test_conjugation_map_is_conjugation(n):
-    index = element_index(n)
+    index = enumeration_rows(n)
     rng = random.Random(n)
     conjugators = symmetric_group(n) if n <= 4 else [random_perm(rng, n) for _ in range(4)]
     for t in conjugators:
@@ -149,7 +153,7 @@ def test_conjugate_words_reach_past_the_words():
 
 @pytest.mark.parametrize("level", range(7))
 def test_restriction_map_is_the_subgroup(level):
-    index = element_index(level)
+    index = enumeration_rows(level)
     for n in range(level + 1):
         want = [index[g] for g in symmetric_group(n)]
         assert restriction_map(n, level).tolist() == want
@@ -277,6 +281,13 @@ def test_sparse_blocks_equal_the_elementwise_irrep_matrix_sum(n):
 def test_dense_blocks_equal_the_elementwise_irrep_matrix_sum(n):
     rng = random.Random(100 + n)
     vals = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in symmetric_group(n)]
+    assert_blocks_equal_the_elementwise_irrep_matrix_sum(StateFunction.from_vector(n, vals))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_dense_real_blocks_equal_the_elementwise_irrep_matrix_sum(n):
+    rng = random.Random(200 + n)
+    vals = [rng.gauss(0, 1) for _ in symmetric_group(n)]
     assert_blocks_equal_the_elementwise_irrep_matrix_sum(StateFunction.from_vector(n, vals))
 
 

@@ -14,13 +14,15 @@ from stablerep.permutations import (
     adjacent_word,
     coset_order,
     cycle,
-    element_index,
+    element_row,
     group_words,
     split_product,
     symmetric_group,
     transposition,
     word_ranks,
 )
+
+from test_index_layer import enumeration_rows
 
 
 def random_perm(rng, n):
@@ -128,10 +130,10 @@ def test_symmetric_group_enumeration():
     assert words == sorted(words)
 
 
-def test_element_index_inverts_enumeration():
-    idx = element_index(4)
-    for i, g in enumerate(symmetric_group(4)):
-        assert idx[g] == i
+def test_element_row_inverts_enumeration():
+    for n in range(6):
+        for i, g in enumerate(symmetric_group(n)):
+            assert element_row(g, n) == i
 
 
 def test_group_words_are_ranked_by_position():
@@ -148,7 +150,7 @@ def test_coset_order_lists_nested_cosets():
     # Row p is c_{j_n} ... c_{j_1} with c_j = (j j+1 ... k) in S_k and the
     # digits j_k - 1 of p in mixed radix, j_n most significant.
     for n in range(7):
-        index = element_index(n)
+        index = enumeration_rows(n)
         want = []
         for digits in itertools.product(*(range(1, k + 1) for k in range(n, 0, -1))):
             p = IDENTITY

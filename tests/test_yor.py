@@ -73,7 +73,7 @@ def test_generators_and_branching_rows_match_the_tableau_loops():
             for i, (m, w) in enumerate(zip(gens, want)):
                 assert np.array_equal(m, w), (lam, i)
             if n:
-                rows = branching(lam)[1]
+                rows = {mu: r for mu, (r, _) in branching(lam)[0].items()}
                 want = _branching_rows_by_tableau(lam)
                 assert list(rows) == list(want), lam
                 for mu in want:
@@ -120,13 +120,17 @@ def test_sort_keys_order_shape_indices_past_one_byte():
 
 def test_cosets_equal_the_dense_product_chain():
     # The two-nonzeros rule reproduces gen @ m bit for bit: each entry is
-    # one sum of two products either way.
+    # one sum of two products either way.  Each corner holds the columns
+    # of the chain's products on its rows.
     for n in range(1, 10):
         for lam in partitions_of(n):
-            mats = [np.eye(hook_dimension(lam))]
+            d = hook_dimension(lam)
+            mats = [np.eye(d)]
             for gen in reversed(yor_generators(lam)):
                 mats.append(gen @ mats[-1])
-            assert np.array_equal(branching(lam)[0], np.hstack(mats[::-1])), lam
+            chain = np.stack(mats[::-1], axis=1)
+            for mu, (r, columns) in branching(lam)[0].items():
+                assert np.array_equal(columns, chain[:, :, r].reshape(d, -1)), (lam, mu)
     # Free the level-9 matrices (about 50 MB), which no other test reads.
     yor_generators.cache_clear()
     branching.cache_clear()
@@ -244,12 +248,13 @@ def test_branching_splits_the_restriction_exactly():
     # On S_{n-1}, rho_lam is rho_mu on mu's rows and exactly 0 elsewhere.
     for n in range(1, 7):
         for lam in partitions_of(n):
-            cosets, rows = branching(lam)
+            corners, order = branching(lam)
+            rows = {mu: r for mu, (r, _) in corners.items()}
             d = hook_dimension(lam)
-            assert cosets.shape == (d, n * d)
-            assert sorted(np.concatenate(list(rows.values())).tolist()) == list(range(d))
-            for mu, r in rows.items():
+            assert np.concatenate(list(rows.values()))[order].tolist() == list(range(d))
+            for mu, (r, columns) in corners.items():
                 assert sum(mu) == n - 1 and len(r) == hook_dimension(mu)
+                assert columns.shape == (d, n * len(r))
             for g in symmetric_group(n - 1):
                 m = irrep_matrix(lam, g)
                 want = np.zeros((d, d))
@@ -262,11 +267,12 @@ def test_branching_cosets_are_the_cycles():
     # c_j = (j j+1 ... k) sends k to j; c_k is the identity.
     for n in range(1, 6):
         for lam in partitions_of(n):
-            cosets, _ = branching(lam)
-            d = hook_dimension(lam)
+            corners, _ = branching(lam)
             for j in range(1, n + 1):
                 want = irrep_matrix(lam, cycle(*range(j, n + 1)))
-                assert np.allclose(cosets[:, (j - 1) * d : j * d], want, atol=1e-12), (lam, j)
+                for mu, (r, columns) in corners.items():
+                    got = columns[:, (j - 1) * len(r) : j * len(r)]
+                    assert np.allclose(got, want[:, r], atol=1e-12), (lam, j, mu)
 
 
 def test_irrep_matrix_identity_and_transposition():
