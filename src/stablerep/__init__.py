@@ -69,12 +69,9 @@ from .gns import (
     GnsTriple,
     StandardForm,
     central_support,
-    commutant,
-    double_commutant,
     gns,
     gns_certificate,
     gns_standard_pipeline,
-    subspace_distance,
 )
 from .induction import character_inner, decompose_induced, induced_character
 

@@ -238,8 +238,11 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
     for k in range(n, 0, -1):
         down = {}
         for lam in partitions_of(k):
-            for mu, (r, columns) in branching(lam)[0].items():
-                up = _real_matmul(columns.T, np.take(adj[lam], r, axis=2))
+            corners = branching(lam)[0]
+            for mu, (r, columns) in corners.items():
+                # One corner holds every column, in basis order already.
+                a = adj[lam] if len(corners) == 1 else np.take(adj[lam], r, axis=2)
+                up = _real_matmul(columns.T, a)
                 if mu in down:
                     down[mu] += up
                 else:

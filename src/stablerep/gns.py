@@ -1,4 +1,4 @@
-"""GNS construction, commutants and the standard form.
+"""GNS construction and the standard form.
 
 Everything here is finite dimensional linear algebra: states are given
 by value tables on a truncated group, and representations by stacks of
@@ -11,8 +11,7 @@ faithful state phi is L^2(M, phi) (Haagerup 1975; Takesaki II, ch. IX),
 which is the GNS space of the state phi o pi of the group: one more call
 of gns builds it. The modular conjugation is J = U conj, where U is the
 unitary polar factor of the complex matrix SA of the antilinear adjoint
-map S v = SA conj(v). commutant and double_commutant solve for the
-commutant and the generated algebra numerically and serve as oracles.
+map S v = SA conj(v).
 
 gns_certificate computes here the certificate that gns-verify reports,
 each property once, as four residuals (Frobenius norms): J^2 = 1
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -105,53 +103,6 @@ def gns(k: int, f: StateFunction) -> GnsTriple:
     # Row r of the product table lists the columns g_r h for h in S_k; row 0 is e.
     rep = np.array([B[:, cols] @ pinv for cols in product_table(k)])
     return GnsTriple(k, rep, B[:, 0].copy())
-
-
-# ---------------------------------------------------------------------------
-# Commutants in the trace inner product.
-
-# Relative singular value cut for the rank of a span or a null space.
-RANK_TOL = 1e-9
-
-
-def commutant(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of {X : XA = AX for all A in mats}.
-
-    Solved as one linear system on vec(X); the basis is orthonormal for
-    the trace inner product.
-    """
-    if len(mats) == 0:
-        raise ValueError("commutant of an empty set is everything; pass the identity")
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    rows = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mats])
-    if rows.shape[0] < d * d:
-        # Right singular vectors must span all of the d^2 unknowns.
-        pad = np.zeros((d * d - rows.shape[0], d * d), dtype=complex)
-        rows = np.vstack([rows, pad])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    null = vh[s < RANK_TOL * max(s[0], 1.0)].conj()
-    return [v.reshape(d, d) for v in null]
-
-
-def double_commutant(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of the von Neumann algebra generated by mats."""
-    return commutant(commutant(mats))
-
-
-def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    """Operator norm distance between the orthogonal projections onto span(a) and span(b).
-
-    Each span's rank is cut at RANK_TOL, as in commutant.
-    """
-    def projector(mats):
-        mats = np.array([np.ravel(m) for m in mats], dtype=complex)
-        _, s, vh = np.linalg.svd(mats, full_matrices=False)
-        q = vh[s > RANK_TOL * max(s[0], 1.0)]
-        return q.T @ q.conj()
-
-    return float(np.linalg.norm(projector(a) - projector(b), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ sequences alpha, beta of positive reals with total mass at most 1.  Its
 value on a permutation is a product over cycles: a k-cycle contributes
 sum(alpha_i^k) + (-1)^(k+1) sum(beta_j^k).
 
-recover_params fits (alpha, beta) to cycle values with numpy alone: every
-minimum over c = sum(alpha) + sum(beta) of a Padé form of Thoma's formula
-seeds a start, and a projected Levenberg-Marquardt polish on the box
-[0, 1] finishes the start that fits best.
+recover_params fits (alpha, beta) to cycle values with numpy alone: each
+root in c = sum(alpha) + sum(beta) of the consistency determinant of a Padé
+form of Thoma's formula seeds a start, and a projected Levenberg-Marquardt
+polish on the box [0, 1] finishes the start that fits best.
 """
 
 from __future__ import annotations
@@ -286,43 +286,59 @@ def _probes(x: np.ndarray, jac: np.ndarray) -> list[np.ndarray]:
 # fits that miss an entry of 1/80 lie 1e16 or more above it.
 NOISE_SLACK = 1e10
 
-# Coarse grid for the Padé starts' scan of c = sum(alpha) + sum(beta); each
-# local minimum is refined on ZOOM_POINTS-point grids down to width C_TOL.
-C_GRID = np.linspace(0.0, 1.0, 101)
-ZOOM_POINTS = 21
-C_TOL = 1e-12
+# Most Gauss-Newton steps per root: quadratic at an exact fit; elsewhere the polish finishes.
+REFINE_STEPS = 2
 
 
-def _complete_sums(c, prefix: np.ndarray) -> np.ndarray:
-    """h_0..h_N of exp(c t + sum_k p_k t^k / k), one row per entry of c.
+def _pade_equations(cs: np.ndarray, prefix: np.ndarray, r: int, s: int):
+    """h_0..h_N of exp(c t + sum_k p_k t^k / k), prefix = (p_2, .., p_N), at each
+    c, and m[g, i, l] = h_{j-l} (0 for j < l) on rows j = s+1..N, lags 0..r+1.
 
-    prefix = (p_2, .., p_N).  Newton's identities give
-    k h_k = sum_{i=1..k} p_i h_{k-i}, with p_1 = c.
+    b + a q = m[..., :r+1] @ (1, q) = 0 are the [s/r] Padé equations for the denominator
+    1 + q_1 t + .. + q_r t^r; as dh_k/dc = h_{k-1}, m[..., 1:] @ (1, q) is their d/dc.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    p = np.column_stack([c, np.broadcast_to(prefix, (len(c), len(prefix)))])
-    h = np.ones((len(c), p.shape[1] + 1))
-    for k in range(1, h.shape[1]):
-        h[:, k] = np.einsum("ij,ij->i", p[:, :k], h[:, k - 1::-1]) / k
-    return h
+    h = np.empty((len(prefix) + 2, len(cs)))
+    h[0], h[1] = 1.0, cs
+    # Newton's identities: k h_k = sum_{i=1..k} p_i h_{k-i}, with p_1 = c.
+    for k in range(2, len(h)):
+        h[k] = (cs * h[k - 1] + prefix[: k - 1] @ h[k - 2 :: -1]) / k
+    lags = np.arange(s + 1, len(h))[:, None] - np.arange(r + 2)
+    return h.T, np.where(lags >= 0, h.T[:, np.maximum(lags, 0)], 0.0)
 
 
-def _pade_system(h: np.ndarray, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with (Q h)_j = (a q + b)_j for j = s+1..N, one system per row of h.
+def _determinant_roots(prefix: np.ndarray, r: int, s: int) -> np.ndarray:
+    """The points of [0, 1] nearest the roots in c of det of the first r + 1 Padé equations.
 
-    Q = 1 + q_1 t + .. + q_r t^r, and q = (q_1, .., q_r).
+    Its terms are products of h_{j-l}, of degree j - l in c, over j = s+1..s+r+1
+    and l = 0..r, so it has degree (r + 1)(s + 1) at most: it is interpolated at
+    Chebyshev nodes and its roots are the eigenvalues of the colleague matrix.
     """
-    rows = np.arange(s + 1, h.shape[1])
-    lags = rows[:, None] - np.arange(1, r + 1)
-    return np.where(lags >= 0, h[:, np.maximum(lags, 0)], 0.0), h[:, rows]
+    d = (r + 1) * (s + 1)
+    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
+    m = _pade_equations((1 + np.cos(theta)) / 2, prefix[: r + s], r, s)[1]
+    coef = np.cos(np.outer(np.arange(d + 1), theta)) @ np.linalg.det(m[:, :, : r + 1])
+    # Top coefficients that round to 0 lower the degree; below 2, seed from both ends.
+    coef = np.trim_zeros(coef * np.where(np.arange(d + 1) == 0, 1.0, 2.0) / (d + 1), "b")
+    if len(coef) < 3:
+        return np.array([0.0, 1.0])
+    # x T_0 = T_1, x T_i = (T_{i-1} + T_{i+1}) / 2, and T_n = -sum(coef T) / coef_n.
+    colleague = (np.eye(len(coef) - 1, k=1) + np.eye(len(coef) - 1, k=-1)) / 2
+    colleague[0, 1] = 1.0
+    colleague[-1] -= coef[:-1] / (2 * coef[-1])
+    return np.array(sorted(set(((1 + np.linalg.eigvals(colleague).real) / 2).clip(0.0, 1.0))))
 
 
-def _pade_residual(c, prefix: np.ndarray, r: int, s: int) -> np.ndarray:
-    """Norm of (a q + b) left by the least-squares q, at each c."""
-    a, b = _pade_system(_complete_sums(c, prefix), r, s)
-    basis = np.linalg.qr(a)[0]
-    b = b - np.einsum("gmi,gi->gm", basis, np.einsum("gmi,gm->gi", basis, b))
-    return np.linalg.norm(b, axis=1)
+def _pade_fit(cs: np.ndarray, prefix: np.ndarray, r: int, s: int):
+    """Per c: h, least-squares (1, q), the sum of squares of f = a q + b, its Gauss-Newton step."""
+    h, m = _pade_equations(cs, prefix, r, s)
+    a = m[:, :, 1 : r + 1]
+    x = np.array([np.linalg.lstsq(ai, mi, rcond=None)[0] for ai, mi in zip(a, m)])
+    m = m - np.einsum("gij,gjk->gik", a, x)  # lags projected off a: variable projection
+    q = np.concatenate([np.ones((len(cs), 1)), -x[:, :, 0]], axis=1)
+    f, d = m[:, :, 0], (m[:, :, 1:] @ q[:, :, None])[:, :, 0]
+    curvature = np.einsum("gi,gi->g", d, d)
+    step = -np.einsum("gi,gi->g", f, d) / np.where(curvature > 0, curvature, np.inf)
+    return h, q, np.einsum("gi,gi->g", f, f), step
 
 
 def _pade_starts(prefix: np.ndarray, r: int, s: int) -> list[np.ndarray]:
@@ -330,39 +346,27 @@ def _pade_starts(prefix: np.ndarray, r: int, s: int) -> list[np.ndarray]:
 
     exp(c t + sum_k p_k t^k / k) = prod(1 + beta_j t) / prod(1 - alpha_i t)
     with c = sum(alpha) + sum(beta), so for fixed c the support is an [s/r]
-    Padé problem.  Its denominator fit can leave no residual at several c:
-    a root that comes out negative is clipped to 0 and makes a spurious
-    zero.  So every local minimum of the grid is refined by zooming and
-    seeds one start, and the caller keeps the start that fits best.
+    Padé problem.  Its first r + 1 denominator equations are consistent where
+    their determinant, a polynomial in c, vanishes, also at spurious c where a
+    root comes out negative and is clipped to 0.  So each root seeds a start,
+    after Gauss-Newton steps towards the other equations that lower their
+    residual, and the caller keeps the start that fits best.
     """
-    grid = _pade_residual(C_GRID, prefix, r, s)
-    starts = []
-    for i, v in enumerate(grid):
-        lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
-        if v > grid[lo] or v > grid[hi]:
-            continue
-        c = _zoom(prefix, r, s, C_GRID[lo], C_GRID[hi])
-        h = _complete_sums(c, prefix)
-        a, b = _pade_system(h, r, s)
-        q = np.concatenate([[1.0], np.linalg.lstsq(a[0], -b[0], rcond=None)[0]])
-        p = np.convolve(q, h[0])[: s + 1]
-        x0 = np.concatenate([np.roots(q).real, -np.roots(p).real]).clip(0.0, 1.0)
-        starts.append(x0 / max(x0.sum(), 1.0))
-    return starts
-
-
-def _zoom(prefix: np.ndarray, r: int, s: int, lo: float, hi: float) -> float:
-    """The c of least Padé residual in [lo, hi], by nested grids.
-
-    The residual is vectorised over c, so each level is one batched call,
-    and the argmin's neighbours bracket the next level.
-    """
-    while True:
-        cs = np.linspace(lo, hi, ZOOM_POINTS)
-        i = int(np.argmin(_pade_residual(cs, prefix, r, s)))
-        if hi - lo <= C_TOL:
-            return float(cs[i])
-        lo, hi = cs[max(i - 1, 0)], cs[min(i + 1, ZOOM_POINTS - 1)]
+    cs = _determinant_roots(prefix, r, s)
+    h, q, cost, step = _pade_fit(cs, prefix, r, s)
+    for _ in range(REFINE_STEPS if len(prefix) > r + s else 0):
+        trial = (cs + step).clip(0.0, 1.0)
+        if np.all(trial == cs):
+            break
+        h_t, q_t, cost_t, step_t = _pade_fit(trial, prefix, r, s)
+        better = cost_t < cost
+        cs, cost = np.where(better, trial, cs), np.minimum(cost_t, cost)
+        step = np.where(better, step_t, 0.0)
+        h, q = np.where(better[:, None], h_t, h), np.where(better[:, None], q_t, q)
+    x0 = np.array([np.concatenate([np.roots(qi).real,
+                                   -np.roots(np.convolve(qi, hi)[: s + 1]).real])
+                   for qi, hi in zip(q, h)]).clip(0.0, 1.0)
+    return list(x0 / np.maximum(x0.sum(axis=1), 1.0)[:, None])
 
 
 def _fit_support(
@@ -403,13 +407,12 @@ def recover_params(
     k-cycle; it must hold every k in 2..r+s+1 for bounds (r, s), and every
     value must lie in [-1, 1].  Each support inside the bounds starts from the
     roots of Padé approximants built from the values p_2, p_3, ... up to the
-    first missing k: every local minimum over c of the denominator fit seeds
-    one start.  The start that fits all given values best is finished by a
-    numpy least-squares polish on the box [0, 1] (projected
-    Levenberg-Marquardt).  Among fits of equal quality, up to the float noise
-    of the values, the smallest support wins, which keeps padded bounds from
-    leaving near-cancelling junk entries.  The caller judges the returned
-    residual; it is never hidden.
+    first missing k, one start per root in c of their consistency determinant
+    (_pade_starts).  The start that fits all given values best is finished by
+    a numpy projected Levenberg-Marquardt polish on the box [0, 1].  Among
+    fits of equal quality, up to the float noise of the values, the smallest
+    support wins, which keeps padded bounds from leaving near-cancelling junk
+    entries.  The caller judges the returned residual; it is never hidden.
     """
     r, s = support_bounds
     if r < 0 or s < 0:
@@ -422,10 +425,8 @@ def recover_params(
         raise ValueError("values must be keyed by cycle lengths >= 2")
     missing = sorted(set(range(2, r + s + 2)).difference(ks.tolist()))
     if missing:
-        raise ValueError(
-            f"need cycle values for every k in 2..{r + s + 1} for bounds "
-            f"({r}, {s}); missing {missing}"
-        )
+        raise ValueError(f"need cycle values for every k in 2..{r + s + 1} for bounds "
+                         f"({r}, {s}); missing {missing}")
     target = np.array([float(values[k]) for k in ks])
     # |value| <= 1 holds for every character; it also keeps h_k bounded.
     if not np.all(np.abs(target) <= 1 + SUM_SLACK):
@@ -433,10 +434,8 @@ def recover_params(
     # ks is sorted and distinct, so ks[i] == i + 2 exactly on the run 2, 3, ...
     prefix = target[ks == np.arange(2, len(ks) + 2)]
 
-    fits = {}
-    for r2 in range(r + 1):
-        for s2 in range(s + 1):
-            fits[(r2, s2)] = _fit_support(target, ks, prefix, r2, s2)
+    fits = {(r2, s2): _fit_support(target, ks, prefix, r2, s2)
+            for r2 in range(r + 1) for s2 in range(s + 1)}
     best_residual = min(v for _, v in fits.values())
     # Fits that differ only by the float noise of the values are equally
     # good, and the smallest support among them wins.

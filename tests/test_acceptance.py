@@ -30,11 +30,7 @@ from stablerep.fourier import (
     gram_matrix,
     is_positive_definite,
 )
-from stablerep.gns import (
-    commutant,
-    gns_standard_pipeline,
-    subspace_distance,
-)
+from stablerep.gns import gns_standard_pipeline
 from stablerep.induction import decompose_induced
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import (
@@ -47,6 +43,7 @@ from stablerep.stability import as_table, stability_profile
 from stablerep.thoma import ThomaParams, recover_params, thoma_character, type_classify
 from stablerep.yor import irrep_matrix
 
+from gns_oracles import commutant, subspace_distance
 from test_induction import lr_coefficient
 
 F = Fraction

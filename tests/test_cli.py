@@ -672,16 +672,18 @@ def test_dense_level_eight_runs_in_two_gib(tmp_path, argv):
 
 def test_jobs_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: neither the import nor the jobs
-    # that fit parameters or build a standard form may load scipy.
+    # that fit parameters or build a standard form may load scipy.  Nor may
+    # they load numpy.polynomial, whose import costs every cold fitting job
+    # milliseconds and most of a megabyte.
     spec = write(tmp_path / "spec.json",
                  {"n": 2, "lambda": [1, 1], "alpha": ["1/2", "1/5"], "beta": ["1/4"]})
     values = write(tmp_path / "values.json", {str(k): 2.0 ** (1 - k) for k in range(2, 9)})
     script = """
 import contextlib, io, json, sys
 import stablerep.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-loaded = {"import": scipy_modules()}
+def banned_modules():
+    return sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.polynomial")))
+loaded = {"import": banned_modules()}
 jobs = {"recover-params": ["recover-params", sys.argv[2], "--support-bounds", "2,0"],
         "classify": ["classify", sys.argv[1], "--level", "5", "--support-bounds", "2,1"],
         "gns-verify": ["gns-verify", sys.argv[1], "--level", "4"]}
@@ -689,7 +691,7 @@ codes = {}
 for name, argv in jobs.items():
     with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = stablerep.cli.main(argv)
-loaded["jobs"] = scipy_modules()
+loaded["jobs"] = banned_modules()
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
     proc = subprocess.run([sys.executable, "-c", script, spec, values],

@@ -13,20 +13,14 @@ from stablerep import cli
 from stablerep.canonical import CanonicalState
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction, fourier
-from stablerep.gns import (
-    central_support,
-    commutant,
-    double_commutant,
-    gns,
-    gns_standard_pipeline,
-    subspace_distance,
-)
+from stablerep.gns import central_support, gns, gns_standard_pipeline
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import IDENTITY, Permutation, symmetric_group, transposition
 from stablerep.stability import as_table
 from stablerep.thoma import ThomaParams
 from stablerep.yor import irrep_matrix
 
+from gns_oracles import commutant, double_commutant, subspace_distance
 from test_acceptance import BATTERY
 from test_index_layer import enumeration_rows
 
@@ -302,8 +296,9 @@ def test_gns_verify_solves_no_kronecker_system(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("Kronecker solve on the gns-verify path")
 
-    monkeypatch.setattr(gns_module, "commutant", refuse)
-    monkeypatch.setattr(gns_module, "double_commutant", refuse)
+    # The Kronecker oracles live outside the package, and a Kronecker system
+    # anywhere on the path would build its rows with np.kron.
+    monkeypatch.setattr(np, "kron", refuse)
     spec = tmp_path / "cut2.json"
     spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
     out = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -273,10 +274,10 @@ def test_recovery_keeps_an_entry_of_one_eightieth(alpha, beta):
     assert param_error(result.params.beta, p.beta) < 1e-6
 
 
-# With values only up to p_3 the Padé residual at support (1, 1) vanishes at
-# two c: the true one, and one whose beta root comes out negative and is
-# clipped to 0.  Each minimum over c must seed its own start; the better fit
-# of the two wins, not the more exact zero.
+# With values only up to p_3 the Padé consistency determinant at support
+# (1, 1) vanishes at two c: the true one, and one whose beta root comes out
+# negative and is clipped to 0.  Each root in c must seed its own start; the
+# better fit of the two wins, not the more exact zero.
 @pytest.mark.parametrize("alpha,beta", [(F(3, 10), F(3, 20)), (F(1, 5), F(1, 4)),
                                         (F(2, 5), F(1, 2))])
 def test_two_values_recover_the_true_root_over_c(alpha, beta):
@@ -286,6 +287,54 @@ def test_two_values_recover_the_true_root_over_c(alpha, beta):
     result = recover_params(values, (1, 1))
     assert param_error(result.params.alpha, p.alpha) < 1e-12
     assert param_error(result.params.beta, p.beta) < 1e-12
+
+
+# The criterion-11 plants whose entries are all distinct.
+DISTINCT_PLANTS = [
+    ((F(1, 2), F(1, 4), F(1, 8)), ()),
+    ((), (F(1, 2), F(1, 4), F(1, 8))),
+    ((F(1, 2), F(1, 4)), (F(1, 8),)),
+    ((F(2, 5),), (F(1, 5), F(1, 10))),
+    ((F(1, 2),), (F(1, 4),)),
+]
+
+
+@pytest.mark.parametrize("alpha,beta",
+                         [full_support_draw(seed) for seed in range(8)] + DISTINCT_PLANTS)
+def test_a_pade_start_lies_on_the_planted_parameters(alpha, beta):
+    # Before any polish: the roots of the consistency determinant, refined
+    # against the values up to k = 10, give the planted point to 1e-10.
+    p, values = plant(alpha, beta, kmax=10)
+    r, s = len(alpha), len(beta)
+    starts = thoma._pade_starts(np.array([values[k] for k in range(2, 11)]), r, s)
+    want = np.array([float(a) for a in p.alpha] + [float(b) for b in p.beta])
+    got = [np.concatenate([np.sort(x[:r])[::-1], np.sort(x[r:])[::-1]]) for x in starts]
+    assert min(np.max(np.abs(x - want)) for x in got) < 1e-10
+
+
+# alpha = (2/5) under padded bounds: at support (1, 1) with values up to k = 3
+# the determinant has a double root at c = 2/5, which eigenvalues split.
+@pytest.mark.parametrize("bounds,kmax", [((1, 1), 3), ((1, 1), 4), ((1, 1), 6), ((2, 2), 6)])
+def test_padded_bounds_recover_a_single_alpha(bounds, kmax):
+    _, values = plant((F(2, 5),), (), kmax=kmax)
+    result = recover_params(values, bounds)
+    assert (result.params.alpha, result.params.beta) == ((0.4,), ())
+    assert result.residual < 1e-32
+
+
+# The top Chebyshev coefficient of the determinant can round to exactly 0:
+# dividing by it once gave inf in the colleague matrix and a LinAlgError.
+@pytest.mark.parametrize("values,bounds", [
+    ({2: 0.0, 3: 0.0, 4: 0.0, 5: -1.0, 6: 0.0, 7: 0.0}, (2, 4)),
+    ({2: 0.680213536340202, 3: -0.46974622167754654, 4: 0.3721339972325135,
+      5: -0.19510541725050046, 6: -0.8161662306702662, 7: 0.4804847994821768,
+      8: 0.15256507950780906, 9: -0.6721580815019497}, (4, 2)),
+])
+def test_a_determinant_whose_top_coefficient_rounds_to_zero(values, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = recover_params(values, bounds)
+    assert math.isfinite(result.residual)
 
 
 def fit_problem(values, r):
