@@ -4,13 +4,19 @@ Subcommands evaluate states, certify positivity, classify, profile
 stability, verify GNS output, and decompose induced characters.  This
 module owns the file formats: JSON in, JSON or CSV out.
 
+`COMMANDS` is the table that defines the subcommands: one row each, with
+its handler, help line, arguments and level cap.  `--allow-large` appears
+exactly on the rows with a cap that it can lift.  A job builds the parser
+of its own row only; help and usage errors come from the full tree.
+
 Reports are deterministic: keys sorted, no timestamps, floats emitted
 with repr precision, rationals as "p/q" strings.  Exit codes:
 
     0  success
     1  certificate failure (not positive, residual over threshold,
        states not quasi-equivalent, stabilization not witnessed)
-    2  malformed input (message includes file and location)
+    2  malformed input (message includes file and location), or an
+       --output that cannot be opened
     3  infeasible job (level above the hard cap without --allow-large,
        a table that stops below the requested level, negative support bounds,
        a --cut or --max-shift outside the truncation, values whose
@@ -25,20 +31,14 @@ import itertools
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
-from .canonical import (
-    EQUIVALENCE_TOL,
-    STABILIZATION_TOL,
-    CanonicalState,
-    ClassificationError,
-    asymptotic_character,
-    classify,
-    quasi_equivalent,
-    shift_sequence,
-)
+from .canonical import (EQUIVALENCE_TOL, STABILIZATION_TOL, CanonicalState, ClassificationError,
+                        asymptotic_character, classify, quasi_equivalent, shift_sequence)
 from .characters import mn_character
 from .fourier import (PSD_TOL, StateFunction, as_table, check_hermitian, dual_norm,
                       is_positive_definite)
@@ -54,17 +54,6 @@ from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, t
 # level 9 (2-CPU Xeon VM, one BLAS thread; the host's speed drifts by a
 # third between runs); the cap stays at 8.
 HARD_CAP = 8
-
-# The --level cap of every subcommand that has one, checked in main before
-# any input is read, with its refusal: HARD_CAP gives way to --allow-large,
-# and gns-verify has no such flag.  char-finite caps its partition's weight.
-LEVEL_CAPS = dict.fromkeys(("dual-norm", "psd-check", "classify", "stability-profile",
-                            "centrality-defect", "induce-char"), (HARD_CAP, None))
-LEVEL_CAPS["gns-verify"] = (5, "gns-verify holds pi and R as stacks of k! dense N x N "
-                               "matrices on a carrier of dimension N up to k!; at k = 6 "
-                               "each holds 720 N^2 complex numbers, about 6 GB for the cut-2 "
-                               "spec (N = 719) and for the regular representation (N = 720), "
-                               "so k > 5 is refused")
 
 # A table holds level! complex values: 20! of them overflow numpy's array
 # sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.
@@ -114,10 +103,6 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_pair(row):
-    return isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)
-
-
 def _is_cycles(data):
     """True when data is a list of lists of integers."""
     return isinstance(data, list) and all(
@@ -139,8 +124,7 @@ def _partition_from(data, where):
     if not isinstance(data, list):
         raise InputError("partition must be a list", location=where)
     if not all(map(_is_int, data)):
-        raise InputError("partition entries must be integers, got %r" % (data,),
-                         location=where)
+        raise InputError("partition entries must be integers, got %r" % (data,), location=where)
     lam = tuple(data)
     try:
         check_partition(lam)
@@ -192,8 +176,7 @@ def _params_from(data, where):
 
 def _spec_from(data, where):
     if not isinstance(data, dict) or not all(key in data for key in ("n", "lambda")):
-        raise InputError("state spec needs keys n, lambda, alpha, beta",
-                         location=where)
+        raise InputError("state spec needs keys n, lambda, alpha, beta", location=where)
     n = data["n"]
     if not _is_int(n):
         raise InputError("n must be an integer, got %r" % (n,), location=where)
@@ -218,32 +201,52 @@ def _table_from(data, where):
     # Rows are read in bulk up to the first that is not a pair of a list of
     # lists of integers and a value; the first bad row is then read alone
     # for its error, checked in the order that one row's checks are made.
-    # Three type scans in C cover a file whose rows are all well formed: JSON
-    # yields no subclass of int or list, so `type(x) is int` is _is_int here.
-    chain = itertools.chain.from_iterable
-    head = rows
-    flat = list(chain(row[0] for row in rows)) if all(map(_is_pair, rows)) else None
-    if flat is None or not (set(map(type, flat)) <= {list}
-                            and set(map(type, chain(flat))) <= {int}):
-        head = list(itertools.takewhile(lambda row: _is_pair(row) and _is_cycles(row[0]),
-                                        rows))
-        flat = list(chain(row[0] for row in head))
-    numbers = [_number(row[1]) for row in head]
-    words, valid = cycle_words(list(chain(flat)),
-                               list(map(len, flat)), [len(row[0]) for row in head], level)
+    head = rows if _well_formed(rows) else list(itertools.takewhile(
+        lambda row: isinstance(row, list) and len(row) == 2 and _is_cycles(row[0]), rows))
+    cycles = list(map(itemgetter(0), head))
+    flat = list(itertools.chain.from_iterable(cycles))
+    words, valid = cycle_words(list(itertools.chain.from_iterable(flat)),
+                               list(map(len, flat)), list(map(len, cycles)), level)
     ranks = word_ranks(words[valid])
     # The valid rows whose rank an earlier row already has give it again.
     given_again = np.delete(np.flatnonzero(valid), np.unique(ranks, return_index=True)[1])
     bad = ~valid
     bad[given_again] = True
-    bad[[v is None for v in numbers]] = True
+    values = list(map(itemgetter(1), head))
+    numbers = _floats(values)
+    if numbers is None:  # a string, a bool, or a number that is no finite float
+        numbers = list(map(_number, values))
+        bad[[v is None for v in numbers]] = True
     first = int(np.argmax(bad)) if bad.any() else len(head)
     if first < len(rows):
         _row_error(rows[first], first, where, level, given_again=first in given_again)
         raise AssertionError("values[%d] was flagged but reads clean" % first)
     vector = np.zeros(math.factorial(level), dtype=complex)
-    vector[ranks] = [complex(v) for v in numbers]
+    vector[ranks] = numbers
     return StateFunction.from_vector(level, vector)
+
+
+def _well_formed(rows):
+    """True when every row is a pair of a list of lists of integers and a
+    value, by type and length scans in C: JSON yields no subclass of int or
+    list, so `type(x) is int` is _is_int here."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
+        return False
+    cycles, chain = list(map(itemgetter(0), rows)), itertools.chain.from_iterable
+    return (set(map(type, cycles)) <= {list} and set(map(type, chain(cycles))) <= {list}
+            and set(map(type, chain(chain(cycles)))) <= {int})
+
+
+def _floats(values):
+    """The values as one float array when all are finite non-bool ints and
+    floats, as _number reads them; else None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        floats = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return floats if np.isfinite(floats).all() else None
 
 
 def _row_error(row, i, where, level, given_again):
@@ -327,7 +330,11 @@ def _write(payload, args):
         except ValueError:
             raise OverflowError("the report holds a number that is not finite")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(str(exc), location="--output")
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -355,14 +362,12 @@ def _cmd_eval_state(args):
 
 
 def _cmd_char_finite(args):
-    lam = _partition_from(_parse_json_flag(args.partition, "--partition"),
-                          "--partition")
+    lam = _partition_from(_parse_json_flag(args.partition, "--partition"), "--partition")
     g = _perm_from_cycles(_parse_json_flag(args.perm, "--perm"), "--perm")
     n = sum(lam)
     _check_level(n, args.allow_large)
     if g.level > n:
-        raise InputError("permutation moves a point above n = %d" % n,
-                         location="--perm")
+        raise InputError("permutation moves a point above n = %d" % n, location="--perm")
     chi = mn_character(lam, g.cycle_partition(n))
     dim = hook_dimension(lam)
     return {"partition": list(lam), "perm": g.cycles(), "character": chi, "dimension": dim,
@@ -510,8 +515,7 @@ def _cmd_gns_verify(args):
 
 
 def _cmd_induce_char(args):
-    lam = _partition_from(_parse_json_flag(args.partition, "--partition"),
-                          "--partition")
+    lam = _partition_from(_parse_json_flag(args.partition, "--partition"), "--partition")
     mu = _partition_from(_parse_json_flag(args.mu, "--mu"), "--mu")
     m = args.level
     if sum(lam) + sum(mu) != m:
@@ -523,129 +527,123 @@ def _cmd_induce_char(args):
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the table of subcommands
+#
+# One row per subcommand: its handler, its help line, its arguments after
+# --output, and the cap that main holds its --level to before any input is
+# read.  A row whose cap has no fixed refusal takes --allow-large, which
+# lifts it; char-finite has no --level, and its handler holds the weight of
+# its partition to the same cap.
+
+_Command = namedtuple("_Command", "func help arguments cap refusal", defaults=(None, None))
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_SPEC = _arg("input", help="spec JSON: {n, lambda, alpha, beta}")
+_STATE = _arg("input", help="state table or spec JSON")
+_PERM = _arg("--perm", required=True, help="cycles JSON")
+_LEVEL = _arg("--level", type=int, required=True)
+_MAX_SHIFT = _arg("--max-shift", type=int, default=None)
+_SUPPORT_BOUNDS = _arg("--support-bounds", required=True, help="'r,s'")
+
+COMMANDS = {
+    "eval-state": _Command(_cmd_eval_state, "evaluate a canonical state spec at a permutation", [
+        _SPEC, _arg("--perm", required=True, help="cycles JSON, e.g. '[[1,2]]'")]),
+    "char-finite": _Command(_cmd_char_finite, "irreducible character value by partition", [
+        _arg("--partition", required=True, help="partition JSON, e.g. '[2,1]'"), _PERM],
+        HARD_CAP),
+    "char-thoma": _Command(_cmd_char_thoma, "extreme character value from parameters", [
+        _arg("input", help="params JSON: {alpha, beta}"), _PERM]),
+    "dual-norm": _Command(_cmd_dual_norm, "dual norm of a state at a truncation level",
+                          [_STATE, _LEVEL], HARD_CAP),
+    "psd-check": _Command(_cmd_psd_check, "positive definiteness certificate", [
+        _STATE, _LEVEL, _arg("--tol", type=float, default=PSD_TOL)], HARD_CAP),
+    "asymptotic-char": _Command(
+        _cmd_asymptotic_char, "stabilized value along the shift sequence",
+        [_SPEC, _PERM, _MAX_SHIFT, _arg("--tol", type=float, default=STABILIZATION_TOL)]),
+    "recover-params": _Command(_cmd_recover_params, "fit parameters to cycle character values", [
+        _arg("input", help="values JSON: {\"2\": v2, ...}"), _SUPPORT_BOUNDS,
+        _arg("--tol", type=float, default=RESIDUAL_TOL, help="residual threshold for exit 0")]),
+    "classify": _Command(_cmd_classify, "full invariant from a state: (n, lambda, alpha, beta)", [
+        _STATE, _arg("--level", type=int, default=6), _SUPPORT_BOUNDS], HARD_CAP),
+    "quasi-equivalent": _Command(
+        _cmd_quasi_equivalent, "compare two spec files up to quasi-equivalence",
+        [_arg("input", help="first spec JSON"), _arg("other", help="second spec JSON"),
+         _arg("--tol", type=float, default=EQUIVALENCE_TOL)]),
+    "stability-profile": _Command(
+        _cmd_stability_profile, "conjugation defect against shifted probes",
+        [_STATE, _LEVEL, _MAX_SHIFT,
+         _arg("--exhaustive-sweep", action="store_true",
+              help="probe every group element at each shift, not just short cycles"),
+         _arg("--format", choices=("json", "csv"), default="json")], HARD_CAP),
+    "centrality-defect": _Command(
+        _cmd_centrality_defect, "deviation from centrality across a cut",
+        [_STATE, _arg("--cut", type=int, required=True), _LEVEL], HARD_CAP),
+    "gns-verify": _Command(
+        _cmd_gns_verify, "standard form residuals at a truncation level",
+        [_STATE, _arg("--level", type=int, default=3), _arg("--tol", type=float, default=1e-8)],
+        5, "gns-verify holds pi and R as stacks of k! dense N x N matrices on a carrier of "
+           "dimension N up to k!; at k = 6 each holds 720 N^2 complex numbers, about 6 GB "
+           "for the cut-2 spec (N = 719) and for the regular representation (N = 720), so "
+           "k > 5 is refused"),
+    "induce-char": _Command(_cmd_induce_char, "decompose the induced product character", [
+        _arg("--partition", required=True, help="partition JSON for the finite factor"),
+        _arg("--mu", required=True, help="partition JSON for the tail factor"),
+        _arg("--level", type=int, required=True, help="target group size")], HARD_CAP),
+}
+
+
+def _add_arguments(parser, row):
+    parser.add_argument("--output", help="write the report here instead of stdout")
+    if row.cap is not None and row.refusal is None:
+        parser.add_argument("--allow-large", action="store_true",
+                            help="override the hard level cap %d" % HARD_CAP)
+    for flags, options in row.arguments:
+        parser.add_argument(*flags, **options)
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the report here instead of stdout")
-    # Only the subcommands whose size is capped take --allow-large.
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--allow-large", action="store_true",
-                        help="override the hard level cap %d" % HARD_CAP)
-
-    parser = argparse.ArgumentParser(
-        prog="stablerep",
-        description="evaluate, certify, classify, and profile states of "
-                    "nested symmetric groups")
+    """The full tree of subcommands, which prints every help text and usage error."""
+    parser = argparse.ArgumentParser(prog="stablerep", description="evaluate, certify, "
+                                     "classify, and profile states of nested symmetric groups")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("eval-state", parents=[common],
-                       help="evaluate a canonical state spec at a permutation")
-    p.add_argument("input", help="spec JSON: {n, lambda, alpha, beta}")
-    p.add_argument("--perm", required=True, help="cycles JSON, e.g. '[[1,2]]'")
-    p.set_defaults(func=_cmd_eval_state)
-
-    p = sub.add_parser("char-finite", parents=[capped],
-                       help="irreducible character value by partition")
-    p.add_argument("--partition", required=True, help="partition JSON, e.g. '[2,1]'")
-    p.add_argument("--perm", required=True, help="cycles JSON")
-    p.set_defaults(func=_cmd_char_finite)
-
-    p = sub.add_parser("char-thoma", parents=[common],
-                       help="extreme character value from parameters")
-    p.add_argument("input", help="params JSON: {alpha, beta}")
-    p.add_argument("--perm", required=True, help="cycles JSON")
-    p.set_defaults(func=_cmd_char_thoma)
-
-    p = sub.add_parser("dual-norm", parents=[capped],
-                       help="dual norm of a state at a truncation level")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=_cmd_dual_norm)
-
-    p = sub.add_parser("psd-check", parents=[capped],
-                       help="positive definiteness certificate")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=PSD_TOL)
-    p.set_defaults(func=_cmd_psd_check)
-
-    p = sub.add_parser("asymptotic-char", parents=[common],
-                       help="stabilized value along the shift sequence")
-    p.add_argument("input", help="spec JSON: {n, lambda, alpha, beta}")
-    p.add_argument("--perm", required=True, help="cycles JSON")
-    p.add_argument("--max-shift", type=int, default=None)
-    p.add_argument("--tol", type=float, default=STABILIZATION_TOL)
-    p.set_defaults(func=_cmd_asymptotic_char)
-
-    p = sub.add_parser("recover-params", parents=[common],
-                       help="fit parameters to cycle character values")
-    p.add_argument("input", help="values JSON: {\"2\": v2, ...}")
-    p.add_argument("--support-bounds", required=True, help="'r,s'")
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
-                   help="residual threshold for exit 0")
-    p.set_defaults(func=_cmd_recover_params)
-
-    p = sub.add_parser("classify", parents=[capped],
-                       help="full invariant from a state: (n, lambda, alpha, beta)")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--support-bounds", required=True, help="'r,s'")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("quasi-equivalent", parents=[common],
-                       help="compare two spec files up to quasi-equivalence")
-    p.add_argument("input", help="first spec JSON")
-    p.add_argument("other", help="second spec JSON")
-    p.add_argument("--tol", type=float, default=EQUIVALENCE_TOL)
-    p.set_defaults(func=_cmd_quasi_equivalent)
-
-    p = sub.add_parser("stability-profile", parents=[capped],
-                       help="conjugation defect against shifted probes")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--max-shift", type=int, default=None)
-    p.add_argument("--exhaustive-sweep", action="store_true",
-                   help="probe every group element at each shift, not just "
-                       "short cycles")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_stability_profile)
-
-    p = sub.add_parser("centrality-defect", parents=[capped],
-                       help="deviation from centrality across a cut")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--cut", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=_cmd_centrality_defect)
-
-    p = sub.add_parser("gns-verify", parents=[common],
-                       help="standard form residuals at a truncation level")
-    p.add_argument("input", help="state table or spec JSON")
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_gns_verify)
-
-    p = sub.add_parser("induce-char", parents=[capped],
-                       help="decompose the induced product character")
-    p.add_argument("--partition", required=True, help="partition JSON for the "
-                   "finite factor")
-    p.add_argument("--mu", required=True, help="partition JSON for the tail factor")
-    p.add_argument("--level", type=int, required=True, help="target group size")
-    p.set_defaults(func=_cmd_induce_char)
-
+    for name, row in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=row.help), row)
     return parser
 
 
+class _RowParser(argparse.ArgumentParser):
+    """The parser of one row: no -h, and a usage error raises instead of printing."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse(argv):
+    """The arguments of argv.  A well-formed job builds only the parser of its
+    own row; help and every usage error go to the full tree, which prints them."""
+    if argv and argv[0] in COMMANDS:
+        parser = _RowParser(prog="stablerep " + argv[0], add_help=False)
+        _add_arguments(parser, COMMANDS[argv[0]])
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        except argparse.ArgumentError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    row = COMMANDS[args.subcommand]
     try:
         if "tol" in args:
             _check_tol(args.tol)
-        if args.subcommand in LEVEL_CAPS:
-            _check_level(args.level, getattr(args, "allow_large", False),
-                         *LEVEL_CAPS[args.subcommand])
-        payload, verdict = args.func(args)
+        if row.cap is not None and "level" in args:
+            _check_level(args.level, getattr(args, "allow_large", False), row.cap, row.refusal)
+        payload, verdict = row.func(args)
         _write(payload, args)
         return EXIT_OK if verdict else EXIT_CERT
     except InputError as exc:

@@ -1,0 +1,167 @@
+"""Argument parsing: one row of cli.COMMANDS per job, the full tree for the rest.
+
+A well-formed job builds only the parser of its own row.  Help, a missing
+or unknown subcommand and every usage error are handed to the full tree
+of cli._build_parser, so what they print and how they exit is the full
+tree's, byte for byte.
+"""
+
+import argparse
+import json
+
+import pytest
+
+from stablerep import cli
+
+# One cheap well-formed job per subcommand, in the order of cli.COMMANDS.
+JOBS = {
+    "eval-state": ["SPEC", "--perm", "[[1,2]]"],
+    "char-finite": ["--partition", "[2,1]", "--perm", "[[1,2]]"],
+    "char-thoma": ["SPEC", "--perm", "[[1,2,3]]"],
+    "dual-norm": ["SPEC", "--level", "4"],
+    "psd-check": ["TABLE", "--level", "2"],
+    "asymptotic-char": ["SPEC", "--perm", "[[1,2]]"],
+    "recover-params": ["VALUES", "--support-bounds", "1,0"],
+    "classify": ["SPEC", "--level", "5", "--support-bounds", "2,0"],
+    "quasi-equivalent": ["SPEC", "SPEC"],
+    "stability-profile": ["SPEC", "--level", "4", "--format", "csv"],
+    "centrality-defect": ["SPEC", "--cut", "2", "--level", "4"],
+    "gns-verify": ["SPEC", "--level", "2"],
+    "induce-char": ["--partition", "[2,1]", "--mu", "[2]", "--level", "5"],
+}
+
+# Argument lists that are no job: each must exit 2 as the full tree prints it.
+MALFORMED = {
+    "unknown flag": ["--cache-dir", "x"],
+    "level not an integer": ["--level", "x"],
+    "format not a choice": ["--format", "xml"],
+    "extra positional": ["extra"],
+    "flag without its value": ["--output"],
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    data = {"SPEC": {"n": 2, "lambda": [1, 1], "alpha": ["1/2", "1/2"], "beta": []},
+            "TABLE": {"level": 2, "values": [[[], 1], [[[1, 2]], 0.5]]},
+            "VALUES": {"2": 0.25, "3": 0.125, "4": 0.0625}}
+    paths = {}
+    for key, value in data.items():
+        path = tmp_path / ("%s.json" % key.lower())
+        path.write_text(json.dumps(value))
+        paths[key] = str(path)
+    return lambda argv: [paths.get(a, a) for a in argv]
+
+
+def outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def full_tree(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def test_commands_are_the_full_trees_subcommands_in_order():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(cli.COMMANDS) == list(sub.choices) == list(JOBS)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["nope"], ["nope", "--level", "2"],
+                                  ["--level", "2", "dual-norm"]])
+def test_top_level_help_and_errors_are_the_full_trees(capsys, argv):
+    expected = outcome(capsys, full_tree, argv)
+    assert outcome(capsys, cli.main, argv) == expected
+    assert expected[0] in (0, 2)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+@pytest.mark.parametrize("command", JOBS)
+def test_help_of_every_row_is_the_full_trees(capsys, files, command, flag):
+    for argv in ([command, flag], [command, *files(JOBS[command]), flag]):
+        expected = outcome(capsys, full_tree, argv)
+        assert expected[0] == 0 and expected[1].startswith("usage: stablerep %s " % command)
+        assert outcome(capsys, cli.main, argv) == expected
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("command", JOBS)
+def test_usage_errors_of_every_row_are_the_full_trees(capsys, files, command, case):
+    argv = [command, *files(JOBS[command]), *MALFORMED[case]]
+    expected = outcome(capsys, full_tree, argv)
+    assert expected[0] == 2 and expected[1] == "" and "error: " in expected[2]
+    assert outcome(capsys, cli.main, argv) == expected
+
+
+@pytest.mark.parametrize("command", JOBS)
+def test_missing_required_arguments_are_the_full_trees(capsys, files, command):
+    # With no argument every row misses one; then each required flag alone.
+    job, argvs = JOBS[command], [[command]]
+    for flags, options in cli.COMMANDS[command].arguments:
+        if options.get("required"):
+            i = job.index(flags[0])
+            argvs.append([command, *files(job[:i] + job[i + 2:])])
+    for argv in argvs:
+        expected = outcome(capsys, full_tree, argv)
+        assert expected[0] == 2 and "the following arguments are required" in expected[2]
+        assert outcome(capsys, cli.main, argv) == expected
+
+
+@pytest.mark.parametrize("command", [c for c, row in cli.COMMANDS.items()
+                                     if row.cap is None or row.refusal is not None])
+def test_allow_large_on_an_uncapped_row_is_the_full_trees_error(capsys, files, command):
+    argv = [command, *files(JOBS[command]), "--allow-large"]
+    expected = outcome(capsys, full_tree, argv)
+    assert expected[0] == 2 and "unrecognized arguments: --allow-large" in expected[2]
+    assert outcome(capsys, cli.main, argv) == expected
+
+
+def parsed(parse, argv):
+    """The namespace of parse(argv) as a dict, or the code it exits with."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("extra", [[], ["--output", "OUT"], ["--o=OUT"], ["--", "x"]])
+@pytest.mark.parametrize("command", JOBS)
+def test_a_row_reads_a_job_as_the_full_tree_does(capsys, files, command, extra):
+    argv = [command, *files(JOBS[command] + extra)]
+    expected = parsed(full_tree, argv)
+    assert parsed(cli._parse, argv) == expected
+    # After "--", "x" is one positional too many: both exit 2.
+    assert expected == (2 if extra == ["--", "x"] else vars(full_tree(argv)))
+
+
+@pytest.mark.parametrize("command", JOBS)
+def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, files, command):
+    def no_tree():
+        raise AssertionError("the full tree was built for a well-formed job")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_parser", no_tree)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code = cli.main([command, *files(JOBS[command])])
+    assert built == ["stablerep " + command]
+    assert code == 0 and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_an_output_that_cannot_be_opened_exits_2(capsys, files, tmp_path, target):
+    path = str(tmp_path / "no" / "dir" / "x.json") if target == "missing" else str(tmp_path)
+    code = cli.main(["eval-state", *files(JOBS["eval-state"]), "--output", path])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.endswith(" [--output]\n")
+    assert path in out.err and "Traceback" not in out.err
