@@ -20,8 +20,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
     3  infeasible job (level above the hard cap without --allow-large,
        a table that stops below the requested level, negative support bounds,
        a --cut or --max-shift outside the truncation, values whose
-       results overflow, gns-verify above k = 5, memory exhausted
-       while running)
+       results overflow, memory exhausted while running)
 """
 
 from __future__ import annotations
@@ -282,10 +281,10 @@ def _load_state(path):
     return _spec_from(data, path)
 
 
-def _check_level(level, allow_large, cap=HARD_CAP, refusal=None):
-    if level > cap and not allow_large:
-        raise InfeasibleError(refusal or "level %d exceeds the hard cap %d (pass "
-                                         "--allow-large to override)" % (level, cap))
+def _check_level(level, allow_large):
+    if level > HARD_CAP and not allow_large:
+        raise InfeasibleError("level %d exceeds the hard cap %d (pass --allow-large to "
+                              "override)" % (level, HARD_CAP))
     if level < 0:
         raise InfeasibleError("level must be nonnegative")
 
@@ -531,11 +530,11 @@ def _cmd_induce_char(args):
 #
 # One row per subcommand: its handler, its help line, its arguments after
 # --output, and the cap that main holds its --level to before any input is
-# read.  A row whose cap has no fixed refusal takes --allow-large, which
-# lifts it; char-finite has no --level, and its handler holds the weight of
-# its partition to the same cap.
+# read.  A row with a cap takes --allow-large, which lifts it; char-finite
+# has no --level, and its handler holds the weight of its partition to the
+# same cap.
 
-_Command = namedtuple("_Command", "func help arguments cap refusal", defaults=(None, None))
+_Command = namedtuple("_Command", "func help arguments cap", defaults=(None,))
 
 
 def _arg(*flags, **options):
@@ -585,10 +584,7 @@ COMMANDS = {
     "gns-verify": _Command(
         _cmd_gns_verify, "standard form residuals at a truncation level",
         [_STATE, _arg("--level", type=int, default=3), _arg("--tol", type=float, default=1e-8)],
-        5, "gns-verify holds pi and R as stacks of k! dense N x N matrices on a carrier of "
-           "dimension N up to k!; at k = 6 each holds 720 N^2 complex numbers, about 6 GB "
-           "for the cut-2 spec (N = 719) and for the regular representation (N = 720), so "
-           "k > 5 is refused"),
+        HARD_CAP),
     "induce-char": _Command(_cmd_induce_char, "decompose the induced product character", [
         _arg("--partition", required=True, help="partition JSON for the finite factor"),
         _arg("--mu", required=True, help="partition JSON for the tail factor"),
@@ -598,7 +594,7 @@ COMMANDS = {
 
 def _add_arguments(parser, row):
     parser.add_argument("--output", help="write the report here instead of stdout")
-    if row.cap is not None and row.refusal is None:
+    if row.cap is not None:
         parser.add_argument("--allow-large", action="store_true",
                             help="override the hard level cap %d" % HARD_CAP)
     for flags, options in row.arguments:
@@ -642,7 +638,7 @@ def main(argv=None):
         if "tol" in args:
             _check_tol(args.tol)
         if row.cap is not None and "level" in args:
-            _check_level(args.level, getattr(args, "allow_large", False), row.cap, row.refusal)
+            _check_level(args.level, args.allow_large)
         payload, verdict = row.func(args)
         _write(payload, args)
         return EXIT_OK if verdict else EXIT_CERT

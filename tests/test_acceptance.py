@@ -325,7 +325,7 @@ def _standard_form_residuals(state, k, pairs_mode):
     res_j = math.sqrt(2) * float(np.linalg.norm(sf.j @ sf.j.conj() - np.eye(sf.dimension)))
     # J M J^-1 = M', with M' solved for by the Kronecker oracle; M is
     # spanned by the pi(g).
-    algebra = list(sf.rep)
+    algebra = list(pi.values())
     conj = [sf.conjugate_by_j(x) for x in algebra]
     res_jmj = subspace_distance(conj, commutant(algebra))
     if pairs_mode == "full":

@@ -173,7 +173,7 @@ def test_gns_verify(capsys, spec_a):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["central_support"] == [[1, 1, 1], [2, 1]]
-    for key in ("j_squared_residual", "homomorphism_residual", "ad_residual"):
+    for key in ("homomorphism_residual", "state_residual"):
         assert report[key] < 1e-8
 
 
@@ -217,32 +217,33 @@ def test_tol_zero_is_accepted(capsys, tmp_path, spec_a, spec_b, command):
     assert code in (0, 1) and json.loads(out) and err == ""
 
 
-def test_gns_verify_above_level_5_is_infeasible(capsys, spec_a):
-    code, out, err = run(capsys, "gns-verify", spec_a, "--level", "6")
+def test_gns_verify_above_the_hard_cap_is_infeasible(capsys, spec_a):
+    code, out, err = run(capsys, "gns-verify", spec_a, "--level", "9")
     assert code == 3
-    assert out == "" and "k > 5 is refused" in err
+    assert out == "" and "hard cap" in err
 
 
-@pytest.mark.parametrize("level", ["6", "8", "9", "20"])
-def test_gns_verify_refuses_every_level_above_5_before_reading_input(capsys, tmp_path, level):
-    # One cap, no flag lifts it, and the input file is never opened.
+@pytest.mark.parametrize("level", ["9", "20"])
+def test_gns_verify_over_the_hard_cap_never_reads_its_input(capsys, tmp_path, level):
+    # The common cap of the capped rows: the input file is never opened.
     code, out, err = run(capsys, "gns-verify", str(tmp_path / "missing.json"), "--level", level)
     assert (code, out) == (3, "")
-    assert err.startswith("infeasible: gns-verify holds") and err.endswith("k > 5 is refused\n")
+    assert err == ("infeasible: level %s exceeds the hard cap 8 (pass --allow-large to "
+                   "override)\n" % level)
 
 
-def test_gns_verify_at_level_5_runs_under_1_gib(tmp_path):
-    # The point mass at k = 5: the regular representation, the largest
-    # carrier (120) that level 5 can have.
-    table = write(tmp_path / "t.json", {"level": 5, "values": [[[], 1]]})
+def test_gns_verify_at_level_8_runs_under_1_gib(tmp_path):
+    # The point mass at k = 8: the regular representation, the largest
+    # carrier (40320) that level 8 can have.
+    table = write(tmp_path / "t.json", {"level": 8, "values": [[[], 1]]})
     proc = subprocess.run([sys.executable, "-m", "stablerep.cli", "gns-verify", table,
-                           "--level", "5"], env=_child_env(**ONE_BLAS_THREAD),
+                           "--level", "8"], env=_child_env(**ONE_BLAS_THREAD),
                           capture_output=True, text=True,  # 1 GiB, in the child only
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                                 (1 << 30, 1 << 30)))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["ok"] is True and report["gns_dim"] == report["algebra_dim"] == 120
+    assert report["ok"] is True and report["gns_dim"] == report["algebra_dim"] == 40320
 
 
 def test_induce_char(capsys):
@@ -575,8 +576,7 @@ def test_hard_cap_exits_3(capsys, spec_a):
 
 # One cheap job over the cap for each subcommand that takes --allow-large,
 # and what it meets once the flag lifts the cap: a level-2 table fed at
-# level 9 stops at level 2, and the exact subcommands answer.  gns-verify's
-# cap of 5 gives way to no flag, so it takes none.
+# level 9 stops at level 2, and the exact subcommands answer.
 CAPPED_JOBS = {
     "char-finite": (["--partition", "[9]", "--perm", "[[1,2]]"], None),
     "induce-char": (["--partition", "[5]", "--mu", "[4]", "--level", "9"], None),
@@ -585,6 +585,7 @@ CAPPED_JOBS = {
     "classify": (["TABLE", "--level", "9", "--support-bounds", "1,0"], "stops at level 2"),
     "stability-profile": (["TABLE", "--level", "9"], "stops at level 2"),
     "centrality-defect": (["TABLE", "--cut", "1", "--level", "9"], "stops at level 2"),
+    "gns-verify": (["TABLE", "--level", "9"], "stops at level 2"),
 }
 UNCAPPED_JOBS = {
     "eval-state": ["SPEC", "--perm", "[]"],
@@ -592,7 +593,6 @@ UNCAPPED_JOBS = {
     "asymptotic-char": ["SPEC", "--perm", "[[1,2]]"],
     "recover-params": ["VALUES", "--support-bounds", "1,0"],
     "quasi-equivalent": ["SPEC", "SPEC"],
-    "gns-verify": ["TABLE", "--level", "2"],
 }
 
 
@@ -1126,8 +1126,8 @@ def _small_job(draw):
             argv += ["--level=%d" % draw(st.integers(-2, 4)),
                      "--support-bounds=" + draw(st.just(bounds) | st.text(max_size=4))]
         if command == "gns-verify":
-            # k = 6 is refused before the state is read
-            argv.append("--level=%d" % draw(st.integers(-2, 6)))
+            # k < 0 and k = 9, above the hard cap, are refused before the state is read
+            argv.append("--level=%d" % draw(st.integers(-2, 6) | st.just(9)))
     return files, argv
 
 

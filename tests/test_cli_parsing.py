@@ -111,8 +111,7 @@ def test_missing_required_arguments_are_the_full_trees(capsys, files, command):
         assert outcome(capsys, cli.main, argv) == expected
 
 
-@pytest.mark.parametrize("command", [c for c, row in cli.COMMANDS.items()
-                                     if row.cap is None or row.refusal is not None])
+@pytest.mark.parametrize("command", [c for c, row in cli.COMMANDS.items() if row.cap is None])
 def test_allow_large_on_an_uncapped_row_is_the_full_trees_error(capsys, files, command):
     argv = [command, *files(JOBS[command]), "--allow-large"]
     expected = outcome(capsys, full_tree, argv)

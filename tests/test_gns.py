@@ -1,8 +1,14 @@
-"""GNS construction, commutants, and the finite standard form."""
+"""GNS construction, commutants, and the finite standard form.
+
+The library builds them block by block; the dense views GnsTriple.image(g)
+and StandardForm.j, and the dense pipeline of gns_oracles, let these tests
+check the blocks against oracles at small levels.
+"""
 
 import importlib
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -13,20 +19,33 @@ from stablerep import cli
 from stablerep.canonical import CanonicalState
 from stablerep.characters import mn_character
 from stablerep.fourier import StateFunction, fourier
-from stablerep.gns import central_support, gns, gns_standard_pipeline
+from stablerep.gns import central_support, gns, gns_certificate, gns_standard_pipeline
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import IDENTITY, Permutation, symmetric_group, transposition
 from stablerep.stability import as_table
 from stablerep.thoma import ThomaParams
 from stablerep.yor import irrep_matrix
 
-from gns_oracles import commutant, double_commutant, subspace_distance
+import gns_oracles
+from gns_oracles import commutant, dense_gns, double_commutant, subspace_distance
 from test_acceptance import BATTERY
 from test_index_layer import enumeration_rows
 
 F = Fraction
 # The package rebinds the name gns to the function, so fetch the module.
 gns_module = importlib.import_module("stablerep.gns")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def stack(triple):
+    """The dense pi(g) of a triple over symmetric_group order, which is Lehmer order."""
+    return np.array([triple.image(g) for g in symmetric_group(triple.level)])
+
+
+def two_sided(sf):
+    """The stacks pi and R = J pi J^-1 on the standard form carrier, row for row."""
+    pi = stack(sf)
+    return pi, sf.conjugate_by_j(pi)
 
 
 def normalized_character_state(n, lam):
@@ -108,8 +127,7 @@ def test_subspace_distance():
 def test_standard_form_of_an_unfaithful_gns_state_is_the_algebra():
     # A matrix coefficient of the standard irreducible of S_3 is a pure
     # state: its GNS carrier is C^2, and its vector state is not faithful
-    # on M = M_2. The trace weight makes the standard form's state
-    # faithful, so its carrier is M itself, of dimension 4.
+    # on M = M_2. The standard form's carrier is M itself, of dimension 4.
     k = 3
     f = StateFunction.from_callable(k, lambda g: irrep_matrix((2, 1), g)[0, 0])
     triple, sf = gns_standard_pipeline(k, f)
@@ -123,7 +141,7 @@ def test_standard_form_tracial_case_is_biregular():
     # representation moves delta_x to delta_{g x h^-1}.
     k = 3
     _, sf = gns_standard_pipeline(k, StateFunction.delta(k))
-    pi, right = gns_module._two_sided(sf)
+    pi, right = two_sided(sf)
     group = symmetric_group(k)
     index = enumeration_rows(k)
     # delta_x inside the standard carrier
@@ -146,7 +164,7 @@ def test_standard_form_j_properties():
     # J xi = xi on the cyclic vector of the standard form
     assert np.max(np.abs(sf.j @ np.conj(sf.xi) - sf.xi)) < 1e-10
     # J M J^-1 lands in the commutant, solved for by the Kronecker oracle
-    algebra = list(sf.rep)
+    algebra = list(stack(sf))
     flat = np.array([b.ravel() for b in commutant(algebra)])
     q, _ = np.linalg.qr(flat.conj().T)
     for x in algebra:
@@ -159,7 +177,7 @@ def test_pipeline_residuals_small():
     k = 3
     state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
     _, sf = gns_standard_pipeline(k, as_table(state, k))
-    pi, right = gns_module._two_sided(sf)
+    pi, right = two_sided(sf)
     group = symmetric_group(k)
     index = enumeration_rows(k)
 
@@ -185,13 +203,14 @@ def test_left_and_right_factors_commute():
     k = 3
     state = CanonicalState(1, (1,), ThomaParams(alpha=(F(1, 2),), beta=(F(1, 4),)))
     _, sf = gns_standard_pipeline(k, as_table(state, k))
-    for left in sf.rep:
-        for m in sf.rep:
+    for left in stack(sf):
+        for m in stack(sf):
             right = sf.conjugate_by_j(m)
             assert np.linalg.norm(left @ right - right @ left) < 1e-9
 
 
 def test_central_support_of_explicit_sum():
+    # The character-sum support of a stack, the oracle of the block support.
     rep = np.array([
         np.block(
             [
@@ -201,19 +220,19 @@ def test_central_support_of_explicit_sum():
         )
         for g in symmetric_group(3)
     ])
-    assert central_support(rep, 3) == frozenset({(3,), (2, 1)})
+    assert gns_oracles.central_support(rep, 3) == frozenset({(3,), (2, 1)})
     with pytest.raises(ValueError):
         bad = rep.copy()
         bad[enumeration_rows(3)[IDENTITY]] *= 1.5
-        central_support(bad, 3)
+        gns_oracles.central_support(bad, 3)
 
 
 def test_central_support_matches_between_sides():
     k = 3
     state = CanonicalState(2, (1, 1), ThomaParams(alpha=(F(1, 2), F(1, 4))))
     triple, sf = gns_standard_pipeline(k, as_table(state, k))
-    left, _ = gns_module._two_sided(sf)
-    assert central_support(left, k) == central_support(triple.rep, k)
+    support = gns_oracles.central_support(stack(sf), k)
+    assert support == gns_oracles.central_support(stack(triple), k) == central_support(triple)
 
 
 def _central_support_oracle(rep, k):
@@ -231,8 +250,10 @@ def _central_support_oracle(rep, k):
 def test_central_support_of_the_stack_matches_a_permutation_dict_oracle(k):
     for state in BATTERY:
         triple = gns(k, as_table(state, k))
-        by_element = dict(zip(symmetric_group(k), triple.rep))
-        assert central_support(triple.rep, k) == _central_support_oracle(by_element, k), state
+        rep = stack(triple)
+        by_element = dict(zip(symmetric_group(k), rep))
+        assert central_support(triple) == _central_support_oracle(by_element, k), state
+        assert gns_oracles.central_support(rep, k) == central_support(triple), state
 
 
 # The specs criterion 9 runs at each level: the whole battery at k = 3, the
@@ -248,7 +269,7 @@ def test_algebra_on_the_standard_carrier_equals_the_double_commutant_oracle(k, i
     _, sf = gns_standard_pipeline(k, as_table(BATTERY[i], k))
     algebra = double_commutant(sf.generators())
     assert len(algebra) == sf.dimension
-    assert subspace_distance(sf.rep, algebra) < 1e-9
+    assert subspace_distance(stack(sf), algebra) < 1e-9
 
 
 def test_right_embedding_is_right_multiplication():
@@ -267,13 +288,14 @@ def test_right_embedding_is_right_multiplication():
         r = shifted @ np.linalg.pinv(V)
         assert np.max(np.abs(r @ V - shifted)) < 1e-10
         right.append(r)
-    for a in sf.rep:
+    for a in stack(sf):
         for r in right:
             assert np.linalg.norm(a @ r - r @ a) < 1e-10
     assert subspace_distance(right, commutant(sf.generators())) < 1e-9
 
 
 def test_gns_rep_equals_the_permutation_loop():
+    # The dense oracle's stack, row by row.
     for k in range(1, 5):
         for state in (BATTERY[1], BATTERY[5]):
             f = as_table(state, k)
@@ -285,7 +307,7 @@ def test_gns_rep_equals_the_permutation_loop():
             keep = w > max(1e-10 * max(w[-1], 0.0), 1e-10)
             B = (V[:, keep] * np.sqrt(w[keep])).conj().T
             pinv = np.linalg.pinv(B)
-            triple = gns(k, f)
+            triple = dense_gns(k, f)
             for g in elements:
                 want = B[:, [index[g * h] for h in elements]] @ pinv
                 assert np.array_equal(triple.rep[index[g]], want)
@@ -306,21 +328,6 @@ def test_gns_verify_solves_no_kronecker_system(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["ok"] is True
 
 
-def test_right_factors_are_one_conjugation_of_the_stack(monkeypatch):
-    k = 3
-    state = CanonicalState(2, (2,), ThomaParams(alpha=(F(1, 3), F(1, 3))))
-    _, sf = gns_standard_pipeline(k, as_table(state, k))
-    calls = []
-    conjugate = sf.conjugate_by_j
-    monkeypatch.setattr(sf, "conjugate_by_j", lambda X: calls.append(1) or conjugate(X))
-    pi, right = gns_module._two_sided(sf)
-    assert len(calls) == 1
-    assert pi is sf.rep
-    assert right.shape == (math.factorial(k), sf.dimension, sf.dimension)
-    for r in range(len(pi)):
-        assert np.array_equal(right[r], conjugate(pi[r]))
-
-
 def _real_of_antilinear(C):
     # The map v -> C conj(v), written on stacked (Re v, Im v).
     return np.block([[C.real, C.imag], [C.imag, -C.real]])
@@ -332,8 +339,8 @@ def test_j_matches_the_doubled_real_polar_oracle(k):
         _, sf = gns_standard_pipeline(k, as_table(state, k))
         # S(x xi) = x* xi over the left multiplications x = pi(g), which
         # span M; on the carrier coordinates x* is the conjugate transpose.
-        V = np.array([x @ sf.xi for x in sf.rep]).T
-        W = np.array([x.conj().T @ sf.xi for x in sf.rep]).T
+        V = np.array([x @ sf.xi for x in stack(sf)]).T
+        W = np.array([x.conj().T @ sf.xi for x in stack(sf)]).T
         SA = np.linalg.lstsq(V.conj().T, W.T, rcond=None)[0].T
         j_real, _ = linalg.polar(_real_of_antilinear(SA))
         assert np.max(np.abs(j_real - _real_of_antilinear(sf.j))) < 1e-10, state
@@ -366,46 +373,84 @@ def test_gns_verify_structure_matches_fourier_ranks(k, tmp_path):
         assert report["central_support"] == sorted(list(lam) for lam, r in ranks.items() if r), state
 
 
-# One scaled entry of the two-sided action: (side, cycles, level).
-BROKEN = [
-    ("pi", [[1, 3]], 3),
-    ("right", [[1, 3]], 3),
-    ("pi", [[1, 3]], 4),
-    ("pi", [[1, 3], [2, 4]], 4),
-    ("right", [[1, 3]], 4),
-    ("right", [[1, 3], [2, 4]], 4),
-]
+# The inputs the block certificate is checked on against the dense pipeline:
+# both golden inputs, the battery, and four tables that gns refuses at some
+# level: zero, not positive, zero at e, and not hermitian past S_2.
+DENSE_INPUTS = {
+    "spec_cut2": cli._load_state(str(GOLDEN / "spec_cut2.json")),
+    "table_cut1_l6": cli._load_state(str(GOLDEN / "table_cut1_l6.json")),
+    **{"battery%d" % i: state for i, state in enumerate(BATTERY)},
+    "zero": StateFunction(4, {}),
+    "sign-negated": StateFunction.from_callable(4, lambda g: -g.sign),
+    "f_e-zero": StateFunction(4, {transposition(1, 2): 5e-10}),
+    "not-hermitian": StateFunction(4, {IDENTITY: 1.0, Permutation.from_cycles([[1, 2, 3]]): 0.5}),
+}
 
 
-@pytest.mark.parametrize("side,cycles,k", BROKEN, ids=["%s-%s-k%d" % (s, "_".join("".join(map(str, c)) for c in cs), k) for s, cs, k in BROKEN])
-def test_gns_verify_fails_on_a_broken_two_sided_action(monkeypatch, tmp_path, side, cycles, k):
-    row = enumeration_rows(k)[Permutation.from_cycles([tuple(c) for c in cycles])]
-    two_sided = gns_module._two_sided
+def _outcome(build, k, f):
+    """build(k, f), or the class of the error it refuses f with."""
+    try:
+        return build(k, f)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
 
-    def broken(sf):
-        stacks = dict(zip(("pi", "right"), two_sided(sf)))
-        stacks[side][row] *= 1 + 1e-6
-        return stacks["pi"], stacks["right"]
 
-    monkeypatch.setattr(gns_module, "_two_sided", broken)
-    spec = tmp_path / "cut2.json"
-    spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
+@pytest.mark.parametrize("name", DENSE_INPUTS)
+def test_block_certificate_matches_the_dense_oracle(name):
+    for k in range(5):
+        f = as_table(DENSE_INPUTS[name], k)
+        cert = _outcome(gns_certificate, k, f)
+        dense = _outcome(gns_oracles.dense_standard_form, k, f)
+        if isinstance(cert, type) or isinstance(dense, type):
+            assert cert == dense, (name, k)
+            continue
+        triple, sf = dense
+        assert cert["gns_dim"] == triple.dimension, (name, k)
+        assert cert["algebra_dim"] == sf.dimension, (name, k)
+        assert cert["central_support"] == sorted(gns_oracles.central_support(triple.rep, k))
+        assert max(cert["homomorphism_residual"], cert["state_residual"]) <= 1e-12, (name, k)
+        assert max(gns_oracles.dense_residuals(sf).values()) < 1e-8, (name, k)
+
+
+def _scaled_generator(monkeypatch):
+    # rho_(3,1)(t_1) off by 1e-6: t_1^2 = 1 fails.
+    generators = gns_module.yor_generators
+
+    def broken(lam):
+        gens = generators(lam)
+        return (gens[0] * (1 + 1e-6), *gens[1:]) if lam == (3, 1) else gens
+
+    monkeypatch.setattr(gns_module, "yor_generators", broken)
+
+
+def _broken_block(change):
+    # The triple of gns with change applied to xi_(3,1).
+    def patch(monkeypatch):
+        build = gns_module.gns
+
+        def broken(k, f):
+            triple = build(k, f)
+            triple.blocks[(3, 1)] = change(triple.blocks[(3, 1)])
+            return triple
+
+        monkeypatch.setattr(gns_module, "gns", broken)
+    return patch
+
+
+BLOCK_MUTANTS = {
+    "scaled-generator": (_scaled_generator, "homomorphism_residual"),
+    # r_(3,1) one short: the last, largest, kept eigenvalue is dropped.
+    "dropped-eigenvalue": (_broken_block(lambda x: x[:, :-1]), "state_residual"),
+    "scaled-xi": (_broken_block(lambda x: x * (1 + 1e-6)), "state_residual"),
+}
+
+
+@pytest.mark.parametrize("mutant", BLOCK_MUTANTS)
+def test_gns_verify_fails_on_a_broken_block(monkeypatch, tmp_path, mutant):
+    patch, residual = BLOCK_MUTANTS[mutant]
+    patch(monkeypatch)
     out = tmp_path / "report.json"
-    assert cli.main(["gns-verify", str(spec), "--level", str(k), "--output", str(out)]) == 1
-    assert json.loads(out.read_text())["ok"] is False
-
-
-def test_gns_verify_fails_on_a_right_factor_outside_the_commutant(monkeypatch, tmp_path):
-    # pi is a homomorphism, so R = pi passes every link, but pi(t_1) and
-    # pi(t_2) do not commute: only j_commutant_residual sees it.
-    def left_twice(sf):
-        return sf.rep, sf.rep
-
-    monkeypatch.setattr(gns_module, "_two_sided", left_twice)
-    spec = tmp_path / "cut2.json"
-    spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": ["1/4"]}))
-    out = tmp_path / "report.json"
-    assert cli.main(["gns-verify", str(spec), "--level", "3", "--output", str(out)]) == 1
+    argv = ["gns-verify", str(GOLDEN / "spec_cut2.json"), "--level", "4", "--output", str(out)]
+    assert cli.main(argv) == 1
     report = json.loads(out.read_text())
-    assert report["ok"] is False
-    assert report["homomorphism_residual"] <= report["tol"] < report["j_commutant_residual"]
+    assert report["ok"] is False and report[residual] > report["tol"]
