@@ -10,7 +10,7 @@ second, and 0 whenever s admits no such factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,7 +26,6 @@ from .permutations import (
     cycle,
     cycle_lengths,
     group_words,
-    split_product,
     transposition,
 )
 from .fourier import Evaluator, as_table, fourier
@@ -42,6 +41,9 @@ class ClassificationError(RuntimeError):
 class CanonicalState:
     """The stable state with data (n, partition, params); callable on permutations.
 
+    A state keeps the exact value of each pair of cycle types it has met,
+    in a memo that ==, hash and repr ignore.
+
     >>> from fractions import Fraction
     >>> f = CanonicalState(2, (1, 1), ThomaParams(alpha=(Fraction(1, 2), Fraction(1, 2))))
     >>> f(transposition(1, 2))
@@ -53,6 +55,7 @@ class CanonicalState:
     n: int
     partition: tuple[int, ...]
     params: ThomaParams
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "partition", check_partition(self.partition))
@@ -70,16 +73,16 @@ class CanonicalState:
         return self.params.beta
 
     def __call__(self, s: Permutation):
-        parts = split_product(s, self.n)
-        if parts is None:
-            return 0
-        s1, s2 = parts
-        return self._value(s1.cycle_type(), s2.cycle_type())
+        types = s.split_types(self.n)
+        return 0 if types is None else self._value(*types)
 
     def _value(self, low: tuple[int, ...], high: tuple[int, ...]):
         """The value at s1 s2 from the cycle types of s1 in S_n and s2 fixing 1..n."""
-        finite = Fraction(mn_character(self.partition, low), hook_dimension(self.partition))
-        return finite * thoma_character(self.params, high)
+        value = self._memo.get((low, high))
+        if value is None:
+            finite = Fraction(mn_character(self.partition, low), hook_dimension(self.partition))
+            value = self._memo[low, high] = finite * thoma_character(self.params, high)
+        return value
 
     def evaluate_words(self, words: np.ndarray) -> np.ndarray:
         """complex(self(s)) for the permutation s of each row of an (N, L) word array.

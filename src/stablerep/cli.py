@@ -26,6 +26,7 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -81,6 +82,8 @@ class InfeasibleError(Exception):
 
 
 def _load_json(path):
+    collecting = gc.isenabled()
+    gc.disable()  # parsed JSON holds no reference cycles to collect
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -89,6 +92,9 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         loc = "%s:%d:%d" % (path, exc.lineno, exc.colno)
         raise InputError("invalid JSON: %s" % exc.msg, location=loc)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _parse_json_flag(text, flag):

@@ -113,7 +113,7 @@ class StateFunction:
             return NotImplemented
         if other.level != self.level:
             raise ValueError("levels differ; restrict first")
-        with np.errstate(over="ignore"):  # fourier refuses an overflowed difference
+        with np.errstate(over="ignore", invalid="ignore"):  # fourier refuses a non-finite one
             return StateFunction.from_vector(self.level, self.vector - other.vector)
 
     def __rmul__(self, c: complex) -> "StateFunction":

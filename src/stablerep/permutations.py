@@ -151,6 +151,27 @@ class Permutation:
         """True iff the set {1, ..., n} is mapped onto itself."""
         return all(b <= n for a, b in self._map.items() if a <= n)
 
+    def split_types(self, n: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Cycle types of the factors of split_product(self, n), or None, in one walk.
+
+        >>> Permutation.from_cycles([[1, 2], [4, 5, 6]]).split_types(3)
+        ((2,), (3,))
+        """
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        low, high, seen = [], [], set()
+        for start, p in self._map.items():
+            if start in seen:
+                continue
+            above, length = start > n, 1
+            while p != start:
+                if (p > n) is not above:
+                    return None  # this cycle crosses the cut
+                seen.add(p)
+                length, p = length + 1, self._map[p]
+            (high if above else low).append(length)
+        return tuple(sorted(low, reverse=True)), tuple(sorted(high, reverse=True))
+
     @property
     def sign(self) -> int:
         return (-1) ** sum(len(c) - 1 for c in self.cycles())

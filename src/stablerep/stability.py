@@ -12,6 +12,8 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fourier import WITNESS_SLACK, Evaluator, StateFunction, as_table, dual_norm
 from .permutations import (
     Permutation,
@@ -107,9 +109,15 @@ class StabilityProfile:
 
 def _conjugation_defects(f: Evaluator, table: StateFunction, probes, K: int) -> list[float]:
     """rho_distance on S_K from f's level-K table to its conjugate by each
-    probe: one inside S_K gathers the table, one that leaves it pulls f back."""
-    return [rho_distance(ad_orbit_state(table if t.level <= K else f, t), table, K)
-            for t in probes]
+    probe: one inside S_K gathers the table, one that leaves it pulls f back.
+    A finite table that a gather leaves as it is reads 0.0 with no transform."""
+    finite = np.isfinite(table.vector).all()
+    defects = []
+    for t in probes:
+        moved = ad_orbit_state(table if t.level <= K else f, t)
+        fixed = finite and t.level <= K and np.array_equal(moved.vector, table.vector)
+        defects.append(0.0 if fixed else rho_distance(moved, table, K))
+    return defects
 
 
 def probe_generators(m: int) -> tuple[Permutation, ...]:

@@ -1,5 +1,8 @@
 """Canonical product states: evaluation, shifts, classification."""
 
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,16 +19,19 @@ from stablerep.canonical import (
     recover_lambda,
     shift_sequence,
 )
-from stablerep.characters import normalized_character
+from stablerep.characters import mn_character, normalized_character
 from stablerep.permutations import (
     IDENTITY,
     Permutation,
     cycle,
+    group_words,
     split_product,
     symmetric_group,
     transposition,
 )
+from stablerep.partitions import hook_dimension
 from stablerep.thoma import FactorType, ThomaParams, thoma_character
+from test_acceptance import BATTERY
 
 F = Fraction
 
@@ -55,6 +61,65 @@ def test_vanishing_off_product_set():
                 HALF_HALF, s2.cycle_type()
             )
             assert state(s) == want
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_spec(name):
+    data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    params = ThomaParams(tuple(map(F, data["alpha"])), tuple(map(F, data["beta"])))
+    return CanonicalState(data["n"], tuple(data["lambda"]), params)
+
+
+def oracle_value(state, s):
+    """The state's value at s, from the split and the two character formulas."""
+    parts = split_product(s, state.n)
+    if parts is None:
+        return 0
+    low, high = (part.cycle_type() for part in parts)
+    finite = F(mn_character(state.partition, low), hook_dimension(state.partition))
+    return finite * thoma_character(state.params, high)
+
+
+MEMO_STATES = BATTERY + [golden_spec("spec_cut2.json"), golden_spec("spec_cut3.json")]
+
+
+@pytest.mark.parametrize("calls_first", [True, False], ids=["calls-first", "words-first"])
+def test_memoized_values_equal_the_oracle_in_any_order(calls_first):
+    rng = random.Random(30)
+    group = list(symmetric_group(6))
+    for spec in MEMO_STATES:
+        state = CanonicalState(spec.n, spec.partition, spec.params)  # an empty memo
+        want = {s: oracle_value(state, s) for s in group}
+
+        def by_calls():
+            for s in rng.sample(group, len(group)):
+                got = state(s)
+                assert got == want[s] and type(got) is type(want[s]), (state, s)
+
+        def by_words():
+            for level in rng.sample(range(4, 7), 3):
+                rows = rng.sample(range(len(group_words(level))), len(group_words(level)))
+                words = group_words(level)[rows]
+                got = state.evaluate_words(words)
+                expected = [complex(want[Permutation.from_one_line(w)]) for w in words.tolist()]
+                assert got.tolist() == expected, (state, level)
+
+        for run in ((by_calls, by_words) if calls_first else (by_words, by_calls)):
+            run()
+        by_calls()
+
+
+def test_memo_is_invisible_to_eq_hash_and_repr():
+    for spec in MEMO_STATES:
+        state = CanonicalState(spec.n, spec.partition, spec.params)
+        twin = CanonicalState(spec.n, spec.partition, spec.params)
+        before = (hash(state), repr(state))
+        state.evaluate_words(group_words(5))
+        state(cycle(1, 2, 3))
+        assert (hash(state), repr(state)) == before
+        assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
 
 
 def test_spec_validation():

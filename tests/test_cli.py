@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -54,6 +55,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("switch", [gc.enable, gc.disable], ids=["gc-on", "gc-off"])
+def test_reading_json_restores_the_collector(tmp_path, delta_table, switch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    outcomes = [(delta_table, None), (str(bad), cli.InputError),
+                (str(tmp_path / "missing.json"), cli.InputError)]
+    restore = gc.enable if gc.isenabled() else gc.disable
+    try:
+        for path, error in outcomes:
+            switch()
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                assert cli._load_json(path) == {"level": 4, "values": [[[], 1]]}
+            assert gc.isenabled() is (switch is gc.enable), path
+    finally:
+        restore()
 
 
 def test_psd_check_pinned_example(capsys, delta_table):

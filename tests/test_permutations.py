@@ -189,6 +189,17 @@ def test_split_product_edge_levels():
     assert (s1, s2) == (IDENTITY, s.shift(3))
 
 
+def test_split_types_matches_split_product():
+    for s in symmetric_group(6):
+        for n in range(7):
+            parts = split_product(s, n)
+            want = None if parts is None else (parts[0].cycle_type(), parts[1].cycle_type())
+            assert s.split_types(n) == want, (s, n)
+    assert cycle(4, 5).split_types(3) == ((), (2,))
+    with pytest.raises(ValueError):
+        IDENTITY.split_types(-1)
+
+
 def test_adjacent_word_reconstructs():
     for p in symmetric_group(5):
         word = adjacent_word(p)

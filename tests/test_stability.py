@@ -163,8 +163,8 @@ def test_profile_defects_equal_per_probe_pullbacks():
     (0.6, 1),  # a real gap: the worse probe
 ], ids=["ulp-tie", "gap"])
 def test_witness_is_first_probe_within_slack(monkeypatch, second, picked):
-    dists = iter([0.5, second])
-    monkeypatch.setattr(stability, "rho_distance", lambda f, h, K: next(dists))
+    monkeypatch.setattr(stability, "_conjugation_defects",
+                        lambda f, table, probes, K: [0.5, second])
     point = stability_profile(STATE, K=4, M=0).points[0]
     assert point.defect == second
     assert point.witness == probe_generators(0)[picked]
@@ -186,6 +186,31 @@ def test_centrality_defect_at_cut():
         centrality_defect(STATE, 4, 5)
     with pytest.raises(ValueError, match=">= 0"):
         centrality_defect(STATE, -1, 5)
+
+
+def test_centrality_defect_at_the_own_cut_makes_no_transform(monkeypatch):
+    # Every generator of the cut-n product group fixes the state's table
+    # exactly, so no difference reaches the dual norm.
+    def no_transform(f, h, K):
+        raise AssertionError("rho_distance called")
+
+    monkeypatch.setattr(stability, "rho_distance", no_transform)
+    for state in BATTERY:
+        for K in range(state.n + 2, 7):
+            assert centrality_defect(state, state.n, K) == 0.0, (state, K)
+
+
+def test_non_finite_table_is_refused_by_every_probe():
+    # Conjugation fixes the identity, so the gathered table equals the table
+    # (inf == inf); the difference is still nan and the transform refuses it.
+    for bad in (math.inf, math.nan):
+        values = [1.0] * 24
+        values[0] = bad
+        table = StateFunction.from_vector(4, values)
+        with pytest.raises(OverflowError):
+            stability_profile(table, K=4, M=1)
+        with pytest.raises(OverflowError):
+            centrality_defect(table, 1, 4)
 
 
 def test_profile_serialization():
