@@ -56,7 +56,7 @@ from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, t
 HARD_CAP = 8
 
 # A table holds level! complex values: 20! of them overflow numpy's array
-# sizes (and 21! a Lehmer rank), so no level above 19 can be read at all.
+# sizes (and 21! an int64 rank), so no level above 19 can be read at all.
 MAX_TABLE_LEVEL = 19
 
 EXIT_OK = 0

@@ -20,12 +20,10 @@ from .partitions import hook_dimension, partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
-    coset_order,
     element_row,
     group_words,
     inverse_map,
     product_table,
-    restriction_map,
     symmetric_group,
     word_ranks,
 )
@@ -35,11 +33,11 @@ from .yor import branching
 class StateFunction:
     """A complex-valued function on S_level, held as one vector of values.
 
-    The vector is indexed like symmetric_group(level), which is Lehmer-rank
-    order (see permutations.group_words), so restriction, conjugation and
-    inversion are index maps over it.  Calling it on a permutation above
-    its level is an error, not 0: the function carries no information out
-    there.
+    The vector is indexed like symmetric_group(level), in rank order (see
+    permutations.word_ranks): restriction to S_n keeps its first n! values,
+    and conjugation and inversion are index maps over it.  Calling it on a
+    permutation above its level is an error, not 0: the function carries no
+    information out there.
     """
 
     __slots__ = ("level", "vector")
@@ -103,10 +101,10 @@ class StateFunction:
         return complex(self.vector[element_row(g, self.level)])
 
     def restrict(self, n: int) -> "StateFunction":
-        """Literal restriction to the subgroup S_n."""
-        if n > self.level:
-            raise ValueError(f"cannot restrict level {self.level} to larger level {n}")
-        return StateFunction.from_vector(n, self.vector[restriction_map(n, self.level)])
+        """Literal restriction to the subgroup S_n: the first n! values."""
+        if not 0 <= n <= self.level:
+            raise ValueError(f"cannot restrict level {self.level} to level {n}")
+        return StateFunction.from_vector(n, self.vector[: math.factorial(n)])
 
     def __sub__(self, other: "StateFunction") -> "StateFunction":
         if not isinstance(other, StateFunction):
@@ -191,18 +189,20 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 def fourier(f: StateFunction) -> FourierBlocks:
     """Blocks sum_g f(g) rho_lam(g) for every shape lam of weight f.level.
 
-    Clausen's recursion over S_1 < ... < S_n.  Listed in
-    permutations.coset_order, S_k is the union of the cosets c_j S_{k-1},
-    so the block of a coset prefix is sum_j rho_lam(c_j) (+)_mu B_j(mu),
-    where B_j(mu) is the S_{k-1} block of the prefix extended by c_j and
-    (+)_mu places it on mu's rows of yor.branching, so its columns there
-    are mu's column block times the B_j(mu) stacked over j: one batched
-    matrix product per corner, shape and level over all prefixes.
+    Clausen's recursion over S_1 < ... < S_n.  Read backwards, the table
+    lists S_n as nested cosets c_{j_n} ... c_{j_1}, c_j = (j j+1 ... k) in
+    S_k, with j_n - 1 the top mixed-radix digit of the position.  So S_k is
+    the union of the cosets c_j S_{k-1}, and the block of a coset prefix is
+    sum_j rho_lam(c_j) (+)_mu B_j(mu), where B_j(mu) is the S_{k-1} block
+    of the prefix extended by c_j and (+)_mu places it on mu's rows of
+    yor.branching, so its columns there are mu's column block times the
+    B_j(mu) stacked over j: one batched matrix product per corner, shape
+    and level over all prefixes.
     """
     f = as_table(f)
     n = f.level
     fact = math.factorial(n)
-    blocks = {(): f.vector[coset_order(n)].reshape(fact, 1, 1)}
+    blocks = {(): np.ascontiguousarray(f.vector[::-1]).reshape(fact, 1, 1)}
     # A sum that overflows leaves an inf or a nan in a final block, and so
     # does a value that is not finite (the trivial block sums them all), so
     # one check after the recursion refuses both and numpy need not warn.
@@ -248,9 +248,7 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
                 else:
                     down[mu] = up
         adj = {mu: a.reshape(-1, a.shape[2], a.shape[2]) for mu, a in down.items()}
-    vec = np.empty(fact, dtype=complex)
-    vec[coset_order(n)] = adj[()].ravel()
-    return StateFunction.from_vector(n, vec)
+    return StateFunction.from_vector(n, adj[()].ravel()[::-1])
 
 
 def dual_norm(f: StateFunction) -> float:

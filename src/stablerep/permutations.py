@@ -7,8 +7,9 @@ trailing fixed points.
 
 Hot loops use the integer index layer at the end of this module instead:
 S_n as rows of an array of one-line words, with group actions as index
-maps between rows, and coset_order listing the rows as nested cosets for
-the Fourier transform.
+maps between rows.  A permutation has one row at every level: S_k is the
+first k! rows of every S_n, and the rows read backwards list S_n as the
+nested cosets of the Fourier transform.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def split_product(s: Permutation, n: int) -> Optional[tuple[Permutation, Permuta
 
 @lru_cache(maxsize=8)
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
-    """All elements of S_n, in lexicographic one-line order. Cached."""
+    """All elements of S_n in rank order (see word_ranks), so S_k comes first. Cached.
+
+    That is lexicographic order of w_0 g w_0, w_0 the longest element.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     return tuple(
-        Permutation.from_one_line(w) for w in itertools.permutations(range(1, n + 1))
+        Permutation.from_one_line(w[::-1]) for w in itertools.permutations(range(n, 0, -1))
     )
 
 
@@ -281,59 +285,66 @@ def cut_generators(n: int, level: int) -> tuple[Permutation, ...]:
 
 # ---------------------------------------------------------------------------
 # Integer index layer. Row r of group_words(n) is the one-line word of
-# symmetric_group(n)[r]; that lexicographic order is Lehmer-code rank order,
-# so a word's row is its rank and actions become gathers over rows.
+# symmetric_group(n)[r], and r is the word's rank at every level n, so
+# actions become gathers over rows.
 
 
 @lru_cache(maxsize=8)
 def group_words(n: int) -> np.ndarray:
-    """(n!, n) int8 array of the one-line words of S_n, in symmetric_group(n) order.
+    """(n!, n) int8 array of the one-line words of S_n, in rank order.
 
-    >>> group_words(3)[[0, 1, 5]]
+    Its first k! rows are group_words(k) followed by the fixed points k+1..n.
+
+    >>> group_words(3)[[0, 1, 4]]
     array([[1, 2, 3],
-           [1, 3, 2],
-           [3, 2, 1]], dtype=int8)
+           [2, 1, 3],
+           [2, 3, 1]], dtype=int8)
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     words = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, n + 1):
-        # The words starting with v, in order: v, then the S_{k-1} words
-        # lifted past v, which keeps their order.
+        # The words with e_{k-1} = e, in order: the S_{k-1} words lifted
+        # past k - e, which keeps their order, then k - e.
         grown = np.empty((k, len(words), k), dtype=np.int8)
-        for v in range(1, k + 1):
-            grown[v - 1, :, 0] = v
-            grown[v - 1, :, 1:] = words + (words >= v)
+        for e in range(k):
+            grown[e, :, :-1] = words + (words >= k - e)
+            grown[e, :, -1] = k - e
         words = grown.reshape(-1, k)
     words.flags.writeable = False
     return words
 
 
 def word_ranks(words: np.ndarray) -> np.ndarray:
-    """Lehmer-code rank of each row of an (N, n) array of one-line words.
+    """Rank of each row of an (N, n) array of one-line words.
+
+    The rank of w is sum_a e_a a!, where e_a = #{b < a : w_b > w_a} counts
+    the larger entries before position a (positions from 0): the factorial
+    number system, which fixed points appended to w leave unchanged.
 
     >>> word_ranks(np.array([[1, 2, 3], [2, 3, 1], [3, 2, 1]]))
-    array([0, 3, 5])
+    array([0, 4, 5])
+    >>> word_ranks(np.array([[2, 3, 1, 4, 5]]))
+    array([4])
     """
     words = np.asarray(words)
     n = words.shape[1]
     columns = np.ascontiguousarray(words.T)
     ranks = np.zeros(len(words), dtype=np.int64)
-    less = np.empty(len(words), dtype=bool)
-    # Horner form of sum_i digit_i (n - 1 - i)!, where Lehmer digit i
-    # counts the later entries smaller than entry i.
-    for i in range(n):
-        ranks *= n - i
-        for j in range(i + 1, n):
-            ranks += np.less(columns[j], columns[i], out=less)
+    greater = np.empty(len(words), dtype=bool)
+    # Horner form of sum_a e_a a!.
+    for a in range(n - 1, 0, -1):
+        ranks *= a + 1
+        for b in range(a):
+            ranks += np.greater(columns[b], columns[a], out=greater)
     return ranks
 
 
 def element_row(g: Permutation, n: int) -> int:
-    """Row of g in symmetric_group(n): the Lehmer rank of its one-line word.
+    """Row of g in symmetric_group(n): the rank of its one-line word, the same for every n.
 
-    >>> element_row(cycle(1, 2, 3), 3)
-    3
+    >>> element_row(cycle(1, 2, 3), 3), element_row(cycle(1, 2, 3), 5)
+    (4, 4)
     """
     return int(word_ranks(np.array([g.one_line(n)]).reshape(1, n))[0])
 
@@ -456,46 +467,11 @@ def conjugation_map(n: int, t: Permutation) -> np.ndarray:
     """(n!,) index map: entry r is the row of t g_r t^-1; needs level(t) <= n.
 
     >>> conjugation_map(3, transposition(1, 2))
-    array([0, 5, 2, 4, 3, 1])
+    array([0, 1, 5, 4, 3, 2])
     """
     if t.level > n:
         raise ValueError(f"conjugator of level {t.level} leaves S_{n}")
     return _frozen(word_ranks(conjugate_words(group_words(n), t)))
-
-
-@lru_cache(maxsize=16)
-def restriction_map(n: int, level: int) -> np.ndarray:
-    """(n!,) index map: entry r is the row in S_level of row r of S_n.
-
-    >>> restriction_map(2, 3)
-    array([0, 2])
-    """
-    if not 0 <= n <= level:
-        raise ValueError(f"S_{n} is not a subgroup of S_{level}")
-    words = group_words(n)
-    tail = np.broadcast_to(np.arange(n + 1, level + 1), (len(words), level - n))
-    return _frozen(word_ranks(np.hstack([words, tail])))
-
-
-@lru_cache(maxsize=8)
-def coset_order(n: int) -> np.ndarray:
-    """(n!,) index map listing S_n as nested cosets c_{j_n} ... c_{j_1}.
-
-    Here c_j = (j j+1 ... k) in S_k sends k to j, so S_k is the disjoint
-    union of the cosets c_j S_{k-1}, j = 1..k, and c_k is the identity.
-    Entry p is the row of c_{j_n} ... c_{j_1}, where p has the mixed-radix
-    digits j_k - 1 with j_n most significant: reshaped to (n!/k!, k!),
-    row P lists one prefix c_{j_n} ... c_{j_{k+1}} times S_k, in the same
-    nested order.
-
-    That element is g_p w_0, where g_p is row p of group_words(n) and w_0
-    is the longest element i -> n + 1 - i, so its one-line word is row p
-    read backwards.
-
-    >>> coset_order(3)
-    array([5, 3, 4, 1, 2, 0])
-    """
-    return _frozen(word_ranks(group_words(n)[:, ::-1]))
 
 
 def cycle_lengths(words: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .permutations import (
     conjugation_map,
     cut_generators,
     cycle,
-    symmetric_group,
     transposition,
 )
 
@@ -141,16 +141,17 @@ def stability_profile(f: Evaluator, K: int, M: int, exhaustive: bool = False) ->
     if M < 0:
         raise ValueError(f"max shift must be >= 0, got {M}")
     if not exhaustive and M >= K:
-        raise ValueError(
-            f"probes above cut {M} fix every point of S_{K}; max shift must be <= {K - 1}"
-        )
+        bound = f"max shift must be <= {K - 1}" if K else "S_0 has no point for a probe to move"
+        raise ValueError(f"probes above cut {M} fix every point of S_{K}; {bound}")
     table = as_table(f, K)
     points = []
     for m in range(M + 1):
         if exhaustive:
             if K - m < 2:
                 raise ValueError(f"exhaustive level {K} leaves no probes above cut {m}")
-            probes = tuple(g.shift(m) for g in symmetric_group(K - m) if not g.is_identity())
+            # Lexicographic in one-line words, which orders ties; [1:] drops e.
+            words = itertools.permutations(range(1, K - m + 1))
+            probes = tuple(Permutation.from_one_line(w).shift(m) for w in words)[1:]
         else:
             probes = probe_generators(m)
         dists = _conjugation_defects(f, table, probes, K)

@@ -155,7 +155,7 @@ def branching(
     basis that hold mu, the tableaux with k in that corner listed in mu's
     basis order, and the (d, k*d_mu) column block [rho(c_1)[:, r] ...
     rho(c_k)[:, r]] of the coset representatives c_j = (j j+1 ... k) =
-    t_j t_{j+1} ... t_{k-1} (see permutations.coset_order).  On S_{k-1},
+    t_j t_{j+1} ... t_{k-1} (see fourier.fourier).  On S_{k-1},
     rho_lam is rho_mu on those rows and 0 between the rows of different mu,
     so only these columns of rho(c_j) meet a block of S_{k-1}.  Also
     returns the order that puts the corners' columns back in basis order.

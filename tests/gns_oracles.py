@@ -75,7 +75,7 @@ def subspace_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float
 
 @dataclass
 class DenseTriple:
-    """rep is the (k!, d, d) stack of pi in Lehmer order (the order of
+    """rep is the (k!, d, d) stack of pi in rank order (the order of
     symmetric_group(k)) and xi the cyclic vector; a standard form has j,
     the modular conjugation J v = j conj(v)."""
 
@@ -166,7 +166,7 @@ MULTIPLICITY_TOL = 1e-6
 
 def central_support(rep, k):
     """Shapes with nonzero multiplicity in the representation whose k!
-    matrices in Lehmer order are rep: character_inner of its traces on the
+    matrices in rank order are rep: character_inner of its traces on the
     class representatives, which must land within MULTIPLICITY_TOL of
     nonnegative integers or the input was not a representation."""
     traces = {mu: np.trace(rep[element_row(class_representative(mu), k)]).real

@@ -453,6 +453,14 @@ def test_stability_profile_past_truncation_exits_3(capsys, tmp_path):
     assert "S_4" in err
 
 
+def test_stability_profile_at_level_0_exits_3_without_a_negative_bound(capsys, spec_a):
+    code, out, err = run(capsys, "stability-profile", spec_a, "--level", "0",
+                         "--max-shift", "0")
+    assert code == 3
+    assert out == ""
+    assert "S_0" in err and "-1" not in err
+
+
 def test_state_above_level_exits_2(capsys, tmp_path):
     bad = write(tmp_path / "s.json", {"level": 2, "values": [[[[1, 4]], 0.5]]})
     code, _, err = run(capsys, "psd-check", bad, "--level", "2")

@@ -24,7 +24,6 @@ from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import (
     IDENTITY,
     Permutation,
-    restriction_map,
     symmetric_group,
     transposition,
 )
@@ -76,6 +75,15 @@ def test_restrict_and_subtract():
     assert np.all(z.vector == 0)
     with pytest.raises(ValueError):
         f - r
+
+
+def test_restriction_past_either_end_is_refused_naming_the_level():
+    # Refused before any n! is taken, so the error is not math.factorial's.
+    f = StateFunction.from_callable(4, lambda g: g.sign)
+    for cut in (lambda: f.restrict(-1), lambda: f.restrict(5), lambda: as_table(f, -1)):
+        with pytest.raises(ValueError, match="level 4") as info:
+            cut()
+        assert "factorial" not in str(info.value)
 
 
 def test_hermitian_defect():
@@ -285,7 +293,7 @@ def test_restricted_distance_is_monotone_in_level():
             h = StateFunction.from_vector(level, random_vector(gen, math.factorial(level)))
             m = int(gen.integers(0, level + 1))
             diff = np.zeros(math.factorial(level), dtype=complex)
-            diff[restriction_map(m, level)] = random_vector(gen, math.factorial(m))
+            diff[: math.factorial(m)] = random_vector(gen, math.factorial(m))
             on_subgroup = f - StateFunction.from_vector(level, diff)
             for g, equal_from in ((h, level), (on_subgroup, m)):
                 dists = [restricted_distance(f, g, n) for n in range(level + 1)]

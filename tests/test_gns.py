@@ -38,7 +38,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def stack(triple):
-    """The dense pi(g) of a triple over symmetric_group order, which is Lehmer order."""
+    """The dense pi(g) of a triple over symmetric_group order, which is rank order."""
     return np.array([triple.image(g) for g in symmetric_group(triple.level)])
 
 

@@ -6,6 +6,7 @@ summed in another order than the per-element oracle and agree with it to
 1e-12 times sum_g |f(g)|.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,10 +24,10 @@ from stablerep.permutations import (
     cycle,
     cycle_lengths,
     cycle_words,
+    element_row,
     group_words,
     inverse_map,
     product_table,
-    restriction_map,
     symmetric_group,
     transposition,
     word_ranks,
@@ -61,10 +62,10 @@ def test_inverse_map_is_inversion(n):
 
 
 def _summed_ranks(words):
-    # Lehmer digits as row sums of a broadcast comparison.
+    # sum_a e_a a!, each left inversion count e_a a row sum of a broadcast comparison.
     ranks = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1]):
-        ranks = ranks * (words.shape[1] - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
+    for a in range(words.shape[1]):
+        ranks += (words[:, :a] > words[:, a:a + 1]).sum(axis=1) * math.factorial(a)
     return ranks
 
 
@@ -153,10 +154,62 @@ def test_conjugate_words_reach_past_the_words():
 
 @pytest.mark.parametrize("level", range(7))
 def test_restriction_map_is_the_subgroup(level):
+    # S_n is the prefix of S_level: its elements have the first n! rows.
     index = enumeration_rows(level)
     for n in range(level + 1):
         want = [index[g] for g in symmetric_group(n)]
-        assert restriction_map(n, level).tolist() == want
+        assert want == list(range(math.factorial(n)))
+
+
+# Prefix laws: S_k is the first k! rows of every S_n, so every table and
+# index map of S_n begins with that of S_k.
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_group_words_and_symmetric_group_begin_with_the_subgroup(n):
+    words = group_words(n)
+    for k in range(n + 1):
+        head = words[: math.factorial(k)]
+        assert np.array_equal(head[:, :k], group_words(k))
+        assert (head[:, k:] == np.arange(k + 1, n + 1)).all()
+        assert symmetric_group(n)[: math.factorial(k)] == symmetric_group(k)
+
+
+def test_ranks_ignore_appended_fixed_points():
+    rng = random.Random(11)
+    for k in range(7):
+        words = group_words(k)
+        for n in range(k, 9):
+            tail = np.broadcast_to(np.arange(k + 1, n + 1), (len(words), n - k))
+            assert np.array_equal(word_ranks(np.hstack([words, tail])), np.arange(len(words)))
+        g = random_perm(rng, k)
+        assert len({element_row(g, n) for n in range(g.level, 10)}) == 1
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_inverse_and_conjugation_maps_begin_with_the_subgroup(n):
+    rng = random.Random(n)
+    for k in range(n + 1):
+        size = math.factorial(k)
+        assert np.array_equal(inverse_map(n)[:size], inverse_map(k))
+        for t in [random_perm(rng, k) for _ in range(3)]:
+            assert np.array_equal(conjugation_map(n, t)[:size], conjugation_map(k, t))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_product_table_begins_with_the_subgroup(n):
+    for k in range(n + 1):
+        size = math.factorial(k)
+        assert np.array_equal(product_table(n)[:size, :size], product_table(k))
+
+
+@pytest.mark.parametrize("state", BATTERY, ids=range(len(BATTERY)))
+def test_battery_tables_begin_with_the_lower_tables(state):
+    tables = {n: as_table(state, n).vector for n in range(8)}
+    for n in range(8):
+        for k in range(n + 1):
+            # Bit for bit: the same values, each computed the same way.
+            assert tables[n][: math.factorial(k)].tobytes() == tables[k].tobytes(), (n, k)
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -12,7 +12,6 @@ from stablerep.permutations import (
     IDENTITY,
     Permutation,
     adjacent_word,
-    coset_order,
     cycle,
     element_row,
     group_words,
@@ -124,10 +123,13 @@ def test_symmetric_group_enumeration():
         group = symmetric_group(n)
         assert len(group) == math.factorial(n)
         assert len(set(group)) == len(group)
-    # lexicographic in one-line words, so the identity comes first
+    # lexicographic in the one-line words of w0 g w0, w0 the longest element,
+    # so the identity comes first
     assert symmetric_group(3)[0] == IDENTITY
-    words = [g.one_line(3) for g in symmetric_group(3)]
-    assert words == sorted(words)
+    for n in range(6):
+        w0 = Permutation.from_one_line(range(n, 0, -1))
+        words = [g.conjugate_by(w0).one_line(n) for g in symmetric_group(n)]
+        assert words == sorted(words), n
 
 
 def test_element_row_inverts_enumeration():
@@ -141,14 +143,16 @@ def test_group_words_are_ranked_by_position():
         words = group_words(n)
         assert words.shape == (math.factorial(n), n) and words.dtype == np.int8
         assert np.array_equal(word_ranks(words), np.arange(len(words)))
-        assert [tuple(w) for w in words.tolist()] == list(
-            itertools.permutations(range(1, n + 1))
-        )
+        # Row r is w0 u w0 for the r-th word u in lexicographic order.
+        assert [tuple(w) for w in words.tolist()] == [
+            tuple(n + 1 - v for v in reversed(u))
+            for u in itertools.permutations(range(1, n + 1))
+        ]
 
 
 def test_coset_order_lists_nested_cosets():
-    # Row p is c_{j_n} ... c_{j_1} with c_j = (j j+1 ... k) in S_k and the
-    # digits j_k - 1 of p in mixed radix, j_n most significant.
+    # Read backwards, row p is c_{j_n} ... c_{j_1} with c_j = (j j+1 ... k)
+    # in S_k and the digits j_k - 1 of p in mixed radix, j_n most significant.
     for n in range(7):
         index = enumeration_rows(n)
         want = []
@@ -157,7 +161,7 @@ def test_coset_order_lists_nested_cosets():
             for k, j in zip(range(n, 0, -1), digits):
                 p = p * cycle(*range(j, k + 1))
             want.append(index[p])
-        assert coset_order(n).tolist() == want, n
+        assert want == list(range(math.factorial(n)))[::-1], n
 
 
 def test_preserves_matches_brute_force():

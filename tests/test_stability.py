@@ -170,6 +170,26 @@ def test_witness_is_first_probe_within_slack(monkeypatch, second, picked):
     assert point.witness == probe_generators(0)[picked]
 
 
+@pytest.mark.parametrize("i", [i for i, s in enumerate(BATTERY) if s.n <= 2])
+def test_exhaustive_witness_of_a_zero_cut_is_the_first_lexicographic_probe(i):
+    # Every probe above the state's cut m fixes it, so all tie at 0 and the
+    # witness is the first probe in lexicographic one-line order of S_{K-m}
+    # shifted by m: with K = m + 3 that is (1 3 2), so (m+2 m+3).
+    state = BATTERY[i]
+    m = state.n
+    point = stability_profile(state, m + 3, m, exhaustive=True).points[m]
+    assert point.defect == 0
+    assert point.witness == transposition(m + 2, m + 3)
+
+
+def test_level_zero_profile_is_refused_without_a_negative_bound():
+    # S_0 has no point to move; no max shift could be asked for.
+    for exhaustive in (False, True):
+        with pytest.raises(ValueError, match="S_0|level 0") as info:
+            stability_profile(STATE, K=0, M=0, exhaustive=exhaustive)
+        assert "-1" not in str(info.value)
+
+
 def test_generator_probes_past_truncation_are_refused():
     # Above cut m >= K the probes fix every point of S_K and measure nothing.
     stability_profile(STATE, K=4, M=3)
