@@ -10,14 +10,17 @@ second, and 0 whenever s admits no such factorization.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import hook_dimension, mn_character
-from .partitions import check_partition
+from .characters import centralizer_order, class_size, hook_dimension, mn_character
+from .induction import decompose_induced
+from .partitions import check_partition, partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
@@ -118,6 +121,46 @@ class CanonicalState:
             "alpha": [float(a) for a in self.alpha],
             "beta": [float(b) for b in self.beta],
         }
+
+
+def block_spectra(state: CanonicalState, m: int) -> dict:
+    """Each Fourier block's eigenvalues on S_m, exactly: {shape: {eigenvalue: multiplicity}}.
+
+    On S_n x S_N (N = m - n) the state is chi_mu/d_mu times theta = sum_b s_b chi_b, s_b =
+    sum_rho theta(rho) chi_b(rho)/z_rho (Schur functions at the Thoma point, Vershik-Kerov
+    1981), and 0 elsewhere: block lam is n! N! s_b/(d_mu^2 d_b) on its c^lam_{mu b} d_mu d_b
+    dimensions of type mu x b, else 0.  Below the depth, block a is m! <chi_mu, chi_a>/(d_mu d_a).
+
+    >>> F = Fraction
+    >>> block_spectra(CanonicalState(2, (1, 1), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),))),
+    ...               3)  # doctest: +NORMALIZE_WHITESPACE
+    {(3,): {Fraction(0, 1): 1}, (2, 1): {Fraction(0, 1): 1, Fraction(2, 1): 1},
+     (1, 1, 1): {Fraction(2, 1): 1}}
+    """
+    n, mu, d_mu = state.n, state.partition, hook_dimension(state.partition)
+    if m < n:  # the state on S_m is chi_mu/d_mu
+        top, scale, unit, value = m, Fraction(math.factorial(m), d_mu), 1, partial(mn_character, mu)
+    else:
+        exact = ThomaParams(*(tuple(map(Fraction, p)) for p in (state.alpha, state.beta)))
+        top, unit, value = m - n, d_mu, partial(thoma_character, exact)
+        scale = Fraction(math.factorial(n) * math.factorial(top), d_mu ** 2)
+    weights = [(rho, Fraction(value(rho)) / centralizer_order(rho)) for rho in partitions_of(top)]
+    spectra = {lam: Counter() for lam in partitions_of(m)}
+    for b in partitions_of(top):
+        s_b, d_b = sum(w * mn_character(b, rho) for rho, w in weights), hook_dimension(b)
+        for lam, c in (decompose_induced(n, mu, b, m) if m >= n else {b: 1}).items():
+            spectra[lam][scale * s_b / d_b] += c * unit * d_b
+    for lam, spectrum in spectra.items():  # the rest of each block is 0
+        spectrum[Fraction(0)] += hook_dimension(lam) - spectrum.total()
+    return {lam: dict(sorted((+spectrum).items())) for lam, spectrum in spectra.items()}
+
+
+def absolute_sum(state: CanonicalState, m: int):
+    """sum_g |state(g)| on S_m, exactly: class sums on S_n (S_m below the depth) and S_{m-n}."""
+    low, high = (sum(class_size(rho) * abs(value(rho)) for rho in partitions_of(k)) for k, value
+                 in ((min(state.n, m), partial(mn_character, state.partition)),
+                     (max(m - state.n, 0), partial(thoma_character, state.params))))
+    return Fraction(low, hook_dimension(state.partition)) * high
 
 
 def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:

@@ -38,10 +38,11 @@ from operator import itemgetter
 import numpy as np
 
 from .canonical import (EQUIVALENCE_TOL, STABILIZATION_TOL, CanonicalState, ClassificationError,
-                        asymptotic_character, classify, quasi_equivalent, shift_sequence)
+                        absolute_sum, asymptotic_character, block_spectra, classify,
+                        quasi_equivalent, shift_sequence)
 from .characters import mn_character
 from .fourier import (PSD_TOL, StateFunction, as_table, check_hermitian, dual_norm,
-                      is_positive_definite)
+                      is_positive_definite, psd_certificate, spectral_norm)
 from .gns import gns_certificate
 from .induction import decompose_induced
 from .partitions import check_partition, hook_dimension
@@ -49,10 +50,10 @@ from .permutations import Permutation, cycle_words, word_ranks
 from .stability import centrality_defect, stability_profile
 from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, type_classify
 
-# A cold dense dual-norm of a spec, interpreter start and import included,
-# takes 0.24-0.34 s and 42 MB at level 8 and 0.75-1.1 s and 140 MB at
-# level 9 (2-CPU Xeon VM, one BLAS thread; the host's speed drifts by a
-# third between runs); the cap stays at 8.
+# A cold dual-norm of a dense table, start, import and read included, takes
+# 0.33-0.36 s at 72 MB at level 8 and 2.3-2.5 s at 438 MB at level 9 (2-CPU
+# Xeon VM, one BLAS thread; the host's speed drifts by a third between runs);
+# the cap stays at 8.  A spec's dual-norm and psd-check build no table.
 HARD_CAP = 8
 
 # A table holds level! complex values: 20! of them overflow numpy's array
@@ -220,7 +221,8 @@ def _table_from(data, where):
     values = list(map(itemgetter(1), head))
     numbers = _floats(values)
     if numbers is None:  # a string, a bool, or a number that is no finite float
-        numbers = list(map(_number, values))
+        parsed = {v: _number(v) for v in {v for v in values if type(v) is str}}  # once per string
+        numbers = [parsed[v] if type(v) is str else _number(v) for v in values]
         bad[[v is None for v in numbers]] = True
     first = int(np.argmax(bad)) if bad.any() else len(head)
     if first < len(rows):
@@ -398,16 +400,22 @@ def _tabulate(state, level):
 
 
 def _cmd_dual_norm(args):
-    table = _tabulate(_load_state(args.input), args.level)
-    return {"dual_norm": dual_norm(table), "level": args.level}, True
+    state = _load_state(args.input)
+    norm = (spectral_norm(args.level, block_spectra(state, args.level))  # exact: no table
+            if isinstance(state, CanonicalState) else dual_norm(_tabulate(state, args.level)))
+    return {"dual_norm": norm, "level": args.level}, True
 
 
 def _cmd_psd_check(args):
-    table = _tabulate(_load_state(args.input), args.level)
-    try:
-        cert = is_positive_definite(table, tol=args.tol)
-    except ValueError as exc:  # a non-hermitian function is not a state
-        raise InputError(str(exc), location=args.input)
+    state = _load_state(args.input)
+    if isinstance(state, CanonicalState):  # exact spectra, hermitian by construction
+        cert = psd_certificate(block_spectra(state, args.level),
+                               float(absolute_sum(state, args.level)), args.tol)
+    else:
+        try:
+            cert = is_positive_definite(_tabulate(state, args.level), tol=args.tol)
+        except ValueError as exc:  # a non-hermitian function is not a state
+            raise InputError(str(exc), location=args.input)
     return {"positive_definite": cert.positive, "min_eigenvalue": cert.min_eigenvalue,
             "witness": list(cert.witness), "level": args.level, "tol": args.tol}, cert.positive
 

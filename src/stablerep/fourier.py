@@ -252,19 +252,22 @@ def inverse_fourier(blocks: FourierBlocks) -> StateFunction:
 
 
 def dual_norm(f: StateFunction) -> float:
-    """Norm of f as a functional on the group C* algebra of S_level.
-
-    Equals sum_lam (d_lam / n!) * tracenorm(sum_g f(g) rho_lam(g^-1)), d_lam
-    being the block's size.  The weighted singular values are summed exactly
-    (math.fsum), then divided by n! once.
-    """
+    """Norm of f as a functional on the group C* algebra of S_level: the
+    spectral_norm of its blocks sum_g f(g) rho_lam(g^-1)."""
     f = as_table(f)
-    terms = []
     with np.errstate(over="ignore"):  # an inf term gives an inf norm, and no warning
-        for block in fourier(f).blocks.values():
-            # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
-            terms.extend(block.shape[0] * np.linalg.svd(block, compute_uv=False))
-    return math.fsum(terms) / math.factorial(f.level)
+        # rho is orthogonal, so the g^-1 block is the transpose; same singular values.
+        return spectral_norm(f.level, {lam: np.linalg.svd(block, compute_uv=False)
+                                       for lam, block in fourier(f).items()})
+
+
+def spectral_norm(level: int, spectra: Mapping) -> float:
+    """sum_lam (d_lam / level!) sum |x| over spectra[lam], block lam's singular values or
+    eigenvalues (a sequence or a dict {x: multiplicity}), summed exactly, divided once."""
+    terms = [d * m * abs(x) for lam, s in spectra.items() for d in [hook_dimension(lam)]
+             for x, m in (s.items() if isinstance(s, dict) else ((x, 1) for x in s))]
+    total = math.fsum(terms) if any(isinstance(t, float) for t in terms) else sum(terms)
+    return float(total / math.factorial(level))
 
 
 # Relative float noise within which two values tie for a witness.
@@ -297,18 +300,22 @@ def is_positive_definite(f: StateFunction, tol: float = PSD_TOL) -> PsdCertifica
 
     Rejects non-hermitian input.  The certificate is equivalent to the
     Gram matrix [f(h^-1 g)] over S_level being positive semidefinite.
-    The witness is the first shape, in partitions_of order, whose minimal
-    eigenvalue is within WITNESS_SLACK * sum_g |f(g)| of the smallest;
-    that sum bounds every block's norm, so shapes that tie in exact
-    arithmetic do not pick the witness by their rounding.
     """
     check_hermitian(f)
-    lows = {lam: float(np.linalg.eigvalsh(hermitian_part(block))[0])
-            for lam, block in fourier(f).items()}
+    spectra = {lam: np.linalg.eigvalsh(hermitian_part(block)) for lam, block in fourier(f).items()}
+    return psd_certificate(spectra, float(np.abs(f.vector).sum()), tol)
+
+
+def psd_certificate(spectra: Mapping, mass: float, tol: float = PSD_TOL) -> PsdCertificate:
+    """The certificate from block eigenvalues given as in spectral_norm.  The witness is
+    the first shape whose least eigenvalue is within WITNESS_SLACK * mass of the smallest:
+    mass = sum_g |f(g)| bounds every block's norm, so shapes that tie in exact arithmetic
+    do not pick the witness by their rounding."""
+    lows = {lam: min(s) for lam, s in spectra.items()}
     worst = min(lows.values())
-    slack = WITNESS_SLACK * float(np.abs(f.vector).sum())
+    slack = WITNESS_SLACK * mass
     witness = next(lam for lam, low in lows.items() if low <= worst + slack)
-    return PsdCertificate(bool(worst >= -tol), worst, witness)
+    return PsdCertificate(bool(worst >= -tol), float(worst), witness)
 
 
 def gram_matrix(f: StateFunction, n: Optional[int] = None) -> np.ndarray:

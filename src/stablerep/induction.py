@@ -67,6 +67,8 @@ def decompose_induced(
     That of nu is character_inner's sum_tau |C_tau| Ind(tau) chi_nu(tau) / m!,
     summed in integers (induced character values are) and divided once.
     """
+    if n in (0, m) and (sum(check_partition(lam)), sum(check_partition(mu))) == (n, m - n):
+        return {check_partition(lam) or check_partition(mu): 1}  # S_0 x S_m: Ind changes nothing
     values = induced_character(n, lam, mu, m)
     weights = [(tau, int(v) * class_size(tau)) for tau, v in values.items()]
     order = math.factorial(m)

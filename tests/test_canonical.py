@@ -1,6 +1,7 @@
 """Canonical product states: evaluation, shifts, classification."""
 
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -12,7 +13,9 @@ from stablerep import cli
 from stablerep.canonical import (
     CanonicalState,
     ClassificationError,
+    absolute_sum,
     asymptotic_character,
+    block_spectra,
     central_depth,
     classify,
     quasi_equivalent,
@@ -20,6 +23,8 @@ from stablerep.canonical import (
     shift_sequence,
 )
 from stablerep.characters import mn_character, normalized_character
+from stablerep.fourier import (as_table, dual_norm, fourier, hermitian_part, is_positive_definite,
+                               psd_certificate, spectral_norm)
 from stablerep.permutations import (
     IDENTITY,
     Permutation,
@@ -271,3 +276,43 @@ def test_classified_invariant_round_trips_through_json():
     back = cli._spec_from(data, "report")
     assert back == inv
     assert quasi_equivalent(back, CanonicalState(2, (1, 1), MIXED))
+
+
+@pytest.mark.parametrize("state", MEMO_STATES, ids=range(len(MEMO_STATES)))
+def test_block_spectra_equal_the_matrix_path(state):
+    # Levels 0-7 take in every m < n of the battery and the goldens.
+    for m in range(8):
+        table = as_table(state, m)
+        mass = absolute_sum(state, m)
+        assert float(mass) == pytest.approx(float(np.abs(table.vector).sum()), rel=1e-14)
+        bound = 1e-12 * max(1.0, float(mass))
+        spectra = block_spectra(state, m)
+        blocks = fourier(table)
+        assert list(spectra) == list(blocks.blocks)
+        for lam, spectrum in spectra.items():
+            assert all(type(x) is Fraction and count > 0 for x, count in spectrum.items())
+            exact = [float(x) for x, count in spectrum.items() for _ in range(count)]
+            assert exact == sorted(exact)
+            eig = np.linalg.eigvalsh(hermitian_part(blocks[lam]))
+            assert len(exact) == len(eig) == hook_dimension(lam)
+            assert np.max(np.abs(eig - exact)) <= bound, (state, m, lam)
+        assert abs(spectral_norm(m, spectra) - dual_norm(table)) <= bound
+        assert (psd_certificate(spectra, float(mass)).witness
+                == is_positive_definite(table).witness), (state, m)
+
+
+def test_float_parameters_are_read_as_the_rationals_they_are():
+    exact = golden_spec("spec_cut3.json")  # alpha (1/2, 1/5): 0.2 is not 1/5
+    rounded = CanonicalState(exact.n, exact.partition,
+                             ThomaParams(tuple(map(float, exact.alpha)),
+                                         tuple(map(float, exact.beta))))
+    binary = CanonicalState(exact.n, exact.partition,
+                            ThomaParams(tuple(map(Fraction, rounded.alpha)),
+                                        tuple(map(Fraction, rounded.beta))))
+    for m in (2, 5, 7):
+        spectra = block_spectra(rounded, m)
+        assert spectra == block_spectra(binary, m)
+        for lam, spectrum in block_spectra(exact, m).items():
+            assert list(spectra[lam].values()) == list(spectrum.values())
+            assert all(type(x) is Fraction and abs(x - y) <= 1e-12 * math.factorial(m)
+                       for x, y in zip(spectra[lam], spectrum))

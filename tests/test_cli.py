@@ -6,12 +6,14 @@ import gc
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
 import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from stablerep import cli
 from stablerep.cli import main
 from stablerep.fourier import as_table
-from stablerep.partitions import partitions_of
+from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import Permutation, symmetric_group
 
 
@@ -393,12 +395,13 @@ def test_non_integer_n_exits_2(capsys, tmp_path, n):
     assert "n must be an integer" in err and "spec.json" in err
 
 
-def test_memory_error_exits_3(capsys, monkeypatch, spec_a):
+def test_memory_error_exits_3(capsys, monkeypatch):
     def exhausted(table):
         raise MemoryError("Unable to allocate 2.94 GiB for an array")
 
+    # A table: a spec takes the spectral path, which never calls dual_norm.
     monkeypatch.setattr(cli, "dual_norm", exhausted)
-    code, out, err = run(capsys, "dual-norm", spec_a, "--level", "3")
+    code, out, err = run(capsys, "dual-norm", str(GOLDEN / "table_cut1_l6.json"), "--level", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("infeasible: out of memory: Unable to allocate")
@@ -679,21 +682,94 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+DENSE_PARAMS = {"alpha": ["1/2", "1/5"], "beta": ["1/4"]}
+
+
+@pytest.fixture(scope="module")
+def dense_level_eight_table(tmp_path_factory):
+    """The cut-0 spec of DENSE_PARAMS as a table file: 8! rows, all nonzero."""
+    spec = cli._spec_from({"n": 0, "lambda": [], **DENSE_PARAMS}, "cut0")
+    values = as_table(spec, 8).vector.real
+    rows = [[g.cycles(), float(v)] for g, v in zip(symmetric_group(8), values)]
+    return write(tmp_path_factory.mktemp("dense") / "table.json", {"level": 8, "values": rows})
+
+
 @pytest.mark.parametrize("argv", [
     ["dual-norm", "cut0"], ["psd-check", "cut0"], ["stability-profile", "cut1", "--max-shift", "1"],
+    ["dual-norm", "table"], ["psd-check", "table"],
 ])
-def test_dense_level_eight_runs_in_two_gib(tmp_path, argv):
+def test_dense_level_eight_runs_in_two_gib(tmp_path, dense_level_eight_table, argv):
     # The documented cap: a dense level-8 job within 2 GiB of address space.
-    params = {"alpha": ["1/2", "1/5"], "beta": ["1/4"]}
-    specs = {"cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **params}),
-             "cut1": write(tmp_path / "cut1.json", {"n": 1, "lambda": [1], **params})}
+    # The specs take the exact spectral path; the table runs the transform.
+    states = {"cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **DENSE_PARAMS}),
+              "cut1": write(tmp_path / "cut1.json", {"n": 1, "lambda": [1], **DENSE_PARAMS}),
+              "table": dense_level_eight_table}
     command, state, *rest = argv
     proc = subprocess.run(
-        [sys.executable, "-m", "stablerep.cli", command, specs[state], "--level", "8", *rest],
+        [sys.executable, "-m", "stablerep.cli", command, states[state], "--level", "8", *rest],
         env=_child_env(**ONE_BLAS_THREAD), capture_output=True, text=True,
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _jacobi_trudi(shape, h):
+    """det(h_{shape_i - i + j}), the Schur function from the complete ones h,
+    by exact Gaussian elimination."""
+    rows = [[h(shape[i] - i + j) for j in range(len(shape))] for i in range(len(shape))]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            ratio = rows[r][c] / rows[c][c]
+            rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def _complete(alpha, beta, degree):
+    """h_0..h_degree: coefficients of e^(gamma t) prod(1 + b t) / prod(1 - a t)."""
+    gamma = 1 - sum(alpha) - sum(beta)
+    series = [gamma ** k / math.factorial(k) for k in range(degree + 1)]
+    for a in alpha:  # times 1 / (1 - a t)
+        for k in range(1, degree + 1):
+            series[k] += a * series[k - 1]
+    for b in beta:  # times (1 + b t)
+        series = [series[0]] + [series[k] + b * series[k - 1] for k in range(1, degree + 1)]
+    return series
+
+
+@pytest.mark.parametrize("command", ["dual-norm", "psd-check"])
+@pytest.mark.parametrize("state", ["spec_cut2", "cut0"])
+def test_specs_at_level_twelve_build_no_table(tmp_path, command, state):
+    # A 12! table alone is 7.7 GB; the spectral path stays under 512 MiB.
+    alpha, beta = [Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 4)]  # gamma = 1/20
+    paths = {"spec_cut2": str(GOLDEN / "spec_cut2.json"),
+             "cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **DENSE_PARAMS})}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablerep.cli", command, paths[state], "--level", "12",
+         "--allow-large"], env=_child_env(**ONE_BLAS_THREAD), capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if command == "dual-norm":
+        assert report == {"dual_norm": 1.0, "level": 12}
+    else:
+        assert report["positive_definite"] is True
+    if command == "psd-check" and state == "cut0":
+        # Block lam of a cut-0 spec is 12! s_lam / d_lam times the identity,
+        # and gamma > 0 makes every s_lam positive.
+        h = _complete(alpha, beta, 12)
+        lows = {lam: math.factorial(12) * _jacobi_trudi(lam, lambda k: h[k] if k >= 0 else 0)
+                / hook_dimension(lam) for lam in partitions_of(12)}
+        worst = min(lows.values())
+        assert worst > 0
+        assert report["min_eigenvalue"] == float(worst)
+        assert report["witness"] == list(min(lows, key=lows.get))
 
 
 def test_jobs_load_no_scipy(tmp_path):
@@ -856,8 +932,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def test_reports_match_golden_files(capsys, command, state):
     # The golden reports pin the reports byte for byte.  The psd-check
     # witnesses are the first shape within float noise of the minimal
-    # eigenvalue, and the cut-2 spec's blocks come out of the coset
-    # recursion as exact sums, so its dual norm is exactly f(e) = 1.
+    # eigenvalue.  The cut-2 spec's block spectra are exact rationals from
+    # its characters, summed exactly, so its dual norm is exactly f(e) = 1.
     code, out, _ = run(capsys, command, str(GOLDEN / (state + ".json")), "--level", "6")
     assert code == 0
     assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()

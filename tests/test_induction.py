@@ -4,7 +4,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from stablerep.characters import class_representative, mn_character
+import pytest
+
+from stablerep.characters import _mn, class_representative, mn_character
 from stablerep.induction import character_inner, decompose_induced, induced_character
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import split_product, symmetric_group
@@ -164,3 +166,27 @@ def test_character_inner_is_exact():
     assert character_inner(vals, (3,), 3) == 1
     assert character_inner(vals, (2, 1), 3) == 1
     assert character_inner(vals, (1, 1, 1), 3) == 0
+
+
+def test_an_empty_factor_gives_the_other_shape_once():
+    # n = 0 or n = m: the same answer as the induced character's inner
+    # products and the same input checks, with no Murnaghan-Nakayama value.
+    for m in range(8):
+        for n in {0, m}:
+            for lam in partitions_of(n):
+                for mu in partitions_of(m - n):
+                    values = induced_character(n, lam, mu, m)
+                    inner = {nu: character_inner(values, nu, m) for nu in partitions_of(m)}
+                    assert decompose_induced(n, lam, mu, m) == {nu: c for nu, c in inner.items()
+                                                                if c}
+    for args in [(0, (1,), (2,), 3), (3, (2, 1), (1,), 3), (0, (), (2,), 3), (0, (), (2, 0), 2)]:
+        with pytest.raises(ValueError) as got:
+            decompose_induced(*args)
+        with pytest.raises(ValueError) as want:
+            induced_character(*args)
+        assert str(got.value) == str(want.value)
+    before = _mn.cache_info()
+    assert decompose_induced(0, (), (3, 2, 1), 6) == {(3, 2, 1): 1}
+    assert decompose_induced(4, (2, 2), (), 4) == {(2, 2): 1}
+    after = _mn.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses

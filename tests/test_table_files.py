@@ -7,7 +7,9 @@ and the Permutation-keyed StateFunction constructor.  On any JSON
 error message at the same row.
 """
 
+import itertools
 import json
+import random
 
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
@@ -154,3 +156,20 @@ def test_the_strategy_reaches_every_outcome():
     budget = settings(max_examples=2000, deadline=None, database=None, phases=[Phase.generate])
     for wanted in ["ok", *ERRORS.values()]:
         find(table_data(), lambda data: wanted in outcomes(data), settings=budget)
+
+
+def test_repeated_values_read_as_each_one_alone():
+    # The reader parses each distinct string once.  True, 1 and 1.0, 0.0
+    # and -0.0, and each bad value must still read as _number reads it alone.
+    good = [1, 1.0, 0.0, -0.0, 2 ** 70, "1/2", " 1/2", "-3/4", "5", 0.5]
+    bad = [True, False, "x", "1/0", "1e400", 10 ** 400, None]
+    rng = random.Random(32)
+    words = list(itertools.permutations(range(1, 5)))
+    for i in range(300):
+        values = rng.choices(good, k=12)
+        if i % 2:
+            values[rng.randrange(12)] = rng.choice(bad)
+        rows = [[Permutation.from_one_line(w).cycles(), v]
+                for w, v in zip(rng.sample(words, 12), values)]
+        data = {"level": 4, "values": rows}
+        assert outcome(cli._table_from, data) == outcome(read_rows_one_by_one, data), rows
