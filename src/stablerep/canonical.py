@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import centralizer_order, class_size, hook_dimension, mn_character
+from .characters import class_size, hook_dimension, mn_character
 from .induction import decompose_induced
-from .partitions import check_partition, partitions_of
+from .partitions import check_partition, conjugate_partition, partitions_of
 from .permutations import (
     IDENTITY,
     Permutation,
@@ -126,10 +126,11 @@ class CanonicalState:
 def block_spectra(state: CanonicalState, m: int) -> dict:
     """Each Fourier block's eigenvalues on S_m, exactly: {shape: {eigenvalue: multiplicity}}.
 
-    On S_n x S_N (N = m - n) the state is chi_mu/d_mu times theta = sum_b s_b chi_b, s_b =
-    sum_rho theta(rho) chi_b(rho)/z_rho (Schur functions at the Thoma point, Vershik-Kerov
-    1981), and 0 elsewhere: block lam is n! N! s_b/(d_mu^2 d_b) on its c^lam_{mu b} d_mu d_b
-    dimensions of type mu x b, else 0.  Below the depth, block a is m! <chi_mu, chi_a>/(d_mu d_a).
+    On S_n x S_N (N = m - n) the state is chi_mu/d_mu times theta = sum_b s_b chi_b, with
+    s_b the Schur function at the Thoma point (Vershik-Kerov 1981), and 0 elsewhere: block
+    lam is n! N! s_b/(d_mu^2 d_b) on its c^lam_{mu b} d_mu d_b dimensions of type mu x b, else
+    0.  Below the depth, block a is m! <chi_mu, chi_a>/(d_mu d_a), where chi_mu restricted to
+    S_m holds chi_a sum_nu c^mu_{a nu} d_nu times.  The c are Littlewood-Richardson counts.
 
     >>> F = Fraction
     >>> block_spectra(CanonicalState(2, (1, 1), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),))),
@@ -138,21 +139,68 @@ def block_spectra(state: CanonicalState, m: int) -> dict:
      (1, 1, 1): {Fraction(2, 1): 1}}
     """
     n, mu, d_mu = state.n, state.partition, hook_dimension(state.partition)
-    if m < n:  # the state on S_m is chi_mu/d_mu
-        top, scale, unit, value = m, Fraction(math.factorial(m), d_mu), 1, partial(mn_character, mu)
-    else:
-        exact = ThomaParams(*(tuple(map(Fraction, p)) for p in (state.alpha, state.beta)))
-        top, unit, value = m - n, d_mu, partial(thoma_character, exact)
-        scale = Fraction(math.factorial(n) * math.factorial(top), d_mu ** 2)
-    weights = [(rho, Fraction(value(rho)) / centralizer_order(rho)) for rho in partitions_of(top)]
     spectra = {lam: Counter() for lam in partitions_of(m)}
-    for b in partitions_of(top):
-        s_b, d_b = sum(w * mn_character(b, rho) for rho, w in weights), hook_dimension(b)
-        for lam, c in (decompose_induced(n, mu, b, m) if m >= n else {b: 1}).items():
-            spectra[lam][scale * s_b / d_b] += c * unit * d_b
+    if m < n:  # the state on S_m is chi_mu/d_mu
+        for a in partitions_of(m):
+            d_a = hook_dimension(a)
+            inner = sum(decompose_induced(m, a, nu, n).get(mu, 0) * hook_dimension(nu)
+                        for nu in partitions_of(n - m))
+            spectra[a][Fraction(math.factorial(m) * inner, d_mu * d_a)] += d_a
+    else:
+        scale = Fraction(math.factorial(n) * math.factorial(m - n), d_mu ** 2)
+        for b, s_b in _schur_values(state.params, m - n).items():
+            d_b = hook_dimension(b)
+            for lam, c in decompose_induced(n, mu, b, m).items():
+                spectra[lam][scale * s_b / d_b] += c * d_mu * d_b
     for lam, spectrum in spectra.items():  # the rest of each block is 0
         spectrum[Fraction(0)] += hook_dimension(lam) - spectrum.total()
     return {lam: dict(sorted((+spectrum).items())) for lam, spectrum in spectra.items()}
+
+
+def _schur_values(params: ThomaParams, N: int) -> dict:
+    """{b: s_b} for every b |- N at the Thoma point, exactly: det(h_{b_i-i+j}) over the rows of
+    b, or det(e_{b'_i-i+j}) over those of its conjugate b' when b' has fewer (Jacobi-Trudi), with
+    sum_k h_k t^k = e^{gamma t} prod (1 + beta t) / prod (1 - alpha t) and e_k the same with alpha
+    and beta swapped.  The parameters are read as the exact rationals they are.
+
+    >>> _schur_values(ThomaParams((Fraction(1, 2),), (Fraction(1, 4),)), 2)
+    {(2,): Fraction(19, 32), (1, 1): Fraction(13, 32)}
+    """
+    alpha, beta = (tuple(map(Fraction, p)) for p in (params.alpha, params.beta))
+    gamma = Fraction(1) - sum(alpha) - sum(beta)
+
+    def series(poles, zeros):  # coefficients 0..N of e^{gamma t} prod (1 + z t) / prod (1 - p t)
+        c = [gamma ** k / math.factorial(k) for k in range(N + 1)]
+        for p in poles:  # times 1/(1 - p t): a running sum
+            for k in range(1, N + 1):
+                c[k] += p * c[k - 1]
+        for z in zeros:  # times 1 + z t
+            for k in range(N, 0, -1):
+                c[k] += z * c[k - 1]
+        return c
+
+    h, e = series(alpha, beta), series(beta, alpha)
+    out = {}
+    for b in partitions_of(N):
+        rows, coeff = (conjugate_partition(b), e) if b and b[0] < len(b) else (b, h)
+        out[b] = _det([[coeff[r - i + j] if r - i + j >= 0 else 0 for j in range(len(rows))]
+                       for i, r in enumerate(rows)])
+    return out
+
+
+def _det(rows: list) -> Fraction:
+    """det of a Jacobi-Trudi matrix at a Thoma point, by elimination with no row swap.  Pivot
+    k is a ratio s_c/s_c' >= 0 of Schur values of shapes inside b, and s_c = 0 makes s_b = 0
+    (with gamma = 0, a shape off the hook of the nonzero parameters only grows off it)."""
+    det = Fraction(1)
+    for k, pivot in enumerate(rows):
+        if not pivot[k]:
+            return Fraction(0)
+        det *= pivot[k]
+        for i in range(k + 1, len(rows)):
+            ratio = rows[i][k] / pivot[k]
+            rows[i] = [x - ratio * y for x, y in zip(rows[i], pivot)]
+    return det
 
 
 def absolute_sum(state: CanonicalState, m: int):

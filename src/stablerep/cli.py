@@ -6,8 +6,9 @@ module owns the file formats: JSON in, JSON or CSV out.
 
 `COMMANDS` is the table that defines the subcommands: one row each, with
 its handler, help line, arguments and level cap.  `--allow-large` appears
-exactly on the rows with a cap that it can lift.  A job builds the parser
-of its own row only; help and usage errors come from the full tree.
+exactly on the rows with a cap that it can lift.  A plain job (every flag
+spelled in full, once) is read without argparse; any other job builds the
+parser of its own row only; help and usage errors come from the full tree.
 
 Reports are deterministic: keys sorted, no timestamps, floats emitted
 with repr precision, rationals as "p/q" strings.  Exit codes:
@@ -606,12 +607,16 @@ COMMANDS = {
 }
 
 
+def _row_arguments(row):
+    """--output, --allow-large where the row has a cap to lift, then the row's arguments."""
+    allow_large = _arg("--allow-large", action="store_true",
+                       help="override the hard level cap %d" % HARD_CAP)
+    return ([_arg("--output", help="write the report here instead of stdout")]
+            + [allow_large] * (row.cap is not None) + row.arguments)
+
+
 def _add_arguments(parser, row):
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    if row.cap is not None:
-        parser.add_argument("--allow-large", action="store_true",
-                            help="override the hard level cap %d" % HARD_CAP)
-    for flags, options in row.arguments:
+    for flags, options in _row_arguments(row):
         parser.add_argument(*flags, **options)
 
 
@@ -632,9 +637,51 @@ class _RowParser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+def _plain(argv):
+    """argparse's namespace of a plain job, read without argparse; None for any other.  A
+    plain job names a row and gives each flag once, in full, as "--flag value" or "--flag=value";
+    no value or positional starts with "-", each value converts to its type and holds its
+    choices, and every required argument is there."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = _row_arguments(COMMANDS[argv[0]])
+    flags = {spelled[0]: options for spelled, options in arguments if spelled[0][0] == "-"}
+    given, loose, words = {}, [], iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        options = flags.get(flag, {}) if word[:1] == "-" else None
+        if options is None:
+            loose.append(word)
+        elif not options or flag in given or (eq and options.get("action")):
+            return None
+        elif options.get("action"):  # store_true
+            given[flag] = True
+        else:
+            value = value if eq else next(words, "-")  # a missing value reads as a flag
+            try:
+                given[flag] = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if value[:1] == "-" or given[flag] not in options.get("choices", (given[flag],)):
+                return None
+    names = [spelled[0] for spelled, _ in arguments if spelled[0][0] != "-"]
+    if len(loose) != len(names) or any(options.get("required") and flag not in given
+                                       for flag, options in flags.items()):
+        return None
+    args = argparse.Namespace(subcommand=argv[0], **dict(zip(names, loose)))
+    for flag, options in flags.items():
+        default = options.get("default", False if options.get("action") else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def _parse(argv):
-    """The arguments of argv.  A well-formed job builds only the parser of its
-    own row; help and every usage error go to the full tree, which prints them."""
+    """The arguments of argv.  A plain job is read without argparse; any other
+    job builds only the parser of its own row; help and every usage error go
+    to the full tree, which prints them."""
+    plain = _plain(argv)
+    if plain is not None:
+        return plain
     if argv and argv[0] in COMMANDS:
         parser = _RowParser(prog="stablerep " + argv[0], add_help=False)
         _add_arguments(parser, COMMANDS[argv[0]])

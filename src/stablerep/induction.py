@@ -7,17 +7,30 @@ formula (Macdonald, Symmetric Functions and Hall Polynomials, I.7):
 
 summed over rho1 |- n and rho2 |- m - n whose cycles together make up
 nu.  That is p(n) * p(m - n) exact terms and no group elements.  The
-decomposition into irreducibles is exact integer arithmetic throughout.
+multiplicity of nu in it is the Littlewood-Richardson coefficient
+c^nu_{lam mu}, which decompose_induced counts as LR tableaux (Macdonald,
+I.9), with no character value; character_inner gives it class by class.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping
 
-from .characters import _mn, centralizer_order, class_size, mn_character
+from .characters import centralizer_order, class_size, mn_character
 from .partitions import check_partition, partitions_of
+
+
+def _checked(n: int, lam, mu, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """lam and mu as partitions of n and m - n, else ValueError."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    for shape, size in ((lam, n), (mu, m - n)):
+        if sum(shape) != size:
+            raise ValueError(f"{shape} is not a partition of {size}")
+    return lam, mu
 
 
 def induced_character(
@@ -31,12 +44,7 @@ def induced_character(
     >>> induced_character(1, (1,), (1,), 2)
     {(2,): Fraction(0, 1), (1, 1): Fraction(2, 1)}
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    if sum(mu) != m - n:
-        raise ValueError(f"{mu} is not a partition of {m - n}")
+    lam, mu = _checked(n, lam, mu, m)
     # chi(rho) / z_rho on each class of each factor
     left = [(r, Fraction(mn_character(lam, r), centralizer_order(r)))
             for r in partitions_of(n)]
@@ -62,22 +70,42 @@ def character_inner(
 def decompose_induced(
     n: int, lam: tuple[int, ...], mu: tuple[int, ...], m: int
 ) -> dict[tuple[int, ...], int]:
-    """Multiplicities of each irreducible of S_m in the induced character.
+    """Multiplicities of each irreducible of S_m in the induced character, in
+    partitions_of(m) order: the Littlewood-Richardson coefficients c^nu_{lam mu}.
+    LR tableaux grow the larger shape by a horizontal strip of i's per row i of
+    the other; by the lattice condition, rows <= r take at most as many i's as
+    rows < r hold (i-1)'s.  Tableaux with the same shape and i's per row grow
+    alike, so they are counted as one.
 
-    That of nu is character_inner's sum_tau |C_tau| Ind(tau) chi_nu(tau) / m!,
-    summed in integers (induced character values are) and divided once.
+    >>> decompose_induced(2, (1, 1), (2, 1), 5)
+    {(3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1, (2, 1, 1, 1): 1}
     """
-    if n in (0, m) and (sum(check_partition(lam)), sum(check_partition(mu))) == (n, m - n):
-        return {check_partition(lam) or check_partition(mu): 1}  # S_0 x S_m: Ind changes nothing
-    values = induced_character(n, lam, mu, m)
-    weights = [(tau, int(v) * class_size(tau)) for tau, v in values.items()]
-    order = math.factorial(m)
-    out = {}
-    for nu in partitions_of(m):
-        # nu and tau come from partitions_of, so _mn needs no validation.
-        c = Fraction(sum(w * _mn(nu, tau) for tau, w in weights), order)
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"multiplicity of {nu} is {c}, not a nonnegative integer")
-        if c:
-            out[nu] = int(c)
-    return out
+    lam, mu = _checked(n, lam, mu, m)
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}
+    grown = {(lam, None): 1}  # (shape, i's per row) -> tableaux
+    for size in mu:
+        step = Counter()
+        for (shape, last), count in grown.items():
+            for strip in _strips(shape + (0,), size, last):
+                step[tuple(map(sum, zip_longest(shape, strip, fillvalue=0))), strip] += count
+        grown = step
+    out = Counter()
+    for (shape, _), count in grown.items():
+        out[shape] += count
+    return dict(sorted(out.items(), reverse=True))  # the order of partitions_of(m)
+
+
+def _strips(rows, left, last, r=0, placed=0):
+    """Cells per row, to the last nonzero, of each horizontal strip of `left` cells on
+    the shape `rows` (which ends in a 0) from row r on, after `placed` above it.  Rows
+    <= r may hold sum(last[:r]) of its cells in all; the first label has no `last`."""
+    if not left:
+        yield ()
+    elif r < len(rows):
+        room = left if r == 0 else rows[r - 1] - rows[r]
+        if last is not None:
+            room = min(room, sum(last[:r]) - placed)
+        for a in range(min(left, room), -1, -1):
+            for rest in _strips(rows, left - a, last, r + 1, placed + a):
+                yield (a,) + rest

@@ -13,6 +13,7 @@ from stablerep import cli
 from stablerep.canonical import (
     CanonicalState,
     ClassificationError,
+    _schur_values,
     absolute_sum,
     asymptotic_character,
     block_spectra,
@@ -22,7 +23,7 @@ from stablerep.canonical import (
     recover_lambda,
     shift_sequence,
 )
-from stablerep.characters import mn_character, normalized_character
+from stablerep.characters import centralizer_order, mn_character, normalized_character
 from stablerep.fourier import (as_table, dual_norm, fourier, hermitian_part, is_positive_definite,
                                psd_certificate, spectral_norm)
 from stablerep.permutations import (
@@ -34,9 +35,10 @@ from stablerep.permutations import (
     symmetric_group,
     transposition,
 )
-from stablerep.partitions import hook_dimension
+from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.thoma import FactorType, ThomaParams, thoma_character
 from test_acceptance import BATTERY
+from test_induction import lr_coefficient
 
 F = Fraction
 
@@ -299,6 +301,87 @@ def test_block_spectra_equal_the_matrix_path(state):
         assert abs(spectral_norm(m, spectra) - dual_norm(table)) <= bound
         assert (psd_certificate(spectra, float(mass)).witness
                 == is_positive_definite(table).witness), (state, m)
+
+
+def character_sum_schur(params, b):
+    """s_b(theta) = sum_rho theta(rho) chi_b(rho) / z_rho, the Murnaghan-Nakayama sum,
+    with the parameters read as exact rationals."""
+    exact = ThomaParams(tuple(map(F, params.alpha)), tuple(map(F, params.beta)))
+    return sum(F(thoma_character(exact, rho)) * mn_character(b, rho) / centralizer_order(rho)
+               for rho in partitions_of(sum(b)))
+
+
+# gamma > 0, gamma = 0, alpha or beta alone: h or e is then a polynomial,
+# so whole rows and pivots of a Jacobi-Trudi matrix vanish.
+SCHUR_PARAMS = [ThomaParams(), ThomaParams((F(1, 2), F(1, 5)), (F(1, 4),)), HALF_HALF,
+                ThomaParams(beta=(F(1, 2), F(1, 3))), ThomaParams(beta=(F(1, 2), F(1, 2))),
+                ThomaParams((F(2, 3),), (F(1, 3),)), ThomaParams((F(3, 7), F(1, 7)), (F(2, 7),)),
+                ThomaParams((0.3, 0.1), (0.45,)), ThomaParams((0.5, 0.25), (0.125,)),
+                ThomaParams(beta=(0.7,))]
+
+
+@pytest.mark.parametrize("params", SCHUR_PARAMS, ids=range(len(SCHUR_PARAMS)))
+def test_jacobi_trudi_equals_the_character_sum(params):
+    for N in range(11):
+        values = _schur_values(params, N)
+        assert list(values) == list(partitions_of(N))
+        for b, s_b in values.items():
+            assert type(s_b) is Fraction and s_b == character_sum_schur(params, b), (N, b)
+
+
+def character_formula_spectra(state, m):
+    """Block spectra from s_b as character_sum_schur and c^lam_{b mu} by enumerating LR
+    tableaux of shape lam/b; below the depth, from the character sum <chi_mu, chi_a> on S_m."""
+    n, mu, d_mu = state.n, state.partition, hook_dimension(state.partition)
+    spectra = {lam: {} for lam in partitions_of(m)}
+
+    def add(lam, x, count):
+        spectra[lam][x] = spectra[lam].get(x, 0) + count
+
+    if m < n:
+        for a in partitions_of(m):
+            inner = sum(F(mn_character(mu, rho) * mn_character(a, rho), centralizer_order(rho))
+                        for rho in partitions_of(m))
+            add(a, F(math.factorial(m), d_mu * hook_dimension(a)) * inner, hook_dimension(a))
+    else:
+        for b in partitions_of(m - n):
+            d_b = hook_dimension(b)
+            x = (F(math.factorial(n) * math.factorial(m - n), d_mu ** 2 * d_b)
+                 * character_sum_schur(state.params, b))
+            for lam in partitions_of(m):
+                c = lr_coefficient(lam, b, mu)
+                if c:
+                    add(lam, x, c * d_mu * d_b)
+    for lam in spectra:
+        zero = hook_dimension(lam) - sum(spectra[lam].values())
+        if zero:
+            add(lam, F(0), zero)
+    return {lam: dict(sorted(s.items())) for lam, s in spectra.items()}
+
+
+@pytest.mark.parametrize("state", [
+    golden_spec("spec_cut2.json"), golden_spec("spec_cut3.json"), BATTERY[1], BATTERY[8],
+    CanonicalState(9, (4, 3, 2), MIXED),
+], ids=["spec_cut2", "spec_cut3", "cut0", "beta-only", "depth9"])
+def test_block_spectra_at_levels_eight_to_ten_equal_the_character_formula(state):
+    for m in (8, 9, 10):
+        assert block_spectra(state, m) == character_formula_spectra(state, m), m
+
+
+def test_the_spectral_path_takes_no_character_value(monkeypatch):
+    from stablerep import characters
+
+    cases = [(state, m) for state in (golden_spec("spec_cut2.json"), BATTERY[1],
+                                      CanonicalState(5, (3, 2), MIXED)) for m in (3, 7, 12)]
+    want = [block_spectra(state, m) for state, m in cases]
+
+    def no_mn(*args):
+        raise AssertionError("a Murnaghan-Nakayama value was taken")
+
+    monkeypatch.setattr(characters, "_mn", no_mn)
+    assert [block_spectra(state, m) for state, m in cases] == want
+    with pytest.raises(AssertionError):
+        mn_character((2, 1), (3,))
 
 
 def test_float_parameters_are_read_as_the_rationals_they_are():

@@ -1,13 +1,20 @@
-"""Argument parsing: one row of cli.COMMANDS per job, the full tree for the rest.
+"""Argument parsing: a plain job without argparse, one row of cli.COMMANDS per
+other job, the full tree for the rest.
 
-A well-formed job builds only the parser of its own row.  Help, a missing
-or unknown subcommand and every usage error are handed to the full tree
-of cli._build_parser, so what they print and how they exit is the full
-tree's, byte for byte.
+A plain job (every flag spelled in full, once, and no value that starts with
+"-") is read by cli._plain to argparse's namespace.  Any other well-formed job
+builds only the parser of its own row.  Help, a missing or unknown subcommand
+and every usage error are handed to the full tree of cli._build_parser, so
+what they print and how they exit is the full tree's, byte for byte.
 """
 
 import argparse
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -138,7 +145,10 @@ def test_a_row_reads_a_job_as_the_full_tree_does(capsys, files, command, extra):
 
 
 @pytest.mark.parametrize("command", JOBS)
-def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, files, command):
+def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, files, tmp_path,
+                                                         command):
+    # A plain job builds no parser at all; one that only argparse reads (an
+    # abbreviated --output) builds the parser of its own row, and no other.
     def no_tree():
         raise AssertionError("the full tree was built for a well-formed job")
 
@@ -152,8 +162,87 @@ def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, fi
     monkeypatch.setattr(cli, "_build_parser", no_tree)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     code = cli.main([command, *files(JOBS[command])])
-    assert built == ["stablerep " + command]
+    assert built == []
     assert code == 0 and capsys.readouterr().out
+    out = tmp_path / "out.json"
+    code = cli.main([command, *files(JOBS[command]), "--o=%s" % out])
+    assert built == ["stablerep " + command]
+    assert code == 0 and out.read_text()
+
+
+@pytest.mark.parametrize("command", JOBS)
+def test_every_job_is_read_without_argparse(files, command):
+    argv = [command, *files(JOBS[command])]
+    assert vars(cli._plain(argv)) == vars(full_tree(argv))
+
+
+# Words a random job is drawn from: values of every type, good and bad, and
+# words that only argparse reads.
+VALUES = ["4", "0", "12", " 3", "+2", "1_0", "07", "-3", "-1.5", "x", "", "nan", "inf", "1e-3",
+          "0.5", "json", "csv", "xml", "[[1,2]]", "2,1", "A", "B", "a=b", "--", "-", "-h",
+          "--help", "--output", "--allow-large"]
+
+
+def random_argv(rng, command):
+    """A random job of the row: each argument in a random spelling, most of them
+    plain, with now and then a word that only argparse can read."""
+    argv, arguments = [], cli._row_arguments(cli.COMMANDS[command])
+    for flags, options in rng.sample(arguments, k=len(arguments)):
+        if rng.random() < 0.05:
+            continue
+        flag = flags[0]
+        value = rng.choice(VALUES) if rng.random() < 0.1 else rng.choice({
+            int: ["4", "2", "0", " 5"], float: ["0.5", "1e-9", "nan", "3"]}.get(
+            options.get("type"), options.get("choices", ["A", "B", "[[1,2]]", "2,1"])))
+        if flag[0] != "-":
+            argv.append(value)
+            continue
+        spelled = flag[:rng.randrange(3, len(flag) + 1)] if rng.random() < 0.1 else flag
+        for _ in range(2 if rng.random() < 0.05 else 1):
+            if options.get("action") == "store_true":
+                argv.append(spelled + ("=1" if rng.random() < 0.1 else ""))
+            elif rng.random() < 0.3:
+                argv.append("%s=%s" % (spelled, value))
+            else:
+                argv += [spelled] + ([value] if rng.random() < 0.95 else [])
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(VALUES))
+    return [command] + argv
+
+
+def typed(namespace):
+    """vars(namespace) with each value as its type and repr, so that NaN equals NaN."""
+    return {key: (type(value), repr(value)) for key, value in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("command", JOBS)
+def test_the_plain_reader_gives_the_row_parsers_namespace(command):
+    rng = random.Random(command)
+    parser = cli._RowParser(prog="stablerep " + command, add_help=False)
+    cli._add_arguments(parser, cli.COMMANDS[command])
+    answered = 0
+    for _ in range(1000):
+        argv = random_argv(rng, command)
+        plain = cli._plain(argv)
+        if plain is not None:
+            want = parser.parse_args(argv[1:], argparse.Namespace(subcommand=command))
+            assert typed(plain) == typed(want), argv
+            answered += 1
+    assert answered >= 100, answered
+
+
+def test_a_plain_job_imports_no_locale(tmp_path):
+    # argparse's first message lookup imports locale, most of its set-up time.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "lambda": [1, 1], "alpha": ["1/2"], "beta": []}))
+    script = ("import sys\nfrom stablerep import cli\n"
+              "code = cli.main(['eval-state', sys.argv[1], '--perm', '[[1,2]]', '--output', "
+              "sys.argv[2]])\nprint(code, 'locale' in sys.modules)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(spec), str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 @pytest.mark.parametrize("target", ["missing", "directory"])

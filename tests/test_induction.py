@@ -190,3 +190,38 @@ def test_an_empty_factor_gives_the_other_shape_once():
     assert decompose_induced(4, (2, 2), (), 4) == {(2, 2): 1}
     after = _mn.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_lr_counts_equal_the_class_by_class_decomposition():
+    # Every (n, lam, mu) with m <= 9: the same multiplicities, in the same
+    # key order, as the Frobenius character's inner products.  That character
+    # is symmetric in its two factors, so it is decomposed once per pair.
+    oracle = {}
+    for m in range(10):
+        for n in range(m + 1):
+            for lam in partitions_of(n):
+                for mu in partitions_of(m - n):
+                    pair = (m, *sorted([lam, mu]))
+                    if pair not in oracle:
+                        values = induced_character(n, lam, mu, m)
+                        oracle[pair] = [(nu, c) for nu in partitions_of(m)
+                                        for c in [character_inner(values, nu, m)] if c]
+                    got = decompose_induced(n, lam, mu, m)
+                    assert list(got.items()) == oracle[pair], (n, lam, mu, m)
+                    assert all(type(c) is int for c in got.values())
+    assert len(oracle) == 373  # of the 734 cases
+
+
+def test_lr_counts_take_no_character_value(monkeypatch):
+    from stablerep import characters
+
+    want = {args: decompose_induced(*args) for args in
+            [(8, (5, 2, 1), (5, 2, 1), 16), (3, (2, 1), (3, 2, 1), 9), (0, (), (4, 2), 6)]}
+
+    def no_mn(*args):
+        raise AssertionError("a Murnaghan-Nakayama value was taken")
+
+    monkeypatch.setattr(characters, "_mn", no_mn)
+    assert {args: decompose_induced(*args) for args in want} == want
+    assert sum(c * hook_dimension(nu) for nu, c in want[8, (5, 2, 1), (5, 2, 1), 16].items()) \
+        == math.comb(16, 8) * hook_dimension((5, 2, 1)) ** 2
