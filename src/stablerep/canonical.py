@@ -13,12 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import class_size, hook_dimension, mn_character
+from .characters import hook_dimension, mn_character
 from .induction import decompose_induced
 from .partitions import check_partition, conjugate_partition, partitions_of
 from .permutations import (
@@ -201,14 +200,6 @@ def _det(rows: list) -> Fraction:
             ratio = rows[i][k] / pivot[k]
             rows[i] = [x - ratio * y for x, y in zip(rows[i], pivot)]
     return det
-
-
-def absolute_sum(state: CanonicalState, m: int):
-    """sum_g |state(g)| on S_m, exactly: class sums on S_n (S_m below the depth) and S_{m-n}."""
-    low, high = (sum(class_size(rho) * abs(value(rho)) for rho in partitions_of(k)) for k, value
-                 in ((min(state.n, m), partial(mn_character, state.partition)),
-                     (max(m - state.n, 0), partial(thoma_character, state.params))))
-    return Fraction(low, hook_dimension(state.partition)) * high
 
 
 def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:

@@ -7,8 +7,8 @@ module owns the file formats: JSON in, JSON or CSV out.
 `COMMANDS` is the table that defines the subcommands: one row each, with
 its handler, help line, arguments and level cap.  `--allow-large` appears
 exactly on the rows with a cap that it can lift.  A plain job (every flag
-spelled in full, once) is read without argparse; any other job builds the
-parser of its own row only; help and usage errors come from the full tree.
+spelled in full, once) is read without argparse; any other job, help and
+usage errors go to the full tree of subcommands.
 
 Reports are deterministic: keys sorted, no timestamps, floats emitted
 with repr precision, rationals as "p/q" strings.  Exit codes:
@@ -39,8 +39,8 @@ from operator import itemgetter
 import numpy as np
 
 from .canonical import (EQUIVALENCE_TOL, STABILIZATION_TOL, CanonicalState, ClassificationError,
-                        absolute_sum, asymptotic_character, block_spectra, classify,
-                        quasi_equivalent, shift_sequence)
+                        asymptotic_character, block_spectra, classify, quasi_equivalent,
+                        shift_sequence)
 from .characters import mn_character
 from .fourier import (PSD_TOL, StateFunction, as_table, check_hermitian, dual_norm,
                       is_positive_definite, psd_certificate, spectral_norm)
@@ -54,7 +54,8 @@ from .thoma import RESIDUAL_TOL, ThomaParams, recover_params, thoma_character, t
 # A cold dual-norm of a dense table, start, import and read included, takes
 # 0.33-0.36 s at 72 MB at level 8 and 2.3-2.5 s at 438 MB at level 9 (2-CPU
 # Xeon VM, one BLAS thread; the host's speed drifts by a third between runs);
-# the cap stays at 8.  A spec's dual-norm and psd-check build no table.
+# the cap stays at 8.  A spec's dual-norm and psd-check build no table, yet the
+# cap holds them too: main checks it before the input is read.
 HARD_CAP = 8
 
 # A table holds level! complex values: 20! of them overflow numpy's array
@@ -410,8 +411,7 @@ def _cmd_dual_norm(args):
 def _cmd_psd_check(args):
     state = _load_state(args.input)
     if isinstance(state, CanonicalState):  # exact spectra, hermitian by construction
-        cert = psd_certificate(block_spectra(state, args.level),
-                               float(absolute_sum(state, args.level)), args.tol)
+        cert = psd_certificate(block_spectra(state, args.level), 0, args.tol)
     else:
         try:
             cert = is_positive_definite(_tabulate(state, args.level), tol=args.tol)
@@ -615,26 +615,17 @@ def _row_arguments(row):
             + [allow_large] * (row.cap is not None) + row.arguments)
 
 
-def _add_arguments(parser, row):
-    for flags, options in _row_arguments(row):
-        parser.add_argument(*flags, **options)
-
-
 def _build_parser():
-    """The full tree of subcommands, which prints every help text and usage error."""
+    """The full tree of subcommands: it reads every job that _plain does not, and
+    prints every help text and usage error."""
     parser = argparse.ArgumentParser(prog="stablerep", description="evaluate, certify, "
                                      "classify, and profile states of nested symmetric groups")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, row in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=row.help), row)
+        command = sub.add_parser(name, help=row.help)
+        for flags, options in _row_arguments(row):
+            command.add_argument(*flags, **options)
     return parser
-
-
-class _RowParser(argparse.ArgumentParser):
-    """The parser of one row: no -h, and a usage error raises instead of printing."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
 
 
 def _plain(argv):
@@ -676,20 +667,10 @@ def _plain(argv):
 
 
 def _parse(argv):
-    """The arguments of argv.  A plain job is read without argparse; any other
-    job builds only the parser of its own row; help and every usage error go
-    to the full tree, which prints them."""
+    """The arguments of argv.  A plain job is read without argparse; anything
+    else goes to the full tree, which reads it or prints its help or usage error."""
     plain = _plain(argv)
-    if plain is not None:
-        return plain
-    if argv and argv[0] in COMMANDS:
-        parser = _RowParser(prog="stablerep " + argv[0], add_help=False)
-        _add_arguments(parser, COMMANDS[argv[0]])
-        try:
-            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-        except argparse.ArgumentError:
-            pass
-    return _build_parser().parse_args(argv)
+    return plain if plain is not None else _build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -310,11 +310,12 @@ def psd_certificate(spectra: Mapping, mass: float, tol: float = PSD_TOL) -> PsdC
     """The certificate from block eigenvalues given as in spectral_norm.  The witness is
     the first shape whose least eigenvalue is within WITNESS_SLACK * mass of the smallest:
     mass = sum_g |f(g)| bounds every block's norm, so shapes that tie in exact arithmetic
-    do not pick the witness by their rounding."""
+    do not pick the witness by their rounding.  Exact spectra tie only when equal, and take
+    mass 0: their witness is the first exact argmin."""
     lows = {lam: min(s) for lam, s in spectra.items()}
     worst = min(lows.values())
     slack = WITNESS_SLACK * mass
-    witness = next(lam for lam, low in lows.items() if low <= worst + slack)
+    witness = next(lam for lam, low in lows.items() if low - worst <= slack)
     return PsdCertificate(bool(worst >= -tol), float(worst), witness)
 
 

@@ -14,13 +14,12 @@ I.9), with no character value; character_inner gives it class by class.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Mapping
 
-from .characters import centralizer_order, class_size, mn_character
+from .characters import _mn, centralizer_order, mn_character
 from .partitions import check_partition, partitions_of
 
 
@@ -60,11 +59,13 @@ def induced_character(
 def character_inner(
     values: Mapping[tuple[int, ...], Fraction], lam: tuple[int, ...], m: int
 ) -> Fraction:
-    """<values, chi_lam> over S_m, with values keyed by class."""
-    acc = Fraction(0)
-    for nu in partitions_of(m):
-        acc += class_size(nu) * Fraction(values[nu]) * mn_character(lam, nu)
-    return acc / math.factorial(m)
+    """<values, chi_lam> over S_m, with values keyed by class: the sum over nu |- m of
+    values[nu] chi_lam(nu) / z_nu, as class_size(nu) / m! = 1 / z_nu."""
+    lam = check_partition(lam)
+    if sum(lam) != m:
+        raise ValueError(f"{lam} is not a partition of {m}")
+    return sum((Fraction(values[nu]) * _mn(lam, nu) / centralizer_order(nu)
+                for nu in partitions_of(m)), Fraction(0))
 
 
 def decompose_induced(

@@ -21,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerep import cli
-from stablerep.canonical import absolute_sum
 from stablerep.cli import main
-from stablerep.fourier import WITNESS_SLACK, as_table
+from stablerep.fourier import as_table
 from stablerep.partitions import hook_dimension, partitions_of
 from stablerep.permutations import Permutation, symmetric_group
 
@@ -748,7 +747,7 @@ def _spec_job_in_512_mib(tmp_path, command, state, level):
     """Run a spec's dual-norm or psd-check at a level far above any table, under a
     512 MiB RLIMIT_AS, and check its report: the norm is 1, and the cut-0 spec's
     min_eigenvalue is the least of level! s_lam / d_lam, its witness the first shape
-    within WITNESS_SLACK * sum_g |f(g)| of it."""
+    that takes it: exact spectra tie only when they are equal."""
     alpha, beta = [Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 4)]  # gamma = 1/20
     paths = {"spec_cut2": str(GOLDEN / "spec_cut2.json"),
              "cut0": write(tmp_path / "cut0.json", {"n": 0, "lambda": [], **DENSE_PARAMS})}
@@ -771,11 +770,7 @@ def _spec_job_in_512_mib(tmp_path, command, state, level):
         worst = min(lows.values())
         assert worst > 0
         assert report["min_eigenvalue"] == float(worst)
-        slack = WITNESS_SLACK * float(absolute_sum(cli._load_state(paths[state]), level))
-        ties = [lam for lam, low in lows.items() if low <= worst + slack]
-        assert report["witness"] == list(ties[0])
-        if level == 12:  # no other shape within the slack: the exact argmin
-            assert ties == [min(lows, key=lows.get)]
+        assert report["witness"] == list(min(lows, key=lows.get))
 
 
 @pytest.mark.parametrize("command", ["dual-norm", "psd-check"])
@@ -948,8 +943,11 @@ def test_reports_are_byte_identical(capsys, tmp_path, spec_a):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command", ["dual-norm", "psd-check"])
-@pytest.mark.parametrize("state", ["spec_cut2", "table_cut1_l6"])
+SPECTRAL_COMMANDS, SPECTRAL_STATES = ["dual-norm", "psd-check"], ["spec_cut2", "table_cut1_l6"]
+
+
+@pytest.mark.parametrize("command", SPECTRAL_COMMANDS)
+@pytest.mark.parametrize("state", SPECTRAL_STATES)
 def test_reports_match_golden_files(capsys, command, state):
     # The golden reports pin the reports byte for byte.  The psd-check
     # witnesses are the first shape within float noise of the minimal
@@ -960,7 +958,7 @@ def test_reports_match_golden_files(capsys, command, state):
     assert out == (GOLDEN / ("%s_%s.json" % (command, state))).read_text()
 
 
-@pytest.mark.parametrize("name, argv", [
+INVARIANT_GOLDENS = [
     ("classify_spec_cut2", ["classify", "spec_cut2", "--level", "6", "--support-bounds", "2,2"]),
     ("stability-profile_spec_cut2", ["stability-profile", "spec_cut2", "--level", "6"]),
     ("stability-profile_table_cut1_l6", ["stability-profile", "table_cut1_l6", "--level", "6"]),
@@ -975,7 +973,10 @@ def test_reports_match_golden_files(capsys, command, state):
     ("gns-verify-level-4_spec_cut2", ["gns-verify", "spec_cut2", "--level", "4"]),
     ("gns-verify-level-3_table_cut1_l6", ["gns-verify", "table_cut1_l6", "--level", "3"]),
     ("gns-verify-level-4_table_cut1_l6", ["gns-verify", "table_cut1_l6", "--level", "4"]),
-])
+]
+
+
+@pytest.mark.parametrize("name, argv", INVARIANT_GOLDENS)
 def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
     # Pinned byte for byte: the classified invariant, the stability
     # defects and the GNS certificates.  Probes inside S_6 gather the
@@ -993,7 +994,7 @@ def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
     assert out == (GOLDEN / (name + ".json")).read_text()
 
 
-@pytest.mark.parametrize("name, code, argv", [
+EXACT_GOLDENS = [
     ("eval-state_spec_cut2", 0, ["eval-state", "spec_cut2", "--perm", "[[1,2],[3,4,5]]"]),
     ("char-finite", 0, ["char-finite", "--partition", "[4,2,1]", "--perm", "[[1,2],[3,4,5]]"]),
     ("char-thoma_spec_cut2", 0, ["char-thoma", "spec_cut2", "--perm", "[[1,2,3],[4,5]]"]),
@@ -1002,7 +1003,10 @@ def test_invariant_and_stability_reports_match_golden_files(capsys, name, argv):
      ["recover-params", "values_cut2", "--support-bounds", "2,1"]),
     ("quasi-equivalent_spec_cut2_spec_cut3", 1, ["quasi-equivalent", "spec_cut2", "spec_cut3"]),
     ("induce-char", 0, ["induce-char", "--partition", "[2,1]", "--mu", "[2]", "--level", "5"]),
-])
+]
+
+
+@pytest.mark.parametrize("name, code, argv", EXACT_GOLDENS)
 def test_exact_and_fit_reports_match_golden_files(capsys, name, code, argv):
     # Pinned byte for byte: the reports of the subcommands that build no
     # Fourier transform.  values_cut2 holds the cycle values of spec_cut2's
@@ -1010,6 +1014,12 @@ def test_exact_and_fit_reports_match_golden_files(capsys, name, code, argv):
     inputs = ("spec_cut2", "spec_cut3", "values_cut2")
     argv = [str(GOLDEN / (a + ".json")) if a in inputs else a for a in argv]
     assert run(capsys, *argv)[:2] == (code, (GOLDEN / (name + ".json")).read_text())
+
+
+# The job of every golden report above, input files by name.
+GOLDEN_JOBS = ([[command, state, "--level", "6"] for command in SPECTRAL_COMMANDS
+                for state in SPECTRAL_STATES]
+               + [argv for _, argv in INVARIANT_GOLDENS] + [argv for *_, argv in EXACT_GOLDENS])
 
 
 def _run_one_blas_thread(*argv, script=None):

@@ -1,24 +1,28 @@
-"""Argument parsing: a plain job without argparse, one row of cli.COMMANDS per
-other job, the full tree for the rest.
+"""Argument parsing: a plain job without argparse, the full tree for the rest.
 
 A plain job (every flag spelled in full, once, and no value that starts with
-"-") is read by cli._plain to argparse's namespace.  Any other well-formed job
-builds only the parser of its own row.  Help, a missing or unknown subcommand
-and every usage error are handed to the full tree of cli._build_parser, so
-what they print and how they exit is the full tree's, byte for byte.
+"-") is read by cli._plain to argparse's namespace.  Any other job, help, a
+missing or unknown subcommand and every usage error are handed to the full
+tree of cli._build_parser, so what they read, print and exit with is the full
+tree's, byte for byte.  Every job of the README and of the golden reports is
+plain.
 """
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from stablerep import cli
+from test_cli import GOLDEN_JOBS
 
 # One cheap well-formed job per subcommand, in the order of cli.COMMANDS.
 JOBS = {
@@ -145,12 +149,9 @@ def test_a_row_reads_a_job_as_the_full_tree_does(capsys, files, command, extra):
 
 
 @pytest.mark.parametrize("command", JOBS)
-def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, files, tmp_path,
-                                                         command):
-    # A plain job builds no parser at all; one that only argparse reads (an
-    # abbreviated --output) builds the parser of its own row, and no other.
+def test_a_plain_job_builds_no_parser(capsys, monkeypatch, files, command):
     def no_tree():
-        raise AssertionError("the full tree was built for a well-formed job")
+        raise AssertionError("the full tree was built for a plain job")
 
     built = []
     init = argparse.ArgumentParser.__init__
@@ -164,10 +165,6 @@ def test_a_job_builds_one_parser_and_never_the_full_tree(capsys, monkeypatch, fi
     code = cli.main([command, *files(JOBS[command])])
     assert built == []
     assert code == 0 and capsys.readouterr().out
-    out = tmp_path / "out.json"
-    code = cli.main([command, *files(JOBS[command]), "--o=%s" % out])
-    assert built == ["stablerep " + command]
-    assert code == 0 and out.read_text()
 
 
 @pytest.mark.parametrize("command", JOBS)
@@ -217,18 +214,38 @@ def typed(namespace):
 
 @pytest.mark.parametrize("command", JOBS)
 def test_the_plain_reader_gives_the_row_parsers_namespace(command):
+    # The reference is the row's parser in the full tree.
     rng = random.Random(command)
-    parser = cli._RowParser(prog="stablerep " + command, add_help=False)
-    cli._add_arguments(parser, cli.COMMANDS[command])
+    parser = cli._build_parser()
     answered = 0
     for _ in range(1000):
         argv = random_argv(rng, command)
         plain = cli._plain(argv)
         if plain is not None:
-            want = parser.parse_args(argv[1:], argparse.Namespace(subcommand=command))
-            assert typed(plain) == typed(want), argv
+            assert typed(plain) == typed(parser.parse_args(argv)), argv
             answered += 1
     assert answered >= 100, answered
+
+
+def readme_jobs():
+    """Each command line of the README, with and without each bracketed option,
+    and 5 for each upper-case placeholder such as M."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("stablerep ")]
+    assert len(lines) == len(cli.COMMANDS)
+    for line in lines:
+        options = re.findall(r" \[(--[^]]*)\]", line)
+        job = shlex.split(re.sub(r" \[--[^]]*\]", "", line))[1:]
+        for chosen in itertools.product(*[[[], shlex.split(o)] for o in options]):
+            argv = job + [word for option in chosen for word in option]
+            yield ["5" if word.isupper() else word for word in argv]
+
+
+def test_every_readme_and_golden_job_is_plain():
+    # The jobs the README shows and the goldens pin pay for no argparse.
+    for argv in [*readme_jobs(), *GOLDEN_JOBS]:
+        assert cli._plain(argv) is not None, argv
 
 
 def test_a_plain_job_imports_no_locale(tmp_path):

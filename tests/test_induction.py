@@ -166,6 +166,9 @@ def test_character_inner_is_exact():
     assert character_inner(vals, (3,), 3) == 1
     assert character_inner(vals, (2, 1), 3) == 1
     assert character_inner(vals, (1, 1, 1), 3) == 0
+    for lam in [(2,), (2, 1, 1), (1, 2)]:  # no partition of 3
+        with pytest.raises(ValueError):
+            character_inner(vals, lam, 3)
 
 
 def test_an_empty_factor_gives_the_other_shape_once():
