@@ -14,7 +14,6 @@ nested cosets of the Fourier transform.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -235,15 +234,11 @@ def split_product(s: Permutation, n: int) -> Optional[tuple[Permutation, Permuta
 
 @lru_cache(maxsize=8)
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
-    """All elements of S_n in rank order (see word_ranks), so S_k comes first. Cached.
+    """All elements of S_n in rank order, the rows of group_words(n), so S_k comes first. Cached.
 
     That is lexicographic order of w_0 g w_0, w_0 the longest element.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return tuple(
-        Permutation.from_one_line(w[::-1]) for w in itertools.permutations(range(n, 0, -1))
-    )
+    return tuple(map(Permutation.from_one_line, group_words(n).tolist()))
 
 
 def adjacent_word(p: Permutation, n: Optional[int] = None) -> tuple[int, ...]:

@@ -286,23 +286,20 @@ def _probes(x: np.ndarray, jac: np.ndarray) -> list[np.ndarray]:
 # fits that miss an entry of 1/80 lie 1e16 or more above it.
 NOISE_SLACK = 1e10
 
-# Most Gauss-Newton steps per root: quadratic at an exact fit; elsewhere the polish finishes.
-REFINE_STEPS = 2
-
 
 def _pade_equations(cs: np.ndarray, prefix: np.ndarray, r: int, s: int):
     """h_0..h_N of exp(c t + sum_k p_k t^k / k), prefix = (p_2, .., p_N), at each
-    c, and m[g, i, l] = h_{j-l} (0 for j < l) on rows j = s+1..N, lags 0..r+1.
+    c, and m[g, i, l] = h_{j-l} (0 for j < l) on rows j = s+1..N, lags 0..r.
 
-    b + a q = m[..., :r+1] @ (1, q) = 0 are the [s/r] Padé equations for the denominator
-    1 + q_1 t + .. + q_r t^r; as dh_k/dc = h_{k-1}, m[..., 1:] @ (1, q) is their d/dc.
+    b + a q = m @ (1, q) = 0 are the [s/r] Padé equations for the denominator
+    1 + q_1 t + .. + q_r t^r.
     """
     h = np.empty((len(prefix) + 2, len(cs)))
     h[0], h[1] = 1.0, cs
     # Newton's identities: k h_k = sum_{i=1..k} p_i h_{k-i}, with p_1 = c.
     for k in range(2, len(h)):
         h[k] = (cs * h[k - 1] + prefix[: k - 1] @ h[k - 2 :: -1]) / k
-    lags = np.arange(s + 1, len(h))[:, None] - np.arange(r + 2)
+    lags = np.arange(s + 1, len(h))[:, None] - np.arange(r + 1)
     return h.T, np.where(lags >= 0, h.T[:, np.maximum(lags, 0)], 0.0)
 
 
@@ -316,7 +313,7 @@ def _determinant_roots(prefix: np.ndarray, r: int, s: int) -> np.ndarray:
     d = (r + 1) * (s + 1)
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     m = _pade_equations((1 + np.cos(theta)) / 2, prefix[: r + s], r, s)[1]
-    coef = np.cos(np.outer(np.arange(d + 1), theta)) @ np.linalg.det(m[:, :, : r + 1])
+    coef = np.cos(np.outer(np.arange(d + 1), theta)) @ np.linalg.det(m)
     # Top coefficients that round to 0 lower the degree; below 2, seed from both ends.
     coef = np.trim_zeros(coef * np.where(np.arange(d + 1) == 0, 1.0, 2.0) / (d + 1), "b")
     if len(coef) < 3:
@@ -328,19 +325,6 @@ def _determinant_roots(prefix: np.ndarray, r: int, s: int) -> np.ndarray:
     return np.array(sorted(set(((1 + np.linalg.eigvals(colleague).real) / 2).clip(0.0, 1.0))))
 
 
-def _pade_fit(cs: np.ndarray, prefix: np.ndarray, r: int, s: int):
-    """Per c: h, least-squares (1, q), the sum of squares of f = a q + b, its Gauss-Newton step."""
-    h, m = _pade_equations(cs, prefix, r, s)
-    a = m[:, :, 1 : r + 1]
-    x = np.array([np.linalg.lstsq(ai, mi, rcond=None)[0] for ai, mi in zip(a, m)])
-    m = m - np.einsum("gij,gjk->gik", a, x)  # lags projected off a: variable projection
-    q = np.concatenate([np.ones((len(cs), 1)), -x[:, :, 0]], axis=1)
-    f, d = m[:, :, 0], (m[:, :, 1:] @ q[:, :, None])[:, :, 0]
-    curvature = np.einsum("gi,gi->g", d, d)
-    step = -np.einsum("gi,gi->g", f, d) / np.where(curvature > 0, curvature, np.inf)
-    return h, q, np.einsum("gi,gi->g", f, f), step
-
-
 def _pade_starts(prefix: np.ndarray, r: int, s: int) -> list[np.ndarray]:
     """Starting points (alpha, beta) at support (r, s) from Thoma's formula.
 
@@ -348,21 +332,14 @@ def _pade_starts(prefix: np.ndarray, r: int, s: int) -> list[np.ndarray]:
     with c = sum(alpha) + sum(beta), so for fixed c the support is an [s/r]
     Padé problem.  Its first r + 1 denominator equations are consistent where
     their determinant, a polynomial in c, vanishes, also at spurious c where a
-    root comes out negative and is clipped to 0.  So each root seeds a start,
-    after Gauss-Newton steps towards the other equations that lower their
-    residual, and the caller keeps the start that fits best.
+    root comes out negative and is clipped to 0.  So each root seeds a start
+    from the least-squares denominator of all the equations at that c, and the
+    caller keeps the start that fits best.
     """
     cs = _determinant_roots(prefix, r, s)
-    h, q, cost, step = _pade_fit(cs, prefix, r, s)
-    for _ in range(REFINE_STEPS if len(prefix) > r + s else 0):
-        trial = (cs + step).clip(0.0, 1.0)
-        if np.all(trial == cs):
-            break
-        h_t, q_t, cost_t, step_t = _pade_fit(trial, prefix, r, s)
-        better = cost_t < cost
-        cs, cost = np.where(better, trial, cs), np.minimum(cost_t, cost)
-        step = np.where(better, step_t, 0.0)
-        h, q = np.where(better[:, None], h_t, h), np.where(better[:, None], q_t, q)
+    h, m = _pade_equations(cs, prefix, r, s)
+    q = [np.concatenate([[1.0], -np.linalg.lstsq(mi[:, 1:], mi[:, 0], rcond=None)[0]])
+         for mi in m]
     x0 = np.array([np.concatenate([np.roots(qi).real,
                                    -np.roots(np.convolve(qi, hi)[: s + 1]).real])
                    for qi, hi in zip(q, h)]).clip(0.0, 1.0)
