@@ -427,8 +427,12 @@ def classify(
     within RESIDUAL_TOL must also reproduce the state on S_K to
     REPRODUCTION_TOL: when K is at most the depth, the state on S_K is a
     class function, central_depth reads n = 0 there, and such an invariant
-    is refused, not returned.
+    is refused, not returned.  S_0 and S_1 hold no transposition to read a
+    depth from, so K < 2 raises ValueError.
     """
+    if K < 2:
+        raise ValueError(f"S_{K} holds no transposition, so no depth can be read; "
+                         "classify needs level >= 2")
     r, s = support_bounds
     table = as_table(state, K)
     n = central_depth(table, K)

@@ -16,12 +16,15 @@ with repr precision, rationals as "p/q" strings.  Exit codes:
     0  success
     1  certificate failure (not positive, residual over threshold,
        states not quasi-equivalent, stabilization not witnessed)
-    2  malformed input (message includes file and location), or an
-       --output that cannot be opened
-    3  infeasible job (level above the hard cap without --allow-large,
-       a table that stops below the requested level, negative support bounds,
-       a --cut or --max-shift outside the truncation, values whose
-       results overflow, memory exhausted while running)
+    2  malformed input (message includes file and location), text that is
+       not UTF-8 or JSON nested too deeply included, or an --output that
+       cannot be opened
+    3  infeasible job: any refusal, which main alone reads from a ValueError
+       (level above the hard cap without --allow-large, a table that stops
+       below the requested level, negative support bounds, a --cut or
+       --max-shift outside the truncation, classify or stability-profile
+       below level 2), values whose results overflow, memory exhausted
+       while running
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class InputError(Exception):
         self.location = location
 
 
-class InfeasibleError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -95,6 +94,10 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         loc = "%s:%d:%d" % (path, exc.lineno, exc.colno)
         raise InputError("invalid JSON: %s" % exc.msg, location=loc)
+    except UnicodeDecodeError as exc:
+        raise InputError("not UTF-8 text: %s" % exc.reason, location=path)
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply", location=path)
     finally:
         if collecting:
             gc.enable()
@@ -105,6 +108,8 @@ def _parse_json_flag(text, flag):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON in %s: %s" % (flag, exc.msg), location=flag)
+    except RecursionError:
+        raise InputError("invalid JSON in %s: nested too deeply" % flag, location=flag)
 
 
 def _is_int(value):
@@ -204,8 +209,8 @@ def _table_from(data, where):
         raise InputError("state file needs a 'values' list of [cycles, value] pairs",
                          location=where)
     if level > MAX_TABLE_LEVEL:
-        raise InfeasibleError("a level %d table has %d! values, more than an array can hold"
-                              % (level, level))
+        raise ValueError("a level %d table has %d! values, more than an array can hold"
+                         % (level, level))
     # Rows are read in bulk up to the first that is not a pair of a list of
     # lists of integers and a value; the first bad row is then read alone
     # for its error, checked in the order that one row's checks are made.
@@ -293,10 +298,10 @@ def _load_state(path):
 
 def _check_level(level, allow_large):
     if level > HARD_CAP and not allow_large:
-        raise InfeasibleError("level %d exceeds the hard cap %d (pass --allow-large to "
-                              "override)" % (level, HARD_CAP))
+        raise ValueError("level %d exceeds the hard cap %d (pass --allow-large to "
+                         "override)" % (level, HARD_CAP))
     if level < 0:
-        raise InfeasibleError("level must be nonnegative")
+        raise ValueError("level must be nonnegative")
 
 
 def _support_bounds(text):
@@ -306,7 +311,7 @@ def _support_bounds(text):
         raise InputError("--support-bounds wants two integers 'r,s', got %r" % text,
                          location="--support-bounds")
     if r < 0 or s < 0:
-        raise InfeasibleError("support bounds must be nonnegative")
+        raise ValueError("support bounds must be nonnegative")
     return r, s
 
 
@@ -393,18 +398,10 @@ def _cmd_char_thoma(args):
     return report, True
 
 
-def _tabulate(state, level):
-    """fourier.as_table, with a table that stops below the level mapped to exit 3."""
-    try:
-        return as_table(state, level)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc))
-
-
 def _cmd_dual_norm(args):
     state = _load_state(args.input)
     norm = (spectral_norm(args.level, block_spectra(state, args.level))  # exact: no table
-            if isinstance(state, CanonicalState) else dual_norm(_tabulate(state, args.level)))
+            if isinstance(state, CanonicalState) else dual_norm(as_table(state, args.level)))
     return {"dual_norm": norm, "level": args.level}, True
 
 
@@ -413,8 +410,9 @@ def _cmd_psd_check(args):
     if isinstance(state, CanonicalState):  # exact spectra, hermitian by construction
         cert = psd_certificate(block_spectra(state, args.level), 0, args.tol)
     else:
+        table = as_table(state, args.level)  # one that stops below the level is infeasible
         try:
-            cert = is_positive_definite(_tabulate(state, args.level), tol=args.tol)
+            cert = is_positive_definite(table, tol=args.tol)
         except ValueError as exc:  # a non-hermitian function is not a state
             raise InputError(str(exc), location=args.input)
     return {"positive_definite": cert.positive, "min_eigenvalue": cert.min_eigenvalue,
@@ -427,7 +425,7 @@ def _cmd_asymptotic_char(args):
     m0 = max(g.level, state.n)
     M = args.max_shift if args.max_shift is not None else m0 + 4
     if M <= m0:
-        raise InfeasibleError("--max-shift must exceed max(level(g), n) = %d" % m0)
+        raise ValueError("--max-shift must exceed max(level(g), n) = %d" % m0)
     seq = shift_sequence(g, M)
     result = asymptotic_character(state, g, M, tol=args.tol)
     report = {"perm": g.cycles(), "shift_memberships": seq.verify(),
@@ -472,9 +470,6 @@ def _cmd_classify(args):
         result = classify(state, args.level, bounds)
     except ClassificationError as exc:
         failure = str(exc)
-    except ValueError as exc:
-        # A bounded table can run out of room for the shift probes.
-        raise InfeasibleError(str(exc))
     else:
         if result.residual <= RESIDUAL_TOL:
             return result.to_json(), True
@@ -495,26 +490,19 @@ def _cmd_stability_profile(args):
     state = _load_state(args.input)
     # Probes above cut m reach level m + 3; a bounded table caps the sweep.
     M = args.max_shift if args.max_shift is not None else max(args.level - 3, 0)
-    try:
-        profile = stability_profile(state, args.level, M,
-                                    exhaustive=args.exhaustive_sweep)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc))
+    profile = stability_profile(state, args.level, M, exhaustive=args.exhaustive_sweep)
     return profile.to_csv() if args.format == "csv" else profile.to_json(), True
 
 
 def _cmd_centrality_defect(args):
     state = _load_state(args.input)
-    try:
-        defect = centrality_defect(state, args.cut, args.level)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc))
+    defect = centrality_defect(state, args.cut, args.level)
     return {"defect": defect, "cut": args.cut, "level": args.level}, True
 
 
 def _cmd_gns_verify(args):
     k = args.level
-    f = _tabulate(_load_state(args.input), k)
+    f = as_table(_load_state(args.input), k)
     try:
         check_hermitian(f)
     except ValueError as exc:  # a non-hermitian function is not a state
@@ -533,8 +521,8 @@ def _cmd_induce_char(args):
     mu = _partition_from(_parse_json_flag(args.mu, "--mu"), "--mu")
     m = args.level
     if sum(lam) + sum(mu) != m:
-        raise InfeasibleError("|lambda| + |mu| must equal --level (got %d + %d != %d)"
-                              % (sum(lam), sum(mu), m))
+        raise ValueError("|lambda| + |mu| must equal --level (got %d + %d != %d)"
+                         % (sum(lam), sum(mu), m))
     mults = decompose_induced(sum(lam), lam, mu, m)
     return {"partition": list(lam), "mu": list(mu), "level": m,
             "multiplicities": {json.dumps(list(nu)): c for nu, c in sorted(mults.items())}}, True
@@ -688,7 +676,7 @@ def main(argv=None):
         loc = " [%s]" % exc.location if exc.location else ""
         print("error: %s%s" % (exc, loc), file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleError as exc:
+    except ValueError as exc:  # a job the truncation cannot carry
         print("infeasible: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
     except OverflowError as exc:

@@ -136,10 +136,14 @@ def stability_profile(f: Evaluator, K: int, M: int, exhaustive: bool = False) ->
     tie in exact arithmetic do not pick it by their rounding.
 
     The generator probes above a cut m >= K fix every point of S_K and so
-    measure nothing; M >= K is refused for them.
+    measure nothing; M >= K is refused for them, and so is K = 1, where
+    every probe fixes the one element e of S_1.
     """
     if M < 0:
         raise ValueError(f"max shift must be >= 0, got {M}")
+    if not exhaustive and K == 1:
+        raise ValueError("S_1 holds only e, which every probe fixes; generator probes "
+                         "need level >= 2")
     if not exhaustive and M >= K:
         bound = f"max shift must be <= {K - 1}" if K else "S_0 has no point for a probe to move"
         raise ValueError(f"probes above cut {M} fix every point of S_{K}; {bound}")

@@ -400,16 +400,19 @@ def recover_params(
         raise ValueError("cycle lengths must be below 2**63")
     if len(ks) == 0 or ks[0] < 2:
         raise ValueError("values must be keyed by cycle lengths >= 2")
-    missing = sorted(set(range(2, r + s + 2)).difference(ks.tolist()))
-    if missing:
+    # ks is sorted and distinct, so ks[i] == i + 2 exactly on the run 2, 3, ...
+    run = ks == np.arange(2, len(ks) + 2)
+    first_missing = int(np.count_nonzero(run)) + 2
+    if first_missing <= r + s + 1:
+        count = r + s - int(np.count_nonzero(ks <= r + s + 1))
+        more = f" and {count - 1} more" if count > 1 else ""
         raise ValueError(f"need cycle values for every k in 2..{r + s + 1} for bounds "
-                         f"({r}, {s}); missing {missing}")
+                         f"({r}, {s}); missing [{first_missing}]{more}")
     target = np.array([float(values[k]) for k in ks])
     # |value| <= 1 holds for every character; it also keeps h_k bounded.
     if not np.all(np.abs(target) <= 1 + SUM_SLACK):
         raise ValueError("cycle values must be finite and lie in [-1, 1]")
-    # ks is sorted and distinct, so ks[i] == i + 2 exactly on the run 2, 3, ...
-    prefix = target[ks == np.arange(2, len(ks) + 2)]
+    prefix = target[run]
 
     fits = {(r2, s2): _fit_support(target, ks, prefix, r2, s2)
             for r2 in range(r + 1) for s2 in range(s + 1)}

@@ -247,6 +247,17 @@ def test_classify_refuses_an_invariant_that_misses_the_state():
     assert quasi_equivalent(classify(state, 4, (1, 1)).invariant, state)
 
 
+def test_classify_refuses_levels_without_a_transposition():
+    # S_0 and S_1 hold no transposition, so the depth would read 0 for every
+    # state and the reproduction check would compare f(e) alone.
+    state = CanonicalState(2, (1, 1), ThomaParams((0.5, 0.2), (0.25,)))
+    for K in (0, 1):
+        with pytest.raises(ValueError, match="S_%d holds no transposition" % K):
+            classify(state, K, (1, 1))
+        with pytest.raises(ValueError, match="level >= 2"):
+            classify(as_table(state, 4), K, (2, 1))
+
+
 def test_quasi_equivalence_partitions_battery():
     states = [
         CanonicalState(2, (1, 1), HALF_HALF),

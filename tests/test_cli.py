@@ -290,6 +290,25 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["not-utf-8", "deep-file", "deep-perm"])
+def test_malformed_text_exits_2_naming_its_location(tmp_path, spec_a, case):
+    # Bytes that are no UTF-8 and JSON nested past the parser's recursion
+    # limit are malformed input.  UnicodeDecodeError is a ValueError, which
+    # main would otherwise read as an infeasible job.
+    bad = tmp_path / "bad.json"
+    if case == "not-utf-8":
+        bad.write_bytes(b'{"n": "\xff"}')
+    else:
+        bad.write_text("[" * 100_000)
+    argv, where = ((["eval-state", spec_a, "--perm", "[" * 3000], "--perm") if case == "deep-perm"
+                   else (["eval-state", str(bad), "--perm", "[[1,2]]"], str(bad)))
+    proc = subprocess.run([sys.executable, "-m", "stablerep.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "[%s]" % where in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_perm_flag_exits_2(capsys, spec_a):
     code, _, err = run(capsys, "eval-state", spec_a, "--perm", "[[1,2")
     assert code == 2
@@ -462,6 +481,14 @@ def test_stability_profile_at_level_0_exits_3_without_a_negative_bound(capsys, s
     assert code == 3
     assert out == ""
     assert "S_0" in err and "-1" not in err
+
+
+def test_stability_profile_at_level_1_exits_3(capsys, spec_a):
+    # S_1 = {e}: every probe fixes it, so a defect of 0 would witness nothing.
+    code, out, err = run(capsys, "stability-profile", spec_a, "--level", "1")
+    assert code == 3 and out == ""
+    assert err == ("infeasible: S_1 holds only e, which every probe fixes; generator probes "
+                   "need level >= 2\n")
 
 
 def test_state_above_level_exits_2(capsys, tmp_path):
@@ -881,6 +908,27 @@ def test_classify_refuses_an_invariant_that_misses_the_state(capsys, tmp_path, n
     assert report["failure"].startswith(
         "classification failed: the recovered invariant misses the state on S_%s by " % level)
     assert (report["level"], report["support_bounds"]) == (int(level), [2, 1])
+
+
+@pytest.mark.parametrize("level, bounds", [("0", "2,1"), ("1", "1,1"), ("1", "2,1")])
+def test_classify_below_level_2_exits_3(capsys, tmp_path, level, bounds):
+    # S_0 and S_1 hold no transposition: the depth would read 0 for every state.
+    spec = write(tmp_path / "s.json",
+                 {"n": 2, "lambda": [1, 1], "alpha": ["1/2", "1/5"], "beta": ["1/4"]})
+    code, out, err = run(capsys, "classify", spec, "--level", level, "--support-bounds", bounds)
+    assert code == 3 and out == ""
+    assert err == ("infeasible: S_%s holds no transposition, so no depth can be read; "
+                   "classify needs level >= 2\n" % level)
+
+
+def test_recover_params_names_the_first_missing_length(capsys, tmp_path):
+    # Bounds (10**6, 0) need a million lengths; the error names the first gap
+    # and the count, not every missing length.
+    path = write(tmp_path / "values.json", {"2": 0.3, "3": 0.05})
+    code, out, err = run(capsys, "recover-params", path, "--support-bounds", "1000000,0")
+    assert code == 2 and out == ""
+    assert err == ("error: need cycle values for every k in 2..1000001 for bounds (1000000, 0); "
+                   "missing [4] and 999997 more [%s]\n" % path)
 
 
 @pytest.mark.parametrize("key", ["02", "1_0", " 2", "+3"])

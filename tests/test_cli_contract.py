@@ -32,3 +32,23 @@ def test_level_caps_are_checked_in_main():
     callers = sorted(name for name, node in _functions().items()
                      if "_check_level" in _names(node))
     assert callers == ["_cmd_char_finite", "main"]
+
+
+def _catches_value_error(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "ValueError" for n in names)
+
+
+def test_exit_3_is_read_from_a_value_error_in_main_alone():
+    # main reads any ValueError as an infeasible job.  A handler catches one
+    # only to read it as something else: malformed input, raised as
+    # InputError, or a report or value of its own, never a re-raise.
+    functions = _functions()
+    assert any(_catches_value_error(h) for h in ast.walk(functions["main"])
+               if isinstance(h, ast.ExceptHandler))
+    reraised = sorted(
+        (name, r.lineno) for name, node in functions.items() if name.startswith("_cmd_")
+        for h in ast.walk(node) if isinstance(h, ast.ExceptHandler) and _catches_value_error(h)
+        for r in ast.walk(h) if isinstance(r, ast.Raise)
+        and not (isinstance(r.exc, ast.Call) and getattr(r.exc.func, "id", None) == "InputError"))
+    assert reraised == []

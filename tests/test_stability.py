@@ -190,6 +190,14 @@ def test_level_zero_profile_is_refused_without_a_negative_bound():
         assert "-1" not in str(info.value)
 
 
+def test_level_one_profile_is_refused_for_generator_probes():
+    # S_1 = {e}: every probe fixes it, so the defect would read 0 for any state.
+    with pytest.raises(ValueError, match="S_1 holds only e"):
+        stability_profile(STATE, K=1, M=0)
+    with pytest.raises(ValueError, match="exhaustive level 1"):
+        stability_profile(STATE, K=1, M=0, exhaustive=True)
+
+
 def test_generator_probes_past_truncation_are_refused():
     # Above cut m >= K the probes fix every point of S_K and measure nothing.
     stability_profile(STATE, K=4, M=3)

@@ -203,8 +203,14 @@ def test_recovery_drops_junk_support():
 
 
 def test_recover_refuses_gaps_and_values_no_character_has():
-    with pytest.raises(ValueError, match=r"missing \[3\]"):
+    with pytest.raises(ValueError, match=r"missing \[3\]$"):
         recover_params({2: 0.25, 4: 0.0625, 5: 0.03125}, (1, 1))
+    # A gap is named by its first missing length and a count: bounds (3, 3)
+    # need k = 2..7, of which 3, 6 and 7 are missing.
+    with pytest.raises(ValueError, match=r"2\.\.7 .* missing \[3\] and 2 more$"):
+        recover_params({2: 0.25, 4: 0.0625, 5: 0.03125}, (3, 3))
+    with pytest.raises(ValueError, match=r"missing \[4\] and 999997 more$"):
+        recover_params({2: 0.25, 3: 0.125}, (10**6, 0))
     with pytest.raises(ValueError, match=r"2\*\*63"):
         recover_params({2: 0.25, 3: 0.125, 10**20: 0.0}, (1, 0))
     for bad in (math.nan, math.inf, -math.inf, 1.5):
